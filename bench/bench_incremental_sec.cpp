@@ -17,7 +17,7 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "core/plan.h"
+#include "core/resilient.h"
 #include "cosim/wrapped_rtl.h"
 #include "designs/conv.h"
 #include "designs/fir.h"
@@ -42,40 +42,48 @@ double secsSince(Clock::time_point start) {
 /// the model (the bug edit swaps in the narrow accumulator).
 designs::FirBug gFirBug = designs::FirBug::kNone;
 
-core::VerificationPlan makePlan() {
-  core::VerificationPlan plan("soc");
-  plan.addSecBlock("fir", 1, [] {
-    ir::Context ctx;
-    auto setup = designs::makeFirSecProblem(ctx, gFirBug);
-    return sec::checkEquivalence(*setup.problem, {.boundTransactions = 4});
-  });
-  plan.addSecBlock("conv_win", 1, [] {
-    const auto kernel = designs::ConvKernel::sharpen();
-    ir::Context ctx;
-    auto e = slmc::elaborate(designs::makeConvWindowSlm(kernel), ctx, "s.");
-    auto rtlTs = rtl::lowerToTransitionSystem(
-        designs::makeConvWindowRtl(kernel), ctx, "r.");
-    sec::SecProblem p(ctx, *e.ts, 1, rtlTs, 1);
-    for (unsigned i = 0; i < 9; ++i) {
-      auto v = p.declareTxnVar("p" + std::to_string(i), 8);
-      p.bindInput(sec::Side::kSlm, "s.p" + std::to_string(i), 0, v);
-      p.bindInput(sec::Side::kRtl, "r.p" + std::to_string(i), 0, v);
-    }
-    p.checkOutputs("ret", 0, "pix", 0);
-    return sec::checkEquivalence(p, {.boundTransactions = 1});
-  });
-  plan.addSecBlock("gcd", 1, [] {
-    ir::Context ctx;
-    auto setup = designs::makeGcdSecProblem(ctx);
-    return sec::checkEquivalence(*setup.problem, {.boundTransactions = 1});
-  });
-  plan.addSecBlock("fpadd", 1, [] {
-    ir::Context ctx;
-    auto setup = designs::makeFpAddSecProblem(ctx, fp::Format::minifloat(),
-                                              true);
-    return sec::checkEquivalence(*setup.problem, {.boundTransactions = 1});
-  });
-  plan.addCosimBlock("conv_stream", 1, [] {
+/// conv window: elaborated SLM-C vs the window datapath.
+sec::SecResult checkConvWindow(const sec::SecOptions& opts) {
+  const auto kernel = designs::ConvKernel::sharpen();
+  ir::Context ctx;
+  auto e = slmc::elaborate(designs::makeConvWindowSlm(kernel), ctx, "s.");
+  auto rtlTs = rtl::lowerToTransitionSystem(
+      designs::makeConvWindowRtl(kernel), ctx, "r.");
+  sec::SecProblem p(ctx, *e.ts, 1, rtlTs, 1);
+  for (unsigned i = 0; i < 9; ++i) {
+    auto v = p.declareTxnVar("p" + std::to_string(i), 8);
+    p.bindInput(sec::Side::kSlm, "s.p" + std::to_string(i), 0, v);
+    p.bindInput(sec::Side::kRtl, "r.p" + std::to_string(i), 0, v);
+  }
+  p.checkOutputs("ret", 0, "pix", 0);
+  return sec::checkEquivalence(p, opts);
+}
+
+core::ResilientRunner makePlan() {
+  // One attempt per block, no cosim fallback: a plain one-shot plan.
+  core::ResilientRunner plan("soc", {.maxAttempts = 1});
+  plan.addSecBlock("fir", 1, {.boundTransactions = 4},
+                   [](const sec::SecOptions& opts) {
+                     ir::Context ctx;
+                     auto setup = designs::makeFirSecProblem(ctx, gFirBug);
+                     return sec::checkEquivalence(*setup.problem, opts);
+                   });
+  plan.addSecBlock("conv_win", 1, {.boundTransactions = 1},
+                   checkConvWindow);
+  plan.addSecBlock("gcd", 1, {.boundTransactions = 1},
+                   [](const sec::SecOptions& opts) {
+                     ir::Context ctx;
+                     auto setup = designs::makeGcdSecProblem(ctx);
+                     return sec::checkEquivalence(*setup.problem, opts);
+                   });
+  plan.addSecBlock("fpadd", 1, {.boundTransactions = 1},
+                   [](const sec::SecOptions& opts) {
+                     ir::Context ctx;
+                     auto setup = designs::makeFpAddSecProblem(
+                         ctx, fp::Format::minifloat(), true);
+                     return sec::checkEquivalence(*setup.problem, opts);
+                   });
+  plan.addCosimBlock("conv_stream", 1, [](std::uint64_t /*seed*/) {
     const auto kernel = designs::ConvKernel::sharpen();
     const auto img = workload::makeTestImage(64, 48, 3);
     const auto golden = designs::convGolden(img, kernel);
@@ -88,16 +96,16 @@ core::VerificationPlan makePlan() {
     bool ok = outs.size() == golden.size();
     for (std::size_t i = 0; ok && i < golden.size(); ++i)
       ok = outs[i].value.toUint64() == golden[i];
-    return core::VerificationPlan::CosimOutcome{ok, "streaming vs golden"};
+    return core::ResilientRunner::CosimOutcome{ok, "streaming vs golden"};
   });
-  plan.addCosimBlock("memsys", 1, [] {
+  plan.addCosimBlock("memsys", 1, [](std::uint64_t /*seed*/) {
     const auto trace = workload::makeMemTrace(800, 4);
     const auto golden = designs::memGolden(trace);
     const auto run = designs::runCache(trace);
     bool ok = run.responses.size() == golden.size();
     for (std::size_t i = 0; ok && i < golden.size(); ++i)
       ok = run.responses[i] == golden[i];
-    return core::VerificationPlan::CosimOutcome{ok, "cache vs flat array"};
+    return core::ResilientRunner::CosimOutcome{ok, "cache vs flat array"};
   });
   return plan;
 }
@@ -126,8 +134,8 @@ int main(int argc, char** argv) {
   };
 
   // Baseline: initial full verification on both plans.
-  core::VerificationPlan fullPlan = makePlan();
-  core::VerificationPlan incrPlan = makePlan();
+  core::ResilientRunner fullPlan = makePlan();
+  core::ResilientRunner incrPlan = makePlan();
   gFirBug = designs::FirBug::kNone;
   auto t0 = Clock::now();
   fullPlan.runAll();

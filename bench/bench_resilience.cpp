@@ -41,7 +41,6 @@
 #include "bench_util.h"
 #include "cosim/scoreboard.h"
 #include "core/journal.h"
-#include "core/report.h"
 #include "core/resilient.h"
 #include "designs/fir.h"
 #include "designs/gcd.h"

@@ -21,6 +21,8 @@
 #include <string>
 #include <vector>
 
+#include "drc/diagnostics.h"
+
 namespace dfv::benchutil {
 
 inline bool smokeMode(int argc, char** argv) {
@@ -109,17 +111,10 @@ class JsonReport {
 
  private:
   static std::string quoted(const std::string& s) {
-    std::string out = "\"";
-    for (const char c : s) {
-      if (c == '"' || c == '\\') out += '\\';
-      out += c;
-    }
-    out += '"';
-    return out;
+    return "\"" + drc::jsonEscape(s) + "\"";
   }
   JsonReport& rawField(const std::string& key, const std::string& json) {
-    // field() before any beginRow() is a bench bug; keep the check
-    // dependency-free so this header stays usable from every bench.
+    // field() before any beginRow() is a bench bug.
     if (rows_.empty()) {
       std::fprintf(stderr, "JsonReport misuse: field() before beginRow()\n");
       std::abort();

@@ -10,7 +10,7 @@
 
 #include <cstdio>
 
-#include "core/plan.h"
+#include "core/resilient.h"
 #include "cosim/scoreboard.h"
 #include "cosim/wrapped_rtl.h"
 #include "designs/conv.h"
@@ -39,49 +39,58 @@ void printReport(const char* title, const core::PlanReport& report) {
   std::printf("  => %s\n\n", report.summary().c_str());
 }
 
+/// conv window: elaborated SLM-C vs the window datapath.
+sec::SecResult checkConvWindow(const sec::SecOptions& opts) {
+  const auto kernel = designs::ConvKernel::sharpen();
+  ir::Context ctx;
+  auto e = slmc::elaborate(designs::makeConvWindowSlm(kernel), ctx, "s.");
+  auto rtlTs = rtl::lowerToTransitionSystem(
+      designs::makeConvWindowRtl(kernel), ctx, "r.");
+  sec::SecProblem p(ctx, *e.ts, 1, rtlTs, 1);
+  for (unsigned i = 0; i < 9; ++i) {
+    auto v = p.declareTxnVar("p" + std::to_string(i), 8);
+    p.bindInput(sec::Side::kSlm, "s.p" + std::to_string(i), 0, v);
+    p.bindInput(sec::Side::kRtl, "r.p" + std::to_string(i), 0, v);
+  }
+  p.checkOutputs("ret", 0, "pix", 0);
+  return sec::checkEquivalence(p, opts);
+}
+
 }  // namespace
 
 int main() {
   std::printf("== DFV SoC flow: plan, verify, edit, re-verify ==\n\n");
-  core::VerificationPlan plan("demo_soc");
+  // One attempt per block, no cosim fallback: a plain one-shot plan.
+  core::ResilientRunner plan("demo_soc", {.maxAttempts = 1});
 
   // fir: SEC with coupling invariants.
-  plan.addSecBlock("fir", /*digest=*/0xf1f1, [] {
-    ir::Context ctx;
-    auto setup = designs::makeFirSecProblem(ctx, false);
-    return sec::checkEquivalence(*setup.problem, {.boundTransactions = 2});
-  });
+  plan.addSecBlock("fir", /*digest=*/0xf1f1, {.boundTransactions = 2},
+                   [](const sec::SecOptions& opts) {
+                     ir::Context ctx;
+                     auto setup = designs::makeFirSecProblem(ctx, false);
+                     return sec::checkEquivalence(*setup.problem, opts);
+                   });
   // conv window: elaborated SLM-C vs window datapath.
-  plan.addSecBlock("conv_win", 0xc0c0, [] {
-    const auto kernel = designs::ConvKernel::sharpen();
-    ir::Context ctx;
-    auto e = slmc::elaborate(designs::makeConvWindowSlm(kernel), ctx, "s.");
-    auto rtlTs = rtl::lowerToTransitionSystem(
-        designs::makeConvWindowRtl(kernel), ctx, "r.");
-    sec::SecProblem p(ctx, *e.ts, 1, rtlTs, 1);
-    for (unsigned i = 0; i < 9; ++i) {
-      auto v = p.declareTxnVar("p" + std::to_string(i), 8);
-      p.bindInput(sec::Side::kSlm, "s.p" + std::to_string(i), 0, v);
-      p.bindInput(sec::Side::kRtl, "r.p" + std::to_string(i), 0, v);
-    }
-    p.checkOutputs("ret", 0, "pix", 0);
-    return sec::checkEquivalence(p, {.boundTransactions = 1});
-  });
+  plan.addSecBlock("conv_win", 0xc0c0, {.boundTransactions = 1},
+                   checkConvWindow);
   // gcd: elaborated conditioned model vs multi-cycle FSM.
-  plan.addSecBlock("gcd", 0x9cd, [] {
-    ir::Context ctx;
-    auto setup = designs::makeGcdSecProblem(ctx);
-    return sec::checkEquivalence(*setup.problem, {.boundTransactions = 1});
-  });
+  plan.addSecBlock("gcd", 0x9cd, {.boundTransactions = 1},
+                   [](const sec::SecOptions& opts) {
+                     ir::Context ctx;
+                     auto setup = designs::makeGcdSecProblem(ctx);
+                     return sec::checkEquivalence(*setup.problem, opts);
+                   });
   // fpadd: constrained SEC (the §3.1.2 technique).
-  plan.addSecBlock("fpadd", 0xf9, [] {
-    ir::Context ctx;
-    auto setup = designs::makeFpAddSecProblem(ctx, fp::Format::minifloat(),
-                                              /*constrainToSafeBand=*/true);
-    return sec::checkEquivalence(*setup.problem, {.boundTransactions = 1});
-  });
+  plan.addSecBlock("fpadd", 0xf9, {.boundTransactions = 1},
+                   [](const sec::SecOptions& opts) {
+                     ir::Context ctx;
+                     auto setup = designs::makeFpAddSecProblem(
+                         ctx, fp::Format::minifloat(),
+                         /*constrainToSafeBand=*/true);
+                     return sec::checkEquivalence(*setup.problem, opts);
+                   });
   // memsys: cosim (latency varies with cache state; values must not).
-  plan.addCosimBlock("memsys", 0x3e3, [] {
+  plan.addCosimBlock("memsys", 0x3e3, [](std::uint64_t /*seed*/) {
     const auto trace = workload::makeMemTrace(500, 7);
     const auto golden = designs::memGolden(trace);
     const auto run = designs::runCache(trace);
@@ -94,7 +103,7 @@ int main() {
                   run.responses.size(),
                   static_cast<unsigned long long>(run.readHits),
                   static_cast<unsigned long long>(run.readMisses));
-    return core::VerificationPlan::CosimOutcome{ok, detail};
+    return core::ResilientRunner::CosimOutcome{ok, detail};
   });
 
   printReport("[1] initial full verification (runAll):", plan.runAll());

@@ -458,8 +458,9 @@ void mixSecOptions(common::StableHasher& h, const sec::SecOptions& o) {
 std::uint64_t secBlockFingerprint(const std::string& block,
                                   std::uint64_t digest,
                                   const sec::SecOptions& options,
-                                  const RetryPolicy& policy, bool racing,
-                                  unsigned portfolioMembers) {
+                                  const RetryPolicy& policy,
+                                  DrcPolicy drcPolicy, bool hasDrcRunner,
+                                  bool racing, unsigned portfolioMembers) {
   common::StableHasher h;
   h.mix(std::string_view("sec"));
   h.mix(std::string_view(block));
@@ -479,6 +480,8 @@ std::uint64_t secBlockFingerprint(const std::string& block,
   }
   h.mix(policy.retryInductionCutoff);
   h.mix(policy.cosimSeed);
+  h.mix(static_cast<unsigned>(drcPolicy));
+  h.mix(hasDrcRunner);
   h.mix(racing);
   h.mix(portfolioMembers);
   return h.digest();
@@ -486,23 +489,13 @@ std::uint64_t secBlockFingerprint(const std::string& block,
 
 std::uint64_t cosimBlockFingerprint(const std::string& block,
                                     std::uint64_t digest,
-                                    std::uint64_t cosimSeed) {
+                                    std::uint64_t cosimSeed,
+                                    DrcPolicy drcPolicy, bool hasDrcRunner) {
   common::StableHasher h;
   h.mix(std::string_view("cosim"));
   h.mix(std::string_view(block));
   h.mix(digest);
   h.mix(cosimSeed);
-  return h.digest();
-}
-
-std::uint64_t planBlockFingerprint(const std::string& block, Method method,
-                                   std::uint64_t digest, DrcPolicy drcPolicy,
-                                   bool hasDrcRunner) {
-  common::StableHasher h;
-  h.mix(std::string_view("plan"));
-  h.mix(std::string_view(block));
-  h.mix(static_cast<unsigned>(method));
-  h.mix(digest);
   h.mix(static_cast<unsigned>(drcPolicy));
   h.mix(hasDrcRunner);
   return h.digest();

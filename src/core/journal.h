@@ -2,9 +2,9 @@
 //
 // A killed or crashed process forfeits every verdict it computed unless the
 // verdicts were durable before the crash.  Journal makes them durable: the
-// plan runners (VerificationPlan, ResilientRunner) append one record per
-// completed block — the full BlockResult plus the block's content digest and
-// a *problem fingerprint* — and `resumePlan` replays those records on
+// plan runner (ResilientRunner) appends one record per completed block —
+// the full BlockResult plus the block's content digest and a *problem
+// fingerprint* — and `resumePlan` replays those records on
 // restart, skipping blocks whose recorded verdict is admissible under the
 // exact predicate the incremental cache already enforces
 // (`isResumableVerdict`: clean, full-strength passes only; inconclusive,
@@ -35,7 +35,7 @@
 // wrong or stale verdict can never surface, because admission additionally
 // requires the record's digest AND fingerprint to match the live plan — a
 // record from an edited design or a reconfigured runner cold-starts from
-// that point (see resumePlan in plan.h/resilient.h).
+// that point (see ResilientRunner::resumePlan).
 //
 // Appends are mutex-serialized: ParallelExecutor workers complete blocks
 // concurrently and append from their own threads (raced under TSan via the
@@ -57,9 +57,9 @@ namespace dfv::core {
 struct JournalRecord {
   std::uint64_t digest = 0;       ///< the block's content digest at run time
   std::uint64_t fingerprint = 0;  ///< problem fingerprint (see below)
-  /// A block that ran DRC carries diagnostics the journal does not
-  /// serialize; such records are never resumable (DRC is re-evaluated live,
-  /// not replayed from disk).
+  /// A block that ran DRC (including one the gate blocked) carries
+  /// diagnostics the journal does not serialize; such records are never
+  /// resumable (DRC is re-evaluated live, not replayed from disk).
   bool hasDrc = false;
   BlockResult result;  ///< result.block names the block
 };
@@ -129,36 +129,31 @@ class Journal {
 //
 // A fingerprint is a stable (process- and machine-independent) hash of
 // everything that shapes a block's recorded run: design identity (block
-// name + content digest) and the verification configuration.  Tuning
-// sub-option structs (fraigOptions, rewriteOptions, absintOptions,
-// sliceOptions, invOptions) are deliberately excluded: the repo's parity
-// invariants assert they never change verdicts, only the path taken — and
-// the toggles, budgets and solver heuristics that DO shape the recorded
-// telemetry are all hashed.  A resumed record whose fingerprint matches
-// therefore reproduces what a live run of the same entry would report.
+// name + content digest) and the verification configuration, DRC gate
+// included.  Tuning sub-option structs (fraigOptions, rewriteOptions,
+// absintOptions, sliceOptions, invOptions) are deliberately excluded: the
+// repo's parity invariants assert they never change verdicts, only the path
+// taken — and the toggles, budgets and solver heuristics that DO shape the
+// recorded telemetry are all hashed.  A resumed record whose fingerprint
+// matches therefore reproduces what a live run of the same entry would
+// report.
 
-/// Fingerprint of a ResilientRunner SEC block: name, digest, the
-/// verdict/telemetry-shaping SecOptions fields, the retry policy, and the
+/// Fingerprint of a SEC block: name, digest, the verdict/telemetry-shaping
+/// SecOptions fields, the retry policy, the DRC gate, and the
 /// portfolio-racing configuration in force.
 std::uint64_t secBlockFingerprint(const std::string& block,
                                   std::uint64_t digest,
                                   const sec::SecOptions& options,
                                   const RetryPolicy& policy,
+                                  DrcPolicy drcPolicy, bool hasDrcRunner,
                                   bool racing = false,
                                   unsigned portfolioMembers = 0);
 
-/// Fingerprint of a ResilientRunner cosim block (stimulus seed included —
-/// a reseeded fallback is a different experiment).
+/// Fingerprint of a cosim block (stimulus seed included — a reseeded
+/// fallback is a different experiment — and the DRC gate).
 std::uint64_t cosimBlockFingerprint(const std::string& block,
                                     std::uint64_t digest,
-                                    std::uint64_t cosimSeed);
-
-/// Fingerprint of a VerificationPlan block, whose runners are opaque
-/// callbacks: design identity plus the plan-level DRC gate.  The digest
-/// contract ("must change whenever either model of the pair does") is what
-/// ties the callback's behavior into the hash.
-std::uint64_t planBlockFingerprint(const std::string& block, Method method,
-                                   std::uint64_t digest, DrcPolicy drcPolicy,
-                                   bool hasDrcRunner);
+                                    std::uint64_t cosimSeed,
+                                    DrcPolicy drcPolicy, bool hasDrcRunner);
 
 }  // namespace dfv::core

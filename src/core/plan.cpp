@@ -1,11 +1,6 @@
 #include "core/plan.h"
 
-#include <algorithm>
-#include <chrono>
-#include <exception>
 #include <sstream>
-
-#include "core/journal.h"
 
 namespace dfv::core {
 
@@ -37,227 +32,17 @@ std::string PlanReport::summary() const {
   return os.str();
 }
 
-void VerificationPlan::addSecBlock(const std::string& block,
-                                   std::uint64_t digest,
-                                   std::function<sec::SecResult()> runner) {
-  DFV_CHECK_MSG(runner != nullptr, "null runner");
-  for (const auto& e : blocks_)
-    DFV_CHECK_MSG(e.block != block, "duplicate block '" << block << "'");
-  Entry e;
-  e.block = block;
-  e.method = Method::kSec;
-  e.digest = digest;
-  e.secRunner = std::move(runner);
-  blocks_.push_back(std::move(e));
-}
-
-void VerificationPlan::addCosimBlock(const std::string& block,
-                                     std::uint64_t digest,
-                                     std::function<CosimOutcome()> runner) {
-  DFV_CHECK_MSG(runner != nullptr, "null runner");
-  for (const auto& e : blocks_)
-    DFV_CHECK_MSG(e.block != block, "duplicate block '" << block << "'");
-  Entry e;
-  e.block = block;
-  e.method = Method::kCosim;
-  e.digest = digest;
-  e.cosimRunner = std::move(runner);
-  blocks_.push_back(std::move(e));
-}
-
-VerificationPlan::Entry& VerificationPlan::find(const std::string& block) {
-  auto it = std::find_if(blocks_.begin(), blocks_.end(),
-                         [&](const Entry& e) { return e.block == block; });
-  DFV_CHECK_MSG(it != blocks_.end(), "no block named '" << block << "'");
-  return *it;
-}
-
-void VerificationPlan::touch(const std::string& block,
-                             std::uint64_t newDigest) {
-  find(block).digest = newDigest;
-}
-
-void VerificationPlan::setBlockDrc(const std::string& block,
-                                   std::function<drc::DrcReport()> runner) {
-  DFV_CHECK_MSG(runner != nullptr, "null DRC runner");
-  find(block).drcRunner = std::move(runner);
-}
-
-BlockResult VerificationPlan::runEntry(Entry& e) {
-  BlockResult r;
-  r.block = e.block;
-  r.method = e.method;
-  const auto start = std::chrono::steady_clock::now();
-  if (e.drcRunner && drcPolicy_ != DrcPolicy::kOff) {
-    r.drc = e.drcRunner();
-    const bool blocked =
-        (drcPolicy_ == DrcPolicy::kBlock && r.drc->errors() > 0) ||
-        (drcPolicy_ == DrcPolicy::kStrict && !r.drc->clean());
-    if (blocked) {
-      // The pair is not verifiable as written; running the prover would
-      // waste time or, worse, pass vacuously.  Fail the block up front.
-      r.passed = false;
-      r.blockedByDrc = true;
-      r.detail = "blocked by DRC: " + r.drc->summary();
-      r.seconds = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
-      e.lastCleanDigest.reset();
-      return r;
-    }
-  }
-  try {
-    if (e.method == Method::kSec) {
-      const sec::SecResult sr = e.secRunner();
-      r.inconclusive = sr.verdict == sec::Verdict::kInconclusive;
-      r.passed = sr.verdict == sec::Verdict::kProvenEquivalent ||
-                 sr.verdict == sec::Verdict::kBoundedEquivalent;
-      r.detail = sec::verdictName(sr.verdict);
-      if (sr.cex.has_value()) r.detail += ": " + sr.cex->summary();
-      r.sliceStatesSevered = sr.stats.slice.slm.statesSevered +
-                             sr.stats.slice.rtl.statesSevered;
-      r.sliceSeqConstants = sr.stats.slice.slm.seqConstants +
-                            sr.stats.slice.rtl.seqConstants;
-    } else {
-      const CosimOutcome out = e.cosimRunner();
-      r.passed = out.passed;
-      r.detail = out.detail;
-    }
-  } catch (const std::exception& ex) {
-    // A runner crash must not take the plan down with it: §4.1's point is
-    // that the *plan* localizes problems, so a throwing block becomes a
-    // structured failure and every other block still runs.
-    r.passed = false;
-    r.inconclusive = false;
-    r.faulted = true;
-    r.detail = std::string("faulted: ") + ex.what();
-  }
-  r.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                            start)
-                  .count();
-  // Only a clean, full-strength pass may seed the incremental cache: a
-  // faulted or degraded block must rerun even if its digest is unchanged.
-  // The same predicate admits journal records on resume — one function, so
-  // the two policies cannot drift apart.
-  if (isResumableVerdict(r)) {
-    e.lastCleanDigest = e.digest;
-    e.lastDetail = r.detail;
-    e.lastSeconds = r.seconds;
-  } else {
-    e.lastCleanDigest.reset();
-  }
-  journalAppend(e, r);
-  return r;
-}
-
-void VerificationPlan::journalAppend(const Entry& e, const BlockResult& r) {
-  if (journal_ == nullptr) return;
-  JournalRecord rec;
-  rec.digest = e.digest;
-  rec.fingerprint = planBlockFingerprint(e.block, e.method, e.digest,
-                                         drcPolicy_, e.drcRunner != nullptr);
-  rec.hasDrc = r.drc.has_value();
-  rec.result = r;
-  try {
-    journal_->append(rec);
-  } catch (const std::exception&) {
-    // Journal I/O failure loses durability, never a verdict: the run
-    // continues unjournaled.
-  }
-}
-
-unsigned VerificationPlan::resumePlan(const JournalLoaded& loaded) {
-  if (loaded.planName != name_) return 0;
-  unsigned admitted = 0;
-  for (const JournalRecord& rec : loaded.records) {
-    auto it = std::find_if(
-        blocks_.begin(), blocks_.end(),
-        [&](const Entry& e) { return e.block == rec.result.block; });
-    // An unknown block or a digest/fingerprint mismatch means the plan the
-    // journal describes is not the plan we have: cold-start from here —
-    // this record and everything after it are stale, never a guess.
-    if (it == blocks_.end()) break;
-    const Entry& e = *it;
-    if (rec.digest != e.digest ||
-        rec.fingerprint != planBlockFingerprint(e.block, e.method, e.digest,
-                                                drcPolicy_,
-                                                e.drcRunner != nullptr))
-      break;
-    // A non-resumable verdict (or one that carried live DRC diagnostics the
-    // journal cannot replay) re-runs its own block only; later records are
-    // still individually admissible.
-    if (!isResumableVerdict(rec.result) || rec.hasDrc ||
-        rec.result.drc.has_value())
-      continue;
-    it->resumedResult = rec.result;
-    it->resumedResult->resumed = true;
-    ++admitted;
-  }
-  return admitted;
-}
-
-BlockResult VerificationPlan::takeResumed(Entry& e) {
-  BlockResult r = std::move(*e.resumedResult);
-  e.resumedResult.reset();
-  // Seed the incremental cache exactly as the recorded clean run did, and
-  // re-journal the record so the fresh WAL covers this run completely.
-  e.lastCleanDigest = e.digest;
-  e.lastDetail = r.detail;
-  e.lastSeconds = r.seconds;
-  journalAppend(e, r);
-  return r;
-}
-
-namespace {
-void tally(PlanReport& report, const BlockResult& r) {
-  report.totalSeconds += r.seconds;
-  if (r.inconclusive)
-    ++report.inconclusive;
+void PlanReport::tally(const BlockResult& r) {
+  if (r.skippedUnchanged)
+    ++skipped;
+  else if (r.inconclusive)
+    ++inconclusive;
   else
-    ++(r.passed ? report.verified : report.failed);
-  if (r.blockedByDrc) ++report.blocked;
-  if (r.faulted) ++report.faulted;
-  if (r.degraded) ++report.degraded;
-  if (r.resumed) ++report.resumed;
-}
-}  // namespace
-
-PlanReport VerificationPlan::runAll() {
-  PlanReport report;
-  for (Entry& e : blocks_) {
-    BlockResult r = e.resumedResult.has_value() ? takeResumed(e) : runEntry(e);
-    tally(report, r);
-    report.blocks.push_back(std::move(r));
-  }
-  return report;
-}
-
-PlanReport VerificationPlan::runIncremental() {
-  PlanReport report;
-  for (Entry& e : blocks_) {
-    if (e.resumedResult.has_value()) {
-      BlockResult r = takeResumed(e);
-      tally(report, r);
-      report.blocks.push_back(std::move(r));
-      continue;
-    }
-    if (e.lastCleanDigest.has_value() && *e.lastCleanDigest == e.digest) {
-      BlockResult r;
-      r.block = e.block;
-      r.method = e.method;
-      r.passed = true;
-      r.skippedUnchanged = true;
-      r.attempts = 0;  // nothing ran; the default 1 would claim an attempt
-      r.detail = "unchanged (" + e.lastDetail + ")";
-      ++report.skipped;
-      report.blocks.push_back(std::move(r));
-      continue;
-    }
-    BlockResult r = runEntry(e);
-    tally(report, r);
-    report.blocks.push_back(std::move(r));
-  }
-  return report;
+    ++(r.passed ? verified : failed);
+  if (r.blockedByDrc) ++blocked;
+  if (r.faulted) ++faulted;
+  if (r.degraded) ++degraded;
+  if (r.resumed) ++resumed;
 }
 
 }  // namespace dfv::core

@@ -8,27 +8,18 @@
 // effective in terms of run time and can help localize the source of any
 // difference between the models quickly".
 //
-// A VerificationPlan holds one entry per block pair, each with a content
-// digest (any stable hash of the pair's sources/configuration).  runAll()
-// re-verifies everything; runIncremental() skips blocks whose digest is
-// unchanged since their last clean run — the run-time contrast between the
-// two is the paper's §4.1 claim, regenerated by bench_incremental_sec.
+// This header holds the result types of a plan run; the runner is
+// core::ResilientRunner (core/resilient.h).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "drc/drc.h"
-#include "sec/engine.h"
+#include "drc/diagnostics.h"
 
 namespace dfv::core {
-
-class Journal;
-struct JournalLoaded;
 
 /// How a block pair is verified.
 enum class Method { kSec, kCosim };
@@ -92,7 +83,7 @@ struct BlockResult {
   Method method = Method::kSec;
   bool passed = false;
   bool skippedUnchanged = false;  ///< incremental run skipped it
-  bool blockedByDrc = false;      ///< DrcPolicy::kBlock stopped the runner
+  bool blockedByDrc = false;      ///< the DRC gate stopped it before attempt 0
   bool inconclusive = false;      ///< SEC budget expired: no verdict either way
   bool faulted = false;    ///< a runner threw; isolated into this result
   bool degraded = false;   ///< SEC never concluded; fell back to cosim
@@ -127,14 +118,16 @@ struct BlockResult {
 /// re-running the block?  Only a clean, full-strength pass qualifies — a
 /// degraded pass is weaker evidence, a faulted run is no evidence, and an
 /// inconclusive/blocked/skipped row carries no verdict at all.  Both the
-/// incremental-skip caches (VerificationPlan, ResilientRunner) and journal
-/// resume (core/journal.h) call exactly this function, so the two policies
-/// cannot drift apart (tests/journal_test.cpp pins the equivalence).
+/// runner's incremental-skip cache and journal resume (core/journal.h) call
+/// exactly this function, so the two policies cannot drift apart
+/// (tests/journal_test.cpp pins the equivalence).
 bool isResumableVerdict(const BlockResult& r);
 
 /// Report for a whole plan run.
 struct PlanReport {
   std::vector<BlockResult> blocks;
+  /// Wall time of the whole run (not the sum of per-block seconds, which
+  /// overstates it under an executor and re-counts resumed blocks' runs).
   double totalSeconds = 0.0;
   /// Worker threads the run used (1 = serial).  Blocks always appear in
   /// registration order regardless of the schedule.
@@ -154,90 +147,10 @@ struct PlanReport {
   /// Inconclusive blocks are excluded: they carry no known difference.
   std::vector<std::string> failingBlocks() const;
   std::string summary() const;
-  /// JSON serialization (same document as core::toJson).
+  /// JSON: {"plan": ..., "summary": {...}, "blocks": [{...}, ...]}.
   std::string json(const std::string& planName) const;
-};
-
-/// A named collection of SLM/RTL block pairs with verification callbacks.
-class VerificationPlan {
- public:
-  explicit VerificationPlan(std::string name) : name_(std::move(name)) {}
-
-  /// Registers a SEC-verified block.  `runner` performs the check when
-  /// invoked; `digest` must change whenever either model of the pair does.
-  void addSecBlock(const std::string& block, std::uint64_t digest,
-                   std::function<sec::SecResult()> runner);
-
-  /// Registers a cosim-verified block; `runner` returns pass/fail plus a
-  /// detail string.
-  struct CosimOutcome {
-    bool passed;
-    std::string detail;
-  };
-  void addCosimBlock(const std::string& block, std::uint64_t digest,
-                     std::function<CosimOutcome()> runner);
-
-  /// Updates a block's digest (models edited).  Unknown block throws.
-  void touch(const std::string& block, std::uint64_t newDigest);
-
-  /// Attaches a DRC runner to a block: invoked before the block's verifier
-  /// whenever the plan's policy is not kOff.  Unknown block throws.
-  void setBlockDrc(const std::string& block,
-                   std::function<drc::DrcReport()> runner);
-
-  /// Sets how DRC findings gate runs (default kWarn: run DRC where a runner
-  /// is attached, report, never block).
-  void setDrcPolicy(DrcPolicy policy) { drcPolicy_ = policy; }
-  DrcPolicy drcPolicy() const { return drcPolicy_; }
-
-  /// Attaches a write-ahead journal (borrowed; must outlive every run):
-  /// each completed block appends one record.  Journal I/O failures never
-  /// affect verdicts — the run continues unjournaled.  nullptr detaches.
-  void setJournal(Journal* journal) { journal_ = journal; }
-
-  /// Replays a loaded journal: records whose digest and problem fingerprint
-  /// match a registered block AND whose verdict passes isResumableVerdict
-  /// are admitted — the next run emits them (marked resumed=true) instead
-  /// of re-running the block.  The first unknown-block or fingerprint
-  /// mismatch cold-starts everything from that record on; non-resumable
-  /// verdicts merely re-run their own block.  Returns the admitted count.
-  unsigned resumePlan(const JournalLoaded& loaded);
-
-  /// Verifies every block unconditionally.
-  PlanReport runAll();
-
-  /// Verifies only blocks whose digest changed since their last clean run
-  /// (failed blocks always rerun).
-  PlanReport runIncremental();
-
-  std::size_t blockCount() const { return blocks_.size(); }
-  const std::string& name() const { return name_; }
-
- private:
-  struct Entry {
-    std::string block;
-    Method method;
-    std::uint64_t digest;
-    std::function<sec::SecResult()> secRunner;
-    std::function<CosimOutcome()> cosimRunner;
-    std::function<drc::DrcReport()> drcRunner;
-    // Cache of the last clean run.
-    std::optional<std::uint64_t> lastCleanDigest;
-    std::string lastDetail;
-    double lastSeconds = 0.0;
-    // Journal-admitted result, consumed (once) by the next run.
-    std::optional<BlockResult> resumedResult;
-  };
-
-  BlockResult runEntry(Entry& e);
-  BlockResult takeResumed(Entry& e);
-  void journalAppend(const Entry& e, const BlockResult& r);
-  Entry& find(const std::string& block);
-
-  std::string name_;
-  std::vector<Entry> blocks_;
-  DrcPolicy drcPolicy_ = DrcPolicy::kWarn;
-  Journal* journal_ = nullptr;  ///< borrowed; nullptr = unjournaled
+  /// Counts one block's result into the summary counters.
+  void tally(const BlockResult& r);
 };
 
 }  // namespace dfv::core

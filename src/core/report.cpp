@@ -1,4 +1,7 @@
-#include "core/report.h"
+// PlanReport::json — the machine-readable plan report CI systems track
+// SLM/RTL consistency with (no external dependencies: the schema is flat and
+// the values are controlled).
+#include "core/plan.h"
 
 #include <sstream>
 
@@ -8,23 +11,23 @@ namespace dfv::core {
 
 using drc::jsonEscape;
 
-std::string toJson(const std::string& planName, const PlanReport& report) {
+std::string PlanReport::json(const std::string& planName) const {
   std::ostringstream os;
   os << "{\"plan\":\"" << jsonEscape(planName) << "\",";
-  os << "\"summary\":{\"verified\":" << report.verified
-     << ",\"skipped\":" << report.skipped << ",\"failed\":" << report.failed
-     << ",\"inconclusive\":" << report.inconclusive
-     << ",\"blocked\":" << report.blocked
-     << ",\"faulted\":" << report.faulted
-     << ",\"degraded\":" << report.degraded;
+  os << "\"summary\":{\"verified\":" << verified
+     << ",\"skipped\":" << skipped << ",\"failed\":" << failed
+     << ",\"inconclusive\":" << inconclusive
+     << ",\"blocked\":" << blocked
+     << ",\"faulted\":" << faulted
+     << ",\"degraded\":" << degraded;
   // Emitted only when nonzero so pre-journal reports stay byte-identical.
-  if (report.resumed > 0) os << ",\"resumed\":" << report.resumed;
-  os << ",\"workers\":" << report.workers
-     << ",\"total_seconds\":" << report.totalSeconds
-     << ",\"all_passed\":" << (report.allPassed() ? "true" : "false") << "},";
+  if (resumed > 0) os << ",\"resumed\":" << resumed;
+  os << ",\"workers\":" << workers
+     << ",\"total_seconds\":" << totalSeconds
+     << ",\"all_passed\":" << (allPassed() ? "true" : "false") << "},";
   os << "\"blocks\":[";
-  for (std::size_t i = 0; i < report.blocks.size(); ++i) {
-    const BlockResult& b = report.blocks[i];
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    const BlockResult& b = blocks[i];
     if (i > 0) os << ',';
     const char* status = b.skippedUnchanged ? "skipped"
                          : b.blockedByDrc   ? "blocked"
@@ -84,10 +87,6 @@ std::string toJson(const std::string& planName, const PlanReport& report) {
   }
   os << "]}";
   return os.str();
-}
-
-std::string PlanReport::json(const std::string& planName) const {
-  return toJson(planName, *this);
 }
 
 }  // namespace dfv::core

@@ -38,12 +38,22 @@ sat::Budget scaledBudget(const sat::Budget& base, double scale) {
   return b;
 }
 
-/// The cap worth reporting for an attempt: the larger *finite* one of the
-/// two phase budgets (zero means both phases are unlimited).
-std::int64_t bindingCap(std::int64_t bmc, std::int64_t induction) {
-  if (bmc == 0) return induction;
-  if (induction == 0) return bmc;
-  return std::max(bmc, induction);
+/// A fresh attempt row for `rung` under options `o`, recording the caps in
+/// force: per kind, the larger *finite* one of the two phase budgets (zero
+/// means both phases are unlimited).
+AttemptRecord attemptRow(unsigned rung, const sec::SecOptions& o) {
+  auto cap = [](std::int64_t bmc, std::int64_t induction) {
+    if (bmc == 0) return induction;
+    if (induction == 0) return bmc;
+    return std::max(bmc, induction);
+  };
+  AttemptRecord rec;
+  rec.rung = rung;
+  rec.maxConflicts =
+      cap(o.bmcBudget.maxConflicts, o.inductionBudget.maxConflicts);
+  rec.maxPropagations =
+      cap(o.bmcBudget.maxPropagations, o.inductionBudget.maxPropagations);
+  return rec;
 }
 
 /// Options for the attempt-th try (0 = base).  Rung toggles accumulate:
@@ -95,54 +105,70 @@ void recordSecTelemetry(AttemptRecord& rec, const sec::SecStats& s) {
   rec.invCertified = s.inv.certified;
 }
 
-void tally(PlanReport& report, const BlockResult& r) {
-  report.totalSeconds += r.seconds;
-  if (r.inconclusive)
-    ++report.inconclusive;
-  else
-    ++(r.passed ? report.verified : report.failed);
-  if (r.blockedByDrc) ++report.blocked;
-  if (r.faulted) ++report.faulted;
-  if (r.degraded) ++report.degraded;
-  if (r.resumed) ++report.resumed;
+/// Runs one cosim attempt — a cosim block's runner or a SEC block's
+/// degradation fallback — into `r`, isolating a throw as a fault.
+void runCosimAttempt(const ResilientRunner::CosimRunner& runner,
+                     std::uint64_t seed, const std::string& detailPrefix,
+                     BlockResult& r) {
+  AttemptRecord rec;
+  rec.rung = r.attempts;
+  const auto t0 = std::chrono::steady_clock::now();
+  try {
+    const ResilientRunner::CosimOutcome out = runner(seed);
+    r.passed = out.passed;
+    r.detail = detailPrefix + out.detail;
+    rec.outcome = out.passed ? "cosim-pass" : "cosim-fail";
+  } catch (const std::exception& ex) {
+    r.faulted = true;
+    r.passed = false;
+    r.detail = std::string("faulted: ") + ex.what();
+    rec.outcome = r.detail;
+    rec.faulted = true;
+  }
+  rec.seconds = secondsSince(t0);
+  r.attemptLog.push_back(std::move(rec));
+  ++r.attempts;
 }
 
 }  // namespace
+
+ResilientRunner::Entry& ResilientRunner::addEntry(const std::string& block,
+                                                  std::uint64_t digest,
+                                                  Method method) {
+  DFV_CHECK_MSG(lookup(block) == nullptr, "duplicate block '" << block << "'");
+  Entry& e = blocks_.emplace_back();
+  e.block = block;
+  e.method = method;
+  e.digest = digest;
+  return e;
+}
 
 void ResilientRunner::addSecBlock(const std::string& block,
                                   std::uint64_t digest,
                                   sec::SecOptions baseOptions,
                                   SecRunner runner) {
   DFV_CHECK_MSG(runner != nullptr, "null runner");
-  for (const auto& e : blocks_)
-    DFV_CHECK_MSG(e.block != block, "duplicate block '" << block << "'");
-  Entry e;
-  e.block = block;
-  e.method = Method::kSec;
-  e.digest = digest;
+  Entry& e = addEntry(block, digest, Method::kSec);
   e.baseOptions = std::move(baseOptions);
   e.secRunner = std::move(runner);
-  blocks_.push_back(std::move(e));
 }
 
 void ResilientRunner::addCosimBlock(const std::string& block,
                                     std::uint64_t digest, CosimRunner runner) {
   DFV_CHECK_MSG(runner != nullptr, "null runner");
-  for (const auto& e : blocks_)
-    DFV_CHECK_MSG(e.block != block, "duplicate block '" << block << "'");
-  Entry e;
-  e.block = block;
-  e.method = Method::kCosim;
-  e.digest = digest;
-  e.cosimRunner = std::move(runner);
-  blocks_.push_back(std::move(e));
+  addEntry(block, digest, Method::kCosim).cosimRunner = std::move(runner);
+}
+
+ResilientRunner::Entry* ResilientRunner::lookup(const std::string& block) {
+  for (Entry& e : blocks_)
+    if (e.block == block) return &e;
+  return nullptr;
 }
 
 ResilientRunner::Entry& ResilientRunner::find(const std::string& block) {
-  auto it = std::find_if(blocks_.begin(), blocks_.end(),
-                         [&](const Entry& e) { return e.block == block; });
-  DFV_CHECK_MSG(it != blocks_.end(), "no block named '" << block << "'");
-  return *it;
+  Entry* e = lookup(block);
+  DFV_CHECK_MSG(e != nullptr, "no block named '" << block << "'");
+  return *e;
 }
 
 void ResilientRunner::setCosimFallback(const std::string& block,
@@ -159,6 +185,31 @@ void ResilientRunner::touch(const std::string& block,
   find(block).digest = newDigest;
 }
 
+void ResilientRunner::setBlockDrc(const std::string& block,
+                                  std::function<drc::DrcReport()> runner) {
+  DFV_CHECK_MSG(runner != nullptr, "null DRC runner");
+  find(block).drcRunner = std::move(runner);
+}
+
+bool ResilientRunner::drcBlocks(const Entry& e, BlockResult& r) const {
+  if (!e.drcRunner || drcPolicy_ == DrcPolicy::kOff) return false;
+  try {
+    r.drc = e.drcRunner();
+  } catch (const std::exception& ex) {
+    r.faulted = true;
+    r.detail = std::string("faulted: DRC: ") + ex.what();
+    return true;
+  }
+  // A blocked pair is not verifiable as written: running the prover would
+  // waste time or, worse, pass vacuously — and no ladder rung or cosim
+  // fallback changes that, so the block fails before attempt 0.
+  r.blockedByDrc =
+      (drcPolicy_ == DrcPolicy::kBlock && r.drc->errors() > 0) ||
+      (drcPolicy_ == DrcPolicy::kStrict && !r.drc->clean());
+  if (r.blockedByDrc) r.detail = "blocked by DRC: " + r.drc->summary();
+  return r.blockedByDrc;
+}
+
 BlockResult ResilientRunner::runEntry(Entry& e) {
   BlockResult r;
   r.block = e.block;
@@ -172,27 +223,17 @@ BlockResult ResilientRunner::runEntry(Entry& e) {
   // clones, invisible to this thread's counter; the winner's are added back
   // so the block's reported count covers the run that produced its verdict.
   std::uint64_t portfolioInjections = 0;
+  auto injections = [&] {
+    return (inj != nullptr ? inj->totalInjections() : 0) - injectionsBefore +
+           portfolioInjections;
+  };
 
-  if (e.method == Method::kCosim) {
-    AttemptRecord rec;
-    const auto t0 = std::chrono::steady_clock::now();
-    try {
-      const CosimOutcome out = e.cosimRunner(policy_.cosimSeed);
-      r.passed = out.passed;
-      r.detail = out.detail;
-      rec.outcome = out.passed ? "cosim-pass" : "cosim-fail";
-    } catch (const std::exception& ex) {
-      r.faulted = true;
-      r.detail = std::string("faulted: ") + ex.what();
-      rec.outcome = r.detail;
-      rec.faulted = true;
-    }
-    rec.seconds = secondsSince(t0);
-    r.attemptLog.push_back(std::move(rec));
-    r.attempts = 1;
+  if (drcBlocks(e, r)) {
+    // Nothing ran: attempts stays 0 and the block is neither retried nor
+    // degraded.
+  } else if (e.method == Method::kCosim) {
+    runCosimAttempt(e.cosimRunner, policy_.cosimSeed, "", r);
   } else {
-    const bool racing =
-        exec_ != nullptr && portfolioEnabled_ && portfolio_.members > 1;
     const unsigned maxAttempts = std::max(1u, policy_.maxAttempts);
     for (unsigned attempt = 0; attempt < maxAttempts; ++attempt) {
       const sec::SecOptions opts =
@@ -215,15 +256,8 @@ BlockResult ResilientRunner::runEntry(Entry& e) {
                               sr.stats.slice.rtl.seqConstants;
         r.invCertified = sr.stats.inv.certified;
       };
-      if (!racing) {
-        AttemptRecord rec;
-        rec.rung = attempt;
-        rec.maxConflicts =
-            bindingCap(opts.bmcBudget.maxConflicts,
-                       opts.inductionBudget.maxConflicts);
-        rec.maxPropagations =
-            bindingCap(opts.bmcBudget.maxPropagations,
-                       opts.inductionBudget.maxPropagations);
+      if (!racing()) {
+        AttemptRecord rec = attemptRow(attempt, opts);
         const auto t0 = std::chrono::steady_clock::now();
         try {
           const sec::SecResult sr = e.secRunner(opts);
@@ -247,14 +281,7 @@ BlockResult ResilientRunner::runEntry(Entry& e) {
             racePortfolio(*exec_, members, e.secRunner);
         for (std::size_t j = 0; j < out.attempts.size(); ++j) {
           const MemberAttempt& a = out.attempts[j];
-          AttemptRecord rec;
-          rec.rung = attempt;
-          const sec::SecOptions& mo = members[j].options;
-          rec.maxConflicts = bindingCap(mo.bmcBudget.maxConflicts,
-                                        mo.inductionBudget.maxConflicts);
-          rec.maxPropagations =
-              bindingCap(mo.bmcBudget.maxPropagations,
-                         mo.inductionBudget.maxPropagations);
+          AttemptRecord rec = attemptRow(attempt, members[j].options);
           rec.member = static_cast<int>(j);
           rec.memberName = a.name;
           rec.winner = out.winner == static_cast<int>(j);
@@ -271,25 +298,23 @@ BlockResult ResilientRunner::runEntry(Entry& e) {
           }
           r.attemptLog.push_back(std::move(rec));
         }
+        // The block takes the winner's verdict or, when no member was
+        // decisive, the base member's — a deterministic choice: every member
+        // saw the same injection schedule, so "member 0 faulted" is stable.
+        const MemberAttempt& taken =
+            out.attempts[static_cast<std::size_t>(std::max(out.winner, 0))];
+        portfolioInjections += taken.faultInjections;
         if (out.winner >= 0) {
-          const MemberAttempt& w =
-              out.attempts[static_cast<std::size_t>(out.winner)];
-          applyResult(w.result);
           r.portfolioWinner = out.winner;
-          r.portfolioWinnerName = w.name;
-          portfolioInjections += w.faultInjections;
-        } else if (out.attempts[0].faulted) {
-          // No member was decisive and the base member crashed: report the
-          // base member's fault (a deterministic choice — every member saw
-          // the same injection schedule, so "member 0 faulted" is stable).
+          r.portfolioWinnerName = taken.name;
+        }
+        if (taken.faulted) {
           faultedNow = true;
           r.passed = false;
           r.inconclusive = false;
-          r.detail = "faulted: " + out.attempts[0].error;
-          portfolioInjections += out.attempts[0].faultInjections;
+          r.detail = "faulted: " + taken.error;
         } else {
-          applyResult(out.attempts[0].result);
-          portfolioInjections += out.attempts[0].faultInjections;
+          applyResult(taken.result);
         }
       }
       r.attempts = attempt + 1;
@@ -306,34 +331,15 @@ BlockResult ResilientRunner::runEntry(Entry& e) {
       break;
     }
     if (r.inconclusive && e.cosimRunner != nullptr) {
-      AttemptRecord rec;
-      rec.rung = r.attempts;
-      const auto t0 = std::chrono::steady_clock::now();
-      try {
-        const CosimOutcome out = e.cosimRunner(policy_.cosimSeed);
-        r.degraded = true;
-        r.inconclusive = false;
-        r.passed = out.passed;
-        r.detail = "degraded to cosim: " + out.detail;
-        rec.outcome = out.passed ? "cosim-pass" : "cosim-fail";
-      } catch (const std::exception& ex) {
-        r.faulted = true;
-        r.inconclusive = false;
-        r.passed = false;
-        r.detail = std::string("faulted: ") + ex.what();
-        rec.outcome = r.detail;
-        rec.faulted = true;
-      }
-      rec.seconds = secondsSince(t0);
-      r.attemptLog.push_back(std::move(rec));
-      ++r.attempts;
+      r.inconclusive = false;
+      runCosimAttempt(e.cosimRunner, policy_.cosimSeed,
+                      "degraded to cosim: ", r);
+      r.degraded = !r.faulted;
     }
   }
 
   r.seconds = secondsSince(start);
-  r.faultInjections =
-      (inj != nullptr ? inj->totalInjections() : 0) - injectionsBefore +
-      portfolioInjections;
+  r.faultInjections = injections();
   // Only a clean, full-strength pass is cacheable.  A degraded pass is
   // weaker evidence and a faulted run is no evidence: both must rerun on
   // the next incremental pass even with an unchanged digest.  The same
@@ -350,20 +356,19 @@ BlockResult ResilientRunner::runEntry(Entry& e) {
     // journal sites themselves are folded into the in-memory result below
     // so the report's attribution still covers every firing.
     journalAppend(e, r);
-    r.faultInjections =
-        (inj != nullptr ? inj->totalInjections() : 0) - injectionsBefore +
-        portfolioInjections;
+    r.faultInjections = injections();
   }
   return r;
 }
 
 std::uint64_t ResilientRunner::entryFingerprint(const Entry& e) const {
+  const bool hasDrc = e.drcRunner != nullptr;
   if (e.method == Method::kCosim)
-    return cosimBlockFingerprint(e.block, e.digest, policy_.cosimSeed);
-  const bool racing =
-      exec_ != nullptr && portfolioEnabled_ && portfolio_.members > 1;
+    return cosimBlockFingerprint(e.block, e.digest, policy_.cosimSeed,
+                                 drcPolicy_, hasDrc);
   return secBlockFingerprint(e.block, e.digest, e.baseOptions, policy_,
-                             racing, racing ? portfolio_.members : 0);
+                             drcPolicy_, hasDrc, racing(),
+                             racing() ? portfolio_.members : 0);
 }
 
 void ResilientRunner::journalAppend(const Entry& e, const BlockResult& r) {
@@ -371,6 +376,7 @@ void ResilientRunner::journalAppend(const Entry& e, const BlockResult& r) {
   JournalRecord rec;
   rec.digest = e.digest;
   rec.fingerprint = entryFingerprint(e);
+  rec.hasDrc = r.drc.has_value();
   rec.result = r;
   try {
     journal_->append(rec);
@@ -384,21 +390,19 @@ unsigned ResilientRunner::resumePlan(const JournalLoaded& loaded) {
   if (loaded.planName != name_) return 0;
   unsigned admitted = 0;
   for (const JournalRecord& rec : loaded.records) {
-    auto it = std::find_if(
-        blocks_.begin(), blocks_.end(),
-        [&](const Entry& e) { return e.block == rec.result.block; });
+    Entry* e = lookup(rec.result.block);
     // Unknown block or digest/fingerprint mismatch: the journal describes
     // a different plan from this record on — cold-start from here.
-    if (it == blocks_.end()) break;
-    if (rec.digest != it->digest || rec.fingerprint != entryFingerprint(*it))
+    if (e == nullptr || rec.digest != e->digest ||
+        rec.fingerprint != entryFingerprint(*e))
       break;
     // Non-resumable rows (inconclusive, faulted, degraded, DRC-carrying)
     // re-run their own block only; later records stay admissible.
     if (!isResumableVerdict(rec.result) || rec.hasDrc ||
         rec.result.drc.has_value())
       continue;
-    it->resumedResult = rec.result;
-    it->resumedResult->resumed = true;
+    e->resumedResult = rec.result;
+    e->resumedResult->resumed = true;
     ++admitted;
   }
   return admitted;
@@ -411,6 +415,7 @@ PlanReport ResilientRunner::runIncremental() {
 }
 
 PlanReport ResilientRunner::run(bool incremental) {
+  const auto start = std::chrono::steady_clock::now();
   PlanReport report;
   report.workers = exec_ != nullptr ? std::max(1u, exec_->workers()) : 1;
   // Skip decisions read only each entry's own cached digest, and a run
@@ -418,37 +423,33 @@ PlanReport ResilientRunner::run(bool incremental) {
   // equivalent to the interleaved serial order — and it keeps the parallel
   // path from racing on the cache.
   std::vector<BlockResult> results(blocks_.size());
-  std::vector<char> skip(blocks_.size(), 0);
+  std::vector<std::size_t> pending;  // blocks neither resumed nor skipped
   for (std::size_t i = 0; i < blocks_.size(); ++i) {
     Entry& e = blocks_[i];
+    BlockResult& r = results[i];
     if (e.resumedResult.has_value()) {
       // Journal-admitted: emit the recorded result (resumed=true set at
       // admission), seed the incremental cache exactly as the recorded
       // clean run did, and re-journal it so the fresh WAL covers this run.
-      skip[i] = 2;
-      results[i] = std::move(*e.resumedResult);
+      r = std::move(*e.resumedResult);
       e.resumedResult.reset();
       e.lastCleanDigest = e.digest;
-      e.lastDetail = results[i].detail;
-      journalAppend(e, results[i]);
-      continue;
-    }
-    if (incremental && e.lastCleanDigest.has_value() &&
-        *e.lastCleanDigest == e.digest) {
-      skip[i] = 1;
-      BlockResult r;
+      e.lastDetail = r.detail;
+      journalAppend(e, r);
+    } else if (incremental && e.lastCleanDigest.has_value() &&
+               *e.lastCleanDigest == e.digest) {
       r.block = e.block;
       r.method = e.method;
       r.passed = true;
       r.skippedUnchanged = true;
       r.attempts = 0;
       r.detail = "unchanged (" + e.lastDetail + ")";
-      results[i] = std::move(r);
+    } else {
+      pending.push_back(i);
     }
   }
   if (exec_ == nullptr) {
-    for (std::size_t i = 0; i < blocks_.size(); ++i)
-      if (skip[i] == 0) results[i] = runEntry(blocks_[i]);
+    for (std::size_t i : pending) results[i] = runEntry(blocks_[i]);
   } else {
     // Each block task clones the calling thread's injector, so a block's
     // (seed, site, hit) stream is its own no matter which worker runs it —
@@ -456,8 +457,7 @@ PlanReport ResilientRunner::run(bool incremental) {
     // serial run's single shared stream (see fault/fault.h).
     const fault::Injector* proto = fault::currentInjector();
     ParallelExecutor::TaskGroup group;
-    for (std::size_t i = 0; i < blocks_.size(); ++i) {
-      if (skip[i] != 0) continue;
+    for (std::size_t i : pending) {
       exec_->submit(group, [this, i, proto, &results] {
         std::optional<fault::ScopedInjector> si;
         if (proto != nullptr) si.emplace(*proto);
@@ -466,13 +466,9 @@ PlanReport ResilientRunner::run(bool incremental) {
     }
     exec_->wait(group);
   }
-  for (std::size_t i = 0; i < blocks_.size(); ++i) {
-    if (skip[i] == 1)
-      ++report.skipped;
-    else
-      tally(report, results[i]);  // computed (0) and resumed (2) both tally
-    report.blocks.push_back(std::move(results[i]));
-  }
+  for (const BlockResult& r : results) report.tally(r);
+  report.blocks = std::move(results);
+  report.totalSeconds = secondsSince(start);
   return report;
 }
 

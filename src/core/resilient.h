@@ -1,18 +1,20 @@
-// Resilient plan execution: retry ladders and graceful degradation.
+// The plan runner: DRC gating, retry ladders and graceful degradation.
 //
-// VerificationPlan (core/plan.h) runs each block's verifier exactly once and
-// records what happened.  In a long-running CI flow that is not enough: a
-// SEC run that exhausts its budget is *inconclusive*, not wrong, and the
-// right reaction is usually "try again with a bigger budget", then — if the
-// proof never closes — "fall back to co-simulation and say so".  §4.1 of the
-// paper makes plan-level robustness the point of the methodology: one
-// stubborn block must not stall the consistency signal for every other
-// block.
+// A plan holds one entry per SLM/RTL block pair (core/plan.h has the result
+// types).  Running each block's verifier exactly once and recording what
+// happened is not enough in a long-running CI flow: a SEC run that exhausts
+// its budget is *inconclusive*, not wrong, and the right reaction is usually
+// "try again with a bigger budget", then — if the proof never closes —
+// "fall back to co-simulation and say so".  §4.1 of the paper makes
+// plan-level robustness the point of the methodology: one stubborn block
+// must not stall the consistency signal for every other block.
 //
 // ResilientRunner implements that reaction as policy, not ad-hoc code:
+//   * a DRC gate — a block's attached design-rule checker runs once before
+//     attempt 0; under DrcPolicy::kBlock/kStrict a dirty block fails with
+//     blockedByDrc and attempts = 0, never climbing the ladder or degrading;
 //   * exception isolation — a runner that throws becomes a structured
-//     faulted BlockResult; the plan keeps going (same contract as
-//     VerificationPlan, shared via runEntry's try/catch);
+//     faulted BlockResult; the plan keeps going;
 //   * a retry ladder — kInconclusive SEC verdicts are retried with
 //     geometrically escalated sat::Budget caps, optionally toggling
 //     fraig/absint per rung, every attempt logged in
@@ -21,6 +23,7 @@
 //     fallback runs seeded random stimulus through both models and the
 //     block is reported with degraded=true: weaker evidence, clearly
 //     labeled, never cached as clean.
+// A plain one-shot plan is RetryPolicy{.maxAttempts = 1} with no fallback.
 //
 // All resilience is deterministic: budgets are conflict/propagation caps,
 // fallback stimulus is seeded, and fault injection (src/fault) is a pure
@@ -67,7 +70,7 @@ struct RetryPolicy {
   double budgetScale = 4.0;
   /// Explicit ladder; entry i configures attempt i+1.  When shorter than
   /// maxAttempts-1, the last rung repeats.  Overrides `budgetScale`.
-  std::vector<RetryRung> rungs;
+  std::vector<RetryRung> rungs{};
   /// Also climb the ladder when BMC finished but the inductive step was cut
   /// off: the bounded verdict is already a sound pass, so this retry only
   /// chases the upgrade to proven-equivalent (and the block passes either
@@ -77,12 +80,16 @@ struct RetryPolicy {
   std::uint64_t cosimSeed = 0x5eedfa11;
 };
 
-/// A VerificationPlan-shaped runner with retry and degradation policy.
-/// Produces the same PlanReport/BlockResult types, with attempts,
-/// attemptLog, degraded, faulted and faultInjections populated.
+/// The plan runner: a named collection of SLM/RTL block pairs with
+/// verification callbacks, run under a DRC gate, retry and degradation
+/// policy, optionally in parallel and journaled.
 class ResilientRunner {
  public:
-  using CosimOutcome = VerificationPlan::CosimOutcome;
+  /// What a cosim runner reports: pass/fail plus a detail string.
+  struct CosimOutcome {
+    bool passed;
+    std::string detail;
+  };
   /// SEC runners take the options to use *this attempt* — the ladder
   /// rescales budgets and toggles between calls.
   using SecRunner = std::function<sec::SecResult(const sec::SecOptions&)>;
@@ -107,6 +114,16 @@ class ResilientRunner {
 
   /// Updates a block's digest (models edited).  Unknown block throws.
   void touch(const std::string& block, std::uint64_t newDigest);
+
+  /// Attaches a DRC runner to a block: invoked once per run of the block,
+  /// before attempt 0, whenever the DRC policy is not kOff.  Unknown block
+  /// throws.
+  void setBlockDrc(const std::string& block,
+                   std::function<drc::DrcReport()> runner);
+
+  /// Sets how DRC findings gate runs (default kWarn: run DRC where a runner
+  /// is attached, report, never block).
+  void setDrcPolicy(DrcPolicy policy) { drcPolicy_ = policy; }
 
   /// Runs independent blocks concurrently on `exec` (borrowed; must outlive
   /// every run; nullptr restores serial execution).  Each block task
@@ -134,9 +151,13 @@ class ResilientRunner {
   /// failures never affect verdicts; the run continues unjournaled.
   void setJournal(Journal* journal) { journal_ = journal; }
 
-  /// Replays a loaded journal (see VerificationPlan::resumePlan for the
-  /// admission rules — same predicate, isResumableVerdict, same
-  /// cold-start-on-mismatch semantics).  Returns the admitted count.
+  /// Replays a loaded journal: a record whose digest and fingerprint match
+  /// a registered block and whose verdict passes isResumableVerdict is
+  /// emitted (resumed=true) by the next run instead of re-running the block.
+  /// The first unknown-block or fingerprint mismatch cold-starts everything
+  /// from that record on; a non-resumable verdict, or one that ran DRC (DRC
+  /// is re-evaluated live), re-runs its own block.  Returns the admitted
+  /// count.
   unsigned resumePlan(const JournalLoaded& loaded);
 
   /// Verifies every block unconditionally.  Never throws for runner
@@ -144,8 +165,8 @@ class ResilientRunner {
   PlanReport runAll();
 
   /// Skips blocks whose digest is unchanged since their last clean,
-  /// full-strength pass.  Faulted, degraded and inconclusive blocks are
-  /// never treated as clean, so they always rerun.
+  /// full-strength pass.  Faulted, degraded, inconclusive and DRC-blocked
+  /// blocks are never treated as clean, so they always rerun.
   PlanReport runIncremental();
 
   const std::string& name() const { return name_; }
@@ -160,21 +181,30 @@ class ResilientRunner {
     sec::SecOptions baseOptions;
     SecRunner secRunner;
     CosimRunner cosimRunner;   ///< primary for kCosim, fallback for kSec
+    std::function<drc::DrcReport()> drcRunner;
     std::optional<std::uint64_t> lastCleanDigest;
     std::string lastDetail;
     // Journal-admitted result, consumed (once) by the next run.
     std::optional<BlockResult> resumedResult;
   };
 
+  Entry& addEntry(const std::string& block, std::uint64_t digest,
+                  Method method);
   BlockResult runEntry(Entry& e);
+  bool racing() const {
+    return exec_ != nullptr && portfolioEnabled_ && portfolio_.members > 1;
+  }
+  bool drcBlocks(const Entry& e, BlockResult& r) const;
   PlanReport run(bool incremental);
-  Entry& find(const std::string& block);
+  Entry* lookup(const std::string& block);  ///< nullptr when unknown
+  Entry& find(const std::string& block);    ///< throws when unknown
   std::uint64_t entryFingerprint(const Entry& e) const;
   void journalAppend(const Entry& e, const BlockResult& r);
 
   std::string name_;
   RetryPolicy policy_;
   std::vector<Entry> blocks_;
+  DrcPolicy drcPolicy_ = DrcPolicy::kWarn;
   ParallelExecutor* exec_ = nullptr;  ///< borrowed; nullptr = serial
   PortfolioOptions portfolio_{};
   bool portfolioEnabled_ = false;

@@ -38,7 +38,6 @@
 #include "core/journal.h"           // IWYU pragma: export
 #include "core/parallel.h"          // IWYU pragma: export
 #include "core/plan.h"              // IWYU pragma: export
-#include "core/report.h"            // IWYU pragma: export
 #include "core/resilient.h"         // IWYU pragma: export
 #include "cosim/rtl_in_slm.h"       // IWYU pragma: export
 #include "cosim/scoreboard.h"       // IWYU pragma: export

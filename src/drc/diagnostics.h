@@ -7,8 +7,8 @@
 // inspected (SLM source, IR, RTL netlist, SEC problem shape), a
 // human-readable location path, and a message.  A DrcReport aggregates the
 // diagnostics of one run and serializes to the same dependency-free JSON
-// style core::toJson uses, so CI systems get one machine-readable stream
-// for lint results and verification results alike.
+// style core::PlanReport::json uses, so CI systems get one machine-readable
+// stream for lint results and verification results alike.
 #pragma once
 
 #include <string>

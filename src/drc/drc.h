@@ -7,7 +7,9 @@
 // setup — conditioned SLM sources (§4.3 guidelines), transition systems,
 // RTL netlists, and the SEC transaction shape (§3.1/§3.2 mapping hygiene
 // plus structural-merge predictions) — into one machine-readable report.
-// core::VerificationPlan uses it as a pre-verification gate.
+// core::ResilientRunner uses it as a pre-verification gate (setBlockDrc +
+// setDrcPolicy): DRC runs once per block before attempt 0, and a blocked
+// block fails without running, retrying or degrading.
 #pragma once
 
 #include <string>

@@ -1,11 +1,10 @@
-// Tests for the verification-plan core: full vs incremental runs, digest
-// gating, failure localization.
-
-#include "core/plan.h"
+// Tests for the verification-plan core on a plain one-shot plan (one
+// attempt per block, no fallback): full vs incremental runs, digest gating,
+// failure localization.
 
 #include <gtest/gtest.h>
 
-#include "core/report.h"
+#include "core/resilient.h"
 
 namespace dfv::core {
 namespace {
@@ -14,7 +13,7 @@ namespace {
 struct CountingSec {
   int* counter;
   sec::Verdict verdict;
-  sec::SecResult operator()() const {
+  sec::SecResult operator()(const sec::SecOptions&) const {
     ++*counter;
     sec::SecResult r;
     r.verdict = verdict;
@@ -22,12 +21,12 @@ struct CountingSec {
   }
 };
 
-TEST(VerificationPlan, RunAllRunsEverything) {
-  VerificationPlan plan("soc");
+TEST(OneShotPlan, RunAllRunsEverything) {
+  ResilientRunner plan("soc", {.maxAttempts = 1});
   int a = 0, b = 0;
-  plan.addSecBlock("fir", 1,
+  plan.addSecBlock("fir", 1, {},
                    CountingSec{&a, sec::Verdict::kProvenEquivalent});
-  plan.addSecBlock("conv", 1,
+  plan.addSecBlock("conv", 1, {},
                    CountingSec{&b, sec::Verdict::kBoundedEquivalent});
   auto report = plan.runAll();
   EXPECT_EQ(a, 1);
@@ -38,12 +37,12 @@ TEST(VerificationPlan, RunAllRunsEverything) {
   EXPECT_EQ(a, 2);  // runAll never caches
 }
 
-TEST(VerificationPlan, IncrementalSkipsUnchangedBlocks) {
-  VerificationPlan plan("soc");
+TEST(OneShotPlan, IncrementalSkipsUnchangedBlocks) {
+  ResilientRunner plan("soc", {.maxAttempts = 1});
   int a = 0, b = 0;
-  plan.addSecBlock("fir", 10,
+  plan.addSecBlock("fir", 10, {},
                    CountingSec{&a, sec::Verdict::kProvenEquivalent});
-  plan.addSecBlock("conv", 20,
+  plan.addSecBlock("conv", 20, {},
                    CountingSec{&b, sec::Verdict::kProvenEquivalent});
   plan.runAll();
   // No edits: incremental run verifies nothing.
@@ -60,11 +59,11 @@ TEST(VerificationPlan, IncrementalSkipsUnchangedBlocks) {
   EXPECT_EQ(b, 2);
 }
 
-TEST(VerificationPlan, FailuresAlwaysRerunAndLocalize) {
-  VerificationPlan plan("soc");
+TEST(OneShotPlan, FailuresAlwaysRerunAndLocalize) {
+  ResilientRunner plan("soc", {.maxAttempts = 1});
   int calls = 0;
   sec::Verdict verdict = sec::Verdict::kNotEquivalent;
-  plan.addSecBlock("buggy", 5, [&] {
+  plan.addSecBlock("buggy", 5, {}, [&](const sec::SecOptions&) {
     ++calls;
     sec::SecResult r;
     r.verdict = verdict;
@@ -86,12 +85,12 @@ TEST(VerificationPlan, FailuresAlwaysRerunAndLocalize) {
   EXPECT_EQ(calls, 3);
 }
 
-TEST(VerificationPlan, InconclusiveIsItsOwnOutcome) {
-  VerificationPlan plan("soc");
+TEST(OneShotPlan, InconclusiveIsItsOwnOutcome) {
+  ResilientRunner plan("soc", {.maxAttempts = 1});
   int stalled = 0, good = 0;
-  plan.addSecBlock("stalled", 1,
+  plan.addSecBlock("stalled", 1, {},
                    CountingSec{&stalled, sec::Verdict::kInconclusive});
-  plan.addSecBlock("good", 1,
+  plan.addSecBlock("good", 1, {},
                    CountingSec{&good, sec::Verdict::kProvenEquivalent});
   auto r1 = plan.runAll();
   // Inconclusive is neither verified nor failed, but it does spoil the plan.
@@ -111,21 +110,21 @@ TEST(VerificationPlan, InconclusiveIsItsOwnOutcome) {
   EXPECT_EQ(r2.inconclusive, 1u);
   EXPECT_EQ(r2.skipped, 1u);
   // Report JSON carries the distinct status and summary counter.
-  const std::string json = toJson(plan.name(), r2);
+  const std::string json = r2.json(plan.name());
   EXPECT_NE(json.find("\"inconclusive\":1"), std::string::npos);
   EXPECT_NE(json.find("\"status\":\"inconclusive\""), std::string::npos);
   EXPECT_NE(json.find("\"all_passed\":false"), std::string::npos);
 }
 
-TEST(VerificationPlan, CosimBlocksAndMixedPlans) {
-  VerificationPlan plan("mixed");
+TEST(OneShotPlan, CosimBlocksAndMixedPlans) {
+  ResilientRunner plan("mixed", {.maxAttempts = 1});
   int cosimRuns = 0;
-  plan.addCosimBlock("mac", 1, [&] {
+  plan.addCosimBlock("mac", 1, [&](std::uint64_t) {
     ++cosimRuns;
-    return VerificationPlan::CosimOutcome{true, "clean scoreboard"};
+    return ResilientRunner::CosimOutcome{true, "clean scoreboard"};
   });
   int secRuns = 0;
-  plan.addSecBlock("alu", 1,
+  plan.addSecBlock("alu", 1, {},
                    CountingSec{&secRuns, sec::Verdict::kProvenEquivalent});
   auto report = plan.runAll();
   EXPECT_TRUE(report.allPassed());
@@ -134,11 +133,11 @@ TEST(VerificationPlan, CosimBlocksAndMixedPlans) {
   EXPECT_EQ(report.blocks[1].detail, std::string("proven-equivalent"));
 }
 
-TEST(VerificationPlan, ThrowingRunnerIsIsolatedAsFaultedResult) {
-  VerificationPlan plan("soc");
+TEST(OneShotPlan, ThrowingRunnerIsIsolatedAsFaultedResult) {
+  ResilientRunner plan("soc", {.maxAttempts = 1});
   bool crash = true;
   int calls = 0;
-  plan.addSecBlock("crashy", 3, [&] {
+  plan.addSecBlock("crashy", 3, {}, [&](const sec::SecOptions&) {
     ++calls;
     if (crash) throw CheckError("runner blew up");
     sec::SecResult r;
@@ -146,7 +145,7 @@ TEST(VerificationPlan, ThrowingRunnerIsIsolatedAsFaultedResult) {
     return r;
   });
   int good = 0;
-  plan.addSecBlock("good", 1,
+  plan.addSecBlock("good", 1, {},
                    CountingSec{&good, sec::Verdict::kProvenEquivalent});
   PlanReport r1;
   EXPECT_NO_THROW(r1 = plan.runAll());
@@ -157,7 +156,7 @@ TEST(VerificationPlan, ThrowingRunnerIsIsolatedAsFaultedResult) {
   EXPECT_EQ(r1.faulted, 1u);
   EXPECT_EQ(r1.failed, 1u);
   EXPECT_NE(r1.summary().find("1 faulted"), std::string::npos);
-  const std::string json = toJson(plan.name(), r1);
+  const std::string json = r1.json(plan.name());
   EXPECT_NE(json.find("\"status\":\"faulted\""), std::string::npos);
   EXPECT_NE(json.find("\"faulted\":1"), std::string::npos);
   // A faulted block is never treated as clean: same digest, runs again.
@@ -168,26 +167,26 @@ TEST(VerificationPlan, ThrowingRunnerIsIsolatedAsFaultedResult) {
   EXPECT_EQ(r2.skipped, 1u);
 }
 
-TEST(VerificationPlan, JsonCarriesResilienceFields) {
-  VerificationPlan plan("soc");
+TEST(OneShotPlan, JsonCarriesResilienceFields) {
+  ResilientRunner plan("soc", {.maxAttempts = 1});
   int n = 0;
-  plan.addSecBlock("fir", 1,
+  plan.addSecBlock("fir", 1, {},
                    CountingSec{&n, sec::Verdict::kProvenEquivalent});
   const PlanReport report = plan.runAll();
   const std::string json = report.json(plan.name());
-  EXPECT_EQ(json, toJson(plan.name(), report));
   EXPECT_NE(json.find("\"attempts\":1"), std::string::npos);
   EXPECT_NE(json.find("\"degraded\":false"), std::string::npos);
   EXPECT_NE(json.find("\"faulted\":false"), std::string::npos);
   EXPECT_NE(json.find("\"fault_injections\":0"), std::string::npos);
 }
 
-TEST(VerificationPlan, DuplicateAndUnknownBlocksRejected) {
-  VerificationPlan plan("p");
+TEST(OneShotPlan, DuplicateAndUnknownBlocksRejected) {
+  ResilientRunner plan("p", {.maxAttempts = 1});
   int n = 0;
-  plan.addSecBlock("x", 1, CountingSec{&n, sec::Verdict::kProvenEquivalent});
+  plan.addSecBlock("x", 1, {},
+                   CountingSec{&n, sec::Verdict::kProvenEquivalent});
   EXPECT_THROW(
-      plan.addSecBlock("x", 2,
+      plan.addSecBlock("x", 2, {},
                        CountingSec{&n, sec::Verdict::kProvenEquivalent}),
       CheckError);
   EXPECT_THROW(plan.touch("nope", 1), CheckError);

@@ -1,5 +1,5 @@
 // Per-rule positive/negative tests for dfv::drc, the seed-cleanliness
-// sweep, and the core-plan DRC gate.
+// sweep, and the plan runner's DRC gate.
 
 #include <gtest/gtest.h>
 
@@ -8,8 +8,7 @@
 #include <sstream>
 
 #include "common/check.h"
-#include "core/plan.h"
-#include "core/report.h"
+#include "core/resilient.h"
 #include "designs/conv.h"
 #include "designs/fir.h"
 #include "designs/fpadd.h"
@@ -467,14 +466,14 @@ TEST(DrcReportTest, MergeAndFiredRules) {
 }
 
 // ---------------------------------------------------------------------------
-// The core-plan gate
+// The plan runner's gate
 // ---------------------------------------------------------------------------
 
-core::VerificationPlan makeGatedPlan(bool drcErrors, bool* runnerCalled) {
-  core::VerificationPlan plan("gated");
-  plan.addCosimBlock("blk", 1, [runnerCalled] {
+core::ResilientRunner makeGatedPlan(bool drcErrors, bool* runnerCalled) {
+  core::ResilientRunner plan("gated", {.maxAttempts = 1});
+  plan.addCosimBlock("blk", 1, [runnerCalled](std::uint64_t) {
     *runnerCalled = true;
-    return core::VerificationPlan::CosimOutcome{true, "ran"};
+    return core::ResilientRunner::CosimOutcome{true, "ran"};
   });
   plan.setBlockDrc("blk", [drcErrors] {
     DrcReport r;
@@ -499,6 +498,7 @@ TEST(DrcGate, BlockPolicyStopsDirtyBlockWithoutRunningIt) {
   EXPECT_EQ(report.blocked, 1u);
   ASSERT_EQ(report.blocks.size(), 1u);
   EXPECT_TRUE(report.blocks[0].blockedByDrc);
+  EXPECT_EQ(report.blocks[0].attempts, 0u);  // nothing ran
   EXPECT_NE(report.blocks[0].detail.find("blocked by DRC"),
             std::string::npos);
   ASSERT_TRUE(report.blocks[0].drc.has_value());
@@ -557,11 +557,29 @@ TEST(DrcGate, JsonCarriesBlockedStatusAndDiagnostics) {
   auto plan = makeGatedPlan(/*drcErrors=*/true, &ran);
   plan.setDrcPolicy(core::DrcPolicy::kBlock);
   const auto report = plan.runAll();
-  const std::string js = core::toJson("gated", report);
+  const std::string js = report.json("gated");
   EXPECT_NE(js.find("\"status\":\"blocked\""), std::string::npos);
   EXPECT_NE(js.find("\"drc\":{"), std::string::npos);
   EXPECT_NE(js.find("undriven-net"), std::string::npos);
   EXPECT_NE(js.find("\"blocked\":1"), std::string::npos);
+  EXPECT_NE(js.find("\"attempts\":0"), std::string::npos);
+}
+
+TEST(DrcGate, ThrowingDrcRunnerFaultsTheBlockWithoutRunningIt) {
+  // The runner never throws for runner failures, and a DRC runner is one.
+  bool ran = false;
+  auto plan = makeGatedPlan(/*drcErrors=*/false, &ran);
+  plan.setBlockDrc("blk", []() -> DrcReport {
+    throw CheckError("lint crashed");
+  });
+  core::PlanReport report;
+  EXPECT_NO_THROW(report = plan.runAll());
+  EXPECT_FALSE(ran);
+  EXPECT_TRUE(report.blocks[0].faulted);
+  EXPECT_FALSE(report.blocks[0].blockedByDrc);
+  EXPECT_EQ(report.blocks[0].attempts, 0u);
+  EXPECT_NE(report.blocks[0].detail.find("lint crashed"), std::string::npos);
+  EXPECT_EQ(report.faulted, 1u);
 }
 
 // ---------------------------------------------------------------------------

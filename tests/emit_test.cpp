@@ -5,7 +5,7 @@
 
 #include <sstream>
 
-#include "core/report.h"
+#include "core/resilient.h"
 #include "designs/fir.h"
 #include "designs/gcd.h"
 #include "designs/memsys.h"
@@ -127,14 +127,14 @@ TEST(SlmcPrint, ViolationsAreAnnotated) {
 }
 
 TEST(CoreReport, JsonShape) {
-  core::VerificationPlan plan("p");
-  plan.addSecBlock("blk\"quoted", 1, [] {
+  core::ResilientRunner plan("p", {.maxAttempts = 1});
+  plan.addSecBlock("blk\"quoted", 1, {}, [](const sec::SecOptions&) {
     sec::SecResult r;
     r.verdict = sec::Verdict::kProvenEquivalent;
     return r;
   });
   auto report = plan.runAll();
-  const std::string json = core::toJson(plan.name(), report);
+  const std::string json = report.json(plan.name());
   EXPECT_NE(json.find("\"plan\":\"p\""), std::string::npos);
   EXPECT_NE(json.find("\"all_passed\":true"), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"blk\\\"quoted\""), std::string::npos);

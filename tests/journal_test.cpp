@@ -13,6 +13,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <memory>
@@ -20,6 +21,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -27,8 +29,6 @@
 #include "common/json.h"
 #include "cosim/scoreboard.h"
 #include "core/parallel.h"
-#include "core/plan.h"
-#include "core/report.h"
 #include "core/resilient.h"
 #include "designs/gcd.h"
 #include "fault/fault.h"
@@ -190,12 +190,12 @@ TEST(Json, ParseLinesRejectsBlankAndMalformedLines) {
 // documents PlanReport::json emits.  Round-trip one through the strict
 // parser and check the load-bearing fields.
 TEST(Json, PlanReportJsonIsStrictlyParseable) {
-  VerificationPlan plan("soc \"quoted\"");
-  plan.addSecBlock("alpha", 1, [] {
+  ResilientRunner plan("soc \"quoted\"", attemptsPolicy(1));
+  plan.addSecBlock("alpha", 1, sec::SecOptions{}, [](const sec::SecOptions&) {
     return verdictResult(sec::Verdict::kProvenEquivalent);
   });
-  plan.addCosimBlock("beta", 2, [] {
-    return VerificationPlan::CosimOutcome{false, "mismatch @ cycle 3"};
+  plan.addCosimBlock("beta", 2, [](std::uint64_t) {
+    return ResilientRunner::CosimOutcome{false, "mismatch @ cycle 3"};
   });
   const PlanReport report = plan.runAll();
   const JsonValue v = common::parseJson(report.json(plan.name()));
@@ -698,26 +698,39 @@ TEST(Resume, NonResumableRecordReRunsOnlyItsOwnBlock) {
 TEST(Resume, FingerprintIsSensitiveToTheProblemConfiguration) {
   sec::SecOptions base;
   const RetryPolicy policy;
-  const std::uint64_t fp = secBlockFingerprint("blk", 1, base, policy);
+  const DrcPolicy warn = DrcPolicy::kWarn;
+  auto secFp = [&](const std::string& block, std::uint64_t digest,
+                   const sec::SecOptions& o, const RetryPolicy& p) {
+    return secBlockFingerprint(block, digest, o, p, warn, false);
+  };
+  const std::uint64_t fp = secFp("blk", 1, base, policy);
   // Same inputs, same hash (stability), different inputs, different hash.
-  EXPECT_EQ(secBlockFingerprint("blk", 1, base, policy), fp);
-  EXPECT_NE(secBlockFingerprint("blk", 2, base, policy), fp);
-  EXPECT_NE(secBlockFingerprint("alt", 1, base, policy), fp);
+  EXPECT_EQ(secFp("blk", 1, base, policy), fp);
+  EXPECT_NE(secFp("blk", 2, base, policy), fp);
+  EXPECT_NE(secFp("alt", 1, base, policy), fp);
   sec::SecOptions noFraig = base;
   noFraig.fraig = false;
-  EXPECT_NE(secBlockFingerprint("blk", 1, noFraig, policy), fp);
+  EXPECT_NE(secFp("blk", 1, noFraig, policy), fp);
   sec::SecOptions capped = base;
   capped.bmcBudget.maxConflicts = 1000;
-  EXPECT_NE(secBlockFingerprint("blk", 1, capped, policy), fp);
+  EXPECT_NE(secFp("blk", 1, capped, policy), fp);
   RetryPolicy deeper;
   deeper.maxAttempts = 5;
-  EXPECT_NE(secBlockFingerprint("blk", 1, base, deeper), fp);
-  EXPECT_NE(secBlockFingerprint("blk", 1, base, policy, true, 3), fp);
-  EXPECT_NE(cosimBlockFingerprint("blk", 1, 1), cosimBlockFingerprint("blk", 1, 2));
-  EXPECT_NE(planBlockFingerprint("blk", Method::kSec, 1, DrcPolicy::kWarn, false),
-            planBlockFingerprint("blk", Method::kSec, 1, DrcPolicy::kBlock, false));
-  EXPECT_NE(planBlockFingerprint("blk", Method::kSec, 1, DrcPolicy::kWarn, false),
-            planBlockFingerprint("blk", Method::kSec, 1, DrcPolicy::kWarn, true));
+  EXPECT_NE(secFp("blk", 1, base, deeper), fp);
+  EXPECT_NE(secBlockFingerprint("blk", 1, base, policy, warn, false, true, 3),
+            fp);
+  EXPECT_NE(cosimBlockFingerprint("blk", 1, 1, warn, false),
+            cosimBlockFingerprint("blk", 1, 2, warn, false));
+  // The DRC gate shapes the recorded run: the policy and whether a DRC
+  // runner is attached both enter the sec and cosim fingerprints.
+  EXPECT_NE(secBlockFingerprint("blk", 1, base, policy, DrcPolicy::kBlock,
+                                false),
+            fp);
+  EXPECT_NE(secBlockFingerprint("blk", 1, base, policy, warn, true), fp);
+  const std::uint64_t cfp = cosimBlockFingerprint("blk", 1, 1, warn, false);
+  EXPECT_NE(cosimBlockFingerprint("blk", 1, 1, DrcPolicy::kStrict, false),
+            cfp);
+  EXPECT_NE(cosimBlockFingerprint("blk", 1, 1, warn, true), cfp);
 }
 
 TEST(Resume, ReconfiguredRunnerColdStartsOnFingerprint) {
@@ -744,36 +757,95 @@ TEST(Resume, ReconfiguredRunnerColdStartsOnFingerprint) {
   EXPECT_EQ(calls.load(), 3u);
 }
 
-TEST(Resume, VerificationPlanResumesAndNeverReplaysDrc) {
+TEST(Resume, DrcGatedBlocksAreJournaledButNeverReplayed) {
   const std::string base = tempBase("plan");
-  auto build = [](VerificationPlan& plan) {
-    plan.addSecBlock("alpha", 1, [] {
+  auto build = [](ResilientRunner& plan) {
+    auto pass = [](const sec::SecOptions&) {
       return verdictResult(sec::Verdict::kProvenEquivalent);
-    });
-    plan.addSecBlock("gated", 2, [] {
-      return verdictResult(sec::Verdict::kProvenEquivalent);
-    });
+    };
+    plan.addSecBlock("alpha", 1, sec::SecOptions{}, pass);
+    plan.addSecBlock("gated", 2, sec::SecOptions{}, pass);
     plan.setBlockDrc("gated", [] { return drc::DrcReport{}; });  // clean
+    plan.addSecBlock("dirty", 3, sec::SecOptions{}, pass);
+    plan.setBlockDrc("dirty", [] {
+      drc::DrcReport r;
+      r.add(drc::Rule::kUndrivenNet, drc::Severity::kError, drc::Layer::kRtl,
+            "dirty/net 'x'", "no driver");
+      return r;
+    });
+    plan.setDrcPolicy(DrcPolicy::kBlock);
   };
   {
-    VerificationPlan first("soc");
+    ResilientRunner first("soc", attemptsPolicy(1));
     build(first);
     Journal j(base, "soc");
     first.setJournal(&j);
     const PlanReport r0 = first.runAll();
-    EXPECT_TRUE(r0.allPassed());
+    EXPECT_EQ(r0.verified, 2u);
+    EXPECT_EQ(r0.blocked, 1u);
     EXPECT_TRUE(r0.blocks[1].drc.has_value());
+    // The fresh WAL covers the whole run, the blocked block included.
+    EXPECT_EQ(j.appended(), 3u);
   }
-  VerificationPlan second("soc");
+  const JournalLoaded loaded = Journal::load(base);
+  ASSERT_EQ(loaded.records.size(), 3u);
+  for (const JournalRecord& rec : loaded.records) {
+    SCOPED_TRACE(rec.result.block);
+    EXPECT_EQ(rec.hasDrc, rec.result.block != "alpha");
+    EXPECT_EQ(rec.result.blockedByDrc, rec.result.block == "dirty");
+  }
+  ResilientRunner second("soc", attemptsPolicy(1));
   build(second);
   // "gated" passed cleanly, but its record carried DRC diagnostics the
   // journal does not serialize: DRC re-evaluates live, never from disk.
-  EXPECT_EQ(second.resumePlan(Journal::load(base)), 1u);
+  // "dirty" was blocked: no verdict, so it is never admitted either.
+  EXPECT_EQ(second.resumePlan(loaded), 1u);
   const PlanReport r1 = second.runIncremental();
   EXPECT_TRUE(r1.blocks[0].resumed);
   EXPECT_FALSE(r1.blocks[1].resumed);
   EXPECT_TRUE(r1.blocks[1].drc.has_value());  // re-ran, DRC re-evaluated
+  EXPECT_FALSE(r1.blocks[2].resumed);
+  EXPECT_TRUE(r1.blocks[2].blockedByDrc);  // gate re-ran and blocked again
   EXPECT_EQ(r1.resumed, 1u);
+  // Nor is a blocked block ever cached: an unchanged digest re-gates it.
+  const PlanReport r2 = second.runIncremental();
+  EXPECT_FALSE(r2.blocks[2].skippedUnchanged);
+  EXPECT_TRUE(r2.blocks[2].blockedByDrc);
+}
+
+TEST(Resume, TotalSecondsIsTheResumedRunsWallTime) {
+  // The recorded blocks each took >= 50 ms; replaying them takes almost
+  // nothing, and total_seconds must say so while each resumed block keeps
+  // its recorded seconds.
+  constexpr double kBlockSeconds = 0.05;
+  auto build = [](ResilientRunner& plan) {
+    for (const char* name : {"a", "b", "c"})
+      plan.addSecBlock(name, 1, sec::SecOptions{},
+                       [](const sec::SecOptions&) {
+                         std::this_thread::sleep_for(
+                             std::chrono::milliseconds(50));
+                         return verdictResult(
+                             sec::Verdict::kProvenEquivalent);
+                       });
+  };
+  const std::string base = tempBase("wall");
+  {
+    ResilientRunner first("soc", attemptsPolicy(1));
+    build(first);
+    Journal j(base, "soc");
+    first.setJournal(&j);
+    const PlanReport r0 = first.runAll();
+    EXPECT_GE(r0.totalSeconds, 3 * kBlockSeconds);
+  }
+  ResilientRunner second("soc", attemptsPolicy(1));
+  build(second);
+  ASSERT_EQ(second.resumePlan(Journal::load(base)), 3u);
+  const PlanReport r1 = second.runAll();
+  EXPECT_EQ(r1.resumed, 3u);
+  EXPECT_LT(r1.totalSeconds, kBlockSeconds);
+  for (const BlockResult& b : r1.blocks) EXPECT_GE(b.seconds, kBlockSeconds);
+  const JsonValue v = common::parseJson(r1.json("soc"));
+  EXPECT_LT(v.at("summary").at("total_seconds").asDouble(), kBlockSeconds);
 }
 
 TEST(Resume, ResumedBlocksAreReJournaledIntoTheFreshWal) {

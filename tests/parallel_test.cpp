@@ -14,8 +14,8 @@
 #include <string>
 #include <vector>
 
-#include "core/report.h"
 #include "core/resilient.h"
+#include "drc/diagnostics.h"
 #include "fault/fault.h"
 #include "ir/expr.h"
 #include "sec/engine.h"
@@ -589,6 +589,58 @@ TEST(ParallelRunner, CacheServesOnlyCleanFullStrengthPasses) {
   EXPECT_EQ(stubbornRuns, 2);  // inconclusive: never cached
   EXPECT_EQ(degradedRuns, 2);  // degraded pass: never cached
   EXPECT_EQ(second.skipped, 1u);
+}
+
+// ----- DRC gate on the executor ----------------------------------------------
+
+TEST(ParallelRunner, DrcGateBlocksDirtyBlockWhileCleanBlocksRun) {
+  ResilientRunner runner("gated", {.maxAttempts = 1});
+  const std::vector<std::string> names = {"c0", "dirty", "c1", "c2", "c3"};
+  std::atomic<unsigned> verifierCalls{0};
+  std::atomic<bool> dirtyVerified{false};
+  std::vector<std::unique_ptr<std::atomic<unsigned>>> drcCalls;
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    const bool dirty = names[i] == "dirty";
+    runner.addSecBlock(names[i], i + 1, sec::SecOptions{},
+                       [&, dirty](const sec::SecOptions&) {
+                         ++verifierCalls;
+                         if (dirty) dirtyVerified = true;
+                         return verdictResult(
+                             sec::Verdict::kProvenEquivalent);
+                       });
+    drcCalls.push_back(std::make_unique<std::atomic<unsigned>>(0));
+    std::atomic<unsigned>* calls = drcCalls.back().get();
+    runner.setBlockDrc(names[i], [calls, dirty] {
+      ++*calls;
+      drc::DrcReport r;
+      if (dirty)
+        r.add(drc::Rule::kUndrivenNet, drc::Severity::kError,
+              drc::Layer::kRtl, "dirty/net 'x'", "no driver");
+      return r;
+    });
+  }
+  runner.setDrcPolicy(DrcPolicy::kBlock);
+  ParallelExecutor exec(4);
+  runner.setExecutor(&exec);
+  const PlanReport report = runner.runAll();
+
+  EXPECT_EQ(report.workers, 4u);
+  EXPECT_FALSE(dirtyVerified.load());  // blocked without running
+  EXPECT_EQ(verifierCalls.load(), names.size() - 1);
+  EXPECT_EQ(report.verified, names.size() - 1);
+  EXPECT_EQ(report.failed, 1u);
+  EXPECT_EQ(report.blocked, 1u);
+  ASSERT_EQ(report.blocks.size(), names.size());
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    const BlockResult& b = report.blocks[i];
+    EXPECT_EQ(b.block, names[i]) << i;  // registration order kept
+    EXPECT_EQ(drcCalls[i]->load(), 1u) << i;  // DRC ran once per block
+    ASSERT_TRUE(b.drc.has_value()) << i;
+    const bool dirty = names[i] == "dirty";
+    EXPECT_EQ(b.blockedByDrc, dirty) << i;
+    EXPECT_EQ(b.passed, !dirty) << i;
+    EXPECT_EQ(b.attempts, dirty ? 0u : 1u) << i;
+  }
 }
 
 // ----- Fault-injection determinism per worker -------------------------------

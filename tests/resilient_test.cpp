@@ -16,10 +16,10 @@
 
 #include "cosim/scoreboard.h"
 #include "core/journal.h"
-#include "core/report.h"
 #include "designs/fir.h"
 #include "designs/gcd.h"
 #include "designs/wrapcnt.h"
+#include "drc/diagnostics.h"
 #include "fault/fault.h"
 #include "ir/expr.h"
 
@@ -329,6 +329,59 @@ TEST(Degradation, FailingFallbackFailsTheBlock) {
   EXPECT_TRUE(report.blocks[0].degraded);
   EXPECT_EQ(report.failed, 1u);
   EXPECT_EQ(report.degraded, 1u);
+}
+
+// ----- DRC gate -------------------------------------------------------------
+
+TEST(DrcGate, RunsOnceAcrossTheWholeLadder) {
+  ResilientRunner runner("soc", attemptsPolicy(3));
+  int secCalls = 0, drcCalls = 0;
+  runner.addSecBlock("stubborn", 1, sec::SecOptions{},
+                     [&](const sec::SecOptions&) {
+                       ++secCalls;
+                       return verdictResult(sec::Verdict::kInconclusive);
+                     });
+  runner.setBlockDrc("stubborn", [&] {
+    ++drcCalls;
+    return drc::DrcReport{};
+  });
+  const PlanReport report = runner.runAll();
+  EXPECT_EQ(secCalls, 3);  // every rung ran...
+  EXPECT_EQ(drcCalls, 1);  // ...behind one DRC evaluation
+  EXPECT_EQ(report.blocks[0].attempts, 3u);
+  ASSERT_TRUE(report.blocks[0].drc.has_value());
+}
+
+TEST(DrcGate, BlockedSecBlockNeverClimbsOrDegrades) {
+  ResilientRunner runner("soc", attemptsPolicy(3));
+  int secCalls = 0, cosimCalls = 0;
+  runner.addSecBlock("dirty", 1, sec::SecOptions{},
+                     [&](const sec::SecOptions&) {
+                       ++secCalls;
+                       return verdictResult(sec::Verdict::kInconclusive);
+                     });
+  runner.setCosimFallback("dirty", [&](std::uint64_t) {
+    ++cosimCalls;
+    return ResilientRunner::CosimOutcome{true, "should never run"};
+  });
+  runner.setBlockDrc("dirty", [] {
+    drc::DrcReport r;
+    r.add(drc::Rule::kDeadCell, drc::Severity::kWarning, drc::Layer::kRtl,
+          "dirty/cell#0", "dead");
+    return r;
+  });
+  runner.setDrcPolicy(DrcPolicy::kStrict);
+  const PlanReport report = runner.runAll();
+  const BlockResult& b = report.blocks[0];
+  EXPECT_EQ(secCalls, 0);
+  EXPECT_EQ(cosimCalls, 0);
+  EXPECT_TRUE(b.blockedByDrc);
+  EXPECT_FALSE(b.degraded);
+  EXPECT_FALSE(b.passed);
+  EXPECT_EQ(b.attempts, 0u);
+  EXPECT_TRUE(b.attemptLog.empty());
+  EXPECT_EQ(report.blocked, 1u);
+  EXPECT_EQ(report.degraded, 0u);
 }
 
 // ----- Real designs ---------------------------------------------------------

@@ -6,7 +6,7 @@
 #include <random>
 #include <sstream>
 
-#include "core/report.h"
+#include "core/resilient.h"
 #include "cosim/wrapped_rtl.h"
 #include "rtl/mutate.h"
 #include "rtl/vcd.h"
@@ -44,19 +44,18 @@ TEST(Robustness, SpawnOfMovedFromProcessThrows) {
 }
 
 TEST(Robustness, JsonReportForFailures) {
-  core::VerificationPlan plan("p");
-  plan.addSecBlock("bad", 1, [] {
+  core::ResilientRunner plan("p", {.maxAttempts = 1});
+  plan.addSecBlock("bad", 1, {}, [](const sec::SecOptions&) {
     sec::SecResult r;
     r.verdict = sec::Verdict::kNotEquivalent;
     return r;
   });
-  const std::string json = core::toJson(plan.name(), plan.runAll());
+  const std::string json = plan.runAll().json(plan.name());
   EXPECT_NE(json.find("\"status\":\"fail\""), std::string::npos);
   EXPECT_NE(json.find("\"all_passed\":false"), std::string::npos);
   // Incremental skip shows as "skipped" only after a clean run; a failed
   // block reruns.
-  const std::string json2 =
-      core::toJson(plan.name(), plan.runIncremental());
+  const std::string json2 = plan.runIncremental().json(plan.name());
   EXPECT_EQ(json2.find("\"status\":\"skipped\""), std::string::npos);
 }
 
