@@ -8,6 +8,10 @@
 // reduction, and fraig SAT-call cost to each combination.  Verdicts must
 // agree wherever both arms finish within budget.
 //
+// Part 1f — bound sweep: k = 1, 2, 4, 8 with the miter layers on and off,
+// per-depth rewrite/fraig/solve time and delta size (the incremental miter
+// rewrites and sweeps each frame once).
+//
 // Part 2 — strash reserve + hash-mixing micro-bench: Aig::reserve() sized
 // from the unrolling vs growing the table incrementally.
 //
@@ -693,6 +697,159 @@ int main(int argc, char** argv) {
                 "upgrade bounded to proven, never flip a\n verdict; gate "
                 "failures: %u, must be 0)\n\n",
                 invRegressions);
+  }
+
+  // --- Part 1f: bound sweep -------------------------------------------------
+  //
+  // The miter is one incremental pipeline: each BMC depth rewrites and
+  // sweeps only the nodes its frame added, on one persistent solver, so the
+  // per-depth delta is constant; the per-depth times show what still grows
+  // with the bound (sweep refutations complete models over every frame).  Each
+  // design runs at k = 1, 2, 4, 8 with the layers on (the default) and off
+  // (rewrite and fraig both off, under a conflict + propagation cap that
+  // reports INCONCLUSIVE where it binds — gcd_breakif's off arm needs ~733k
+  // conflicts at k = 1).  Gate: every completed off arm agrees with the on
+  // arm on the verdict and on the failing transaction.
+  {
+    struct SweepCase {
+      const char* name;
+      std::function<std::shared_ptr<sec::SecProblem>(ir::Context&)> make;
+    };
+    std::vector<SweepCase> sweepCases = {
+        {"gcd_breakif",
+         [](ir::Context& ctx) {
+           return hold(std::make_shared<designs::GcdSecSetup>(
+               designs::makeGcdBreakIfSecProblem(ctx)));
+         }},
+        {"conv_win",
+         [](ir::Context& ctx) {
+           return hold(std::make_shared<ConvWinSetup>(makeConvWinProblem(ctx)));
+         }},
+        {"fpadd8_safe",
+         [](ir::Context& ctx) {
+           return hold(std::make_shared<designs::FpAddSecSetup>(
+               designs::makeFpAddSecProblem(ctx, fp::Format::minifloat(),
+                                            /*constrainToSafeBand=*/true)));
+         }},
+        {"fir",
+         [](ir::Context& ctx) {
+           return hold(std::make_shared<designs::FirSecSetup>(
+               designs::makeFirSecProblem(ctx, designs::FirBug::kNone)));
+         }},
+        // A real bug, so failing-transaction parity is not vacuous.
+        {"fir_coef",
+         [](ir::Context& ctx) {
+           return hold(std::make_shared<designs::FirSecSetup>(
+               designs::makeFirSecProblem(ctx,
+                                          designs::FirBug::kWrongCoefficient)));
+         }},
+    };
+    if (smoke) sweepCases.erase(sweepCases.begin());  // gcd_breakif: seconds
+    const std::vector<unsigned> bounds =
+        smoke ? std::vector<unsigned>{1, 2} : std::vector<unsigned>{1, 2, 4, 8};
+    const unsigned detailBound = bounds.back();
+    const std::int64_t offConflicts = smoke ? 10000 : 100000;
+    const std::int64_t offPropagations = smoke ? 2000000 : 20000000;
+
+    std::printf("--- bound sweep: incremental miter, layers on vs off "
+                "(off arm capped at %lldk conflicts / %lldM props) ---\n",
+                static_cast<long long>(offConflicts / 1000),
+                static_cast<long long>(offPropagations / 1000000));
+    std::printf("%-12s %2s %8s %8s %8s %8s %8s  %-18s %-18s %s\n", "design",
+                "k", "on(s)", "rw(s)", "fraig(s)", "solve(s)", "off(s)",
+                "on verdict", "off verdict", "fail@");
+    std::vector<std::string> detail;
+    for (const SweepCase& c : sweepCases) {
+      for (const unsigned k : bounds) {
+        sec::SecResult arms[2];
+        double secs[2] = {0, 0};
+        bool cut[2] = {false, false};
+        for (const int on : {1, 0}) {
+          ir::Context ctx;
+          auto problem = c.make(ctx);
+          sec::SecOptions o;
+          o.boundTransactions = k;
+          o.rewrite = o.fraig = on != 0;
+          o.bmcBudget.maxConflicts = on ? 2000000 : offConflicts;
+          o.bmcBudget.maxPropagations = on ? 0 : offPropagations;
+          o.inductionBudget = o.bmcBudget;
+          const auto t0 = Clock::now();
+          arms[on] = sec::checkEquivalence(*problem, o);
+          secs[on] = secsSince(t0);
+          cut[on] = arms[on].stats.induction.budgetExhausted ||
+                    sumPhases(arms[on].stats, [](const sec::PhaseStats& p) {
+                      return static_cast<int>(p.budgetExhausted);
+                    }) > 0;
+        }
+        const sec::SecResult& r = arms[1];
+        const double rw = r.stats.rewriteTimeMs * 1e-3;
+        const double fr = r.stats.fraigTimeMs * 1e-3;
+        const double solve = sumPhases(
+            r.stats, [](const sec::PhaseStats& p) { return p.seconds; });
+        char fail[16] = "-";
+        if (r.cex)
+          std::snprintf(fail, sizeof fail, "%u", r.cex->failingTransaction);
+        std::printf("%-12s %2u %8.3f %8.3f %8.3f %8.3f %8.3f  %-18s %-18s %s\n",
+                    c.name, k, secs[1], rw, fr, solve, secs[0],
+                    sec::verdictName(r.verdict),
+                    sec::verdictName(arms[0].verdict), fail);
+        report.beginRow("bound_sweep")
+            .field("design", c.name)
+            .field("bound", k)
+            .field("onSeconds", secs[1])
+            .field("rewriteSeconds", rw)
+            .field("fraigSeconds", fr)
+            .field("solveSeconds", solve)
+            .field("offSeconds", secs[0])
+            .field("onVerdict", sec::verdictName(r.verdict))
+            .field("offVerdict", sec::verdictName(arms[0].verdict))
+            .field("offBudgetCut", cut[0]);
+        // Per-depth cost of the on arm; the delta is what each depth added.
+        auto depthRow = [&](const std::string& depth,
+                            const sec::PhaseStats& p) {
+          report.beginRow("bound_sweep_depth")
+              .field("design", c.name)
+              .field("bound", k)
+              .field("depth", depth)
+              .field("rewriteSeconds", p.rewriteTimeMs * 1e-3)
+              .field("fraigSeconds", p.fraigTimeMs * 1e-3)
+              .field("solveSeconds", p.seconds)
+              .field("deltaNodes", p.rewriteNodesBefore)
+              .field("sweptNodes", p.fraigNodesBefore);
+          if (k != detailBound) return;
+          char line[160];
+          std::snprintf(line, sizeof line,
+                        "%-12s %5s %8.3f %8.3f %8.3f %10zu %10zu", c.name,
+                        depth.c_str(), p.rewriteTimeMs * 1e-3,
+                        p.fraigTimeMs * 1e-3, p.seconds, p.rewriteNodesBefore,
+                        p.fraigNodesBefore);
+          detail.emplace_back(line);
+        };
+        for (std::size_t t = 0; t < r.stats.bmcTransactions.size(); ++t)
+          depthRow(std::to_string(t), r.stats.bmcTransactions[t]);
+        if (r.stats.inductionAttempted) depthRow("ind", r.stats.induction);
+        // The gate: a completed off arm must agree on verdict and depth.
+        if (cut[0] || cut[1]) continue;
+        const bool sameFail =
+            r.cex.has_value() == arms[0].cex.has_value() &&
+            (!r.cex || r.cex->failingTransaction ==
+                           arms[0].cex->failingTransaction);
+        if (r.verdict != arms[0].verdict || !sameFail) {
+          ++verdictMismatches;
+          std::printf("  !! LAYERS CHANGED the verdict or failing depth on "
+                      "%s at k=%u\n",
+                      c.name, k);
+        }
+      }
+    }
+    std::printf("\nper depth at k=%u, layers on (delta = AND nodes the "
+                "depth added to the miter):\n",
+                detailBound);
+    std::printf("%-12s %5s %8s %8s %8s %10s %10s\n", "design", "depth",
+                "rw(s)", "fraig(s)", "solve(s)", "delta", "swept");
+    for (const std::string& line : detail) std::printf("%s\n", line.c_str());
+    std::printf("(verdict and failing-transaction parity are part of the "
+                "mismatch count above)\n\n");
   }
 
   // --- Part 2: strash reserve + hash mixing ---------------------------------

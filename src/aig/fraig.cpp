@@ -1,9 +1,8 @@
 #include "aig/fraig.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <random>
-#include <unordered_map>
 #include <utility>
 
 #include "aig/cnf.h"
@@ -12,11 +11,10 @@ namespace dfv::aig {
 
 namespace {
 
-// Signature layout per cone node: a growing vector of 64-bit words.  The
-// first `randWords` words are full random stimulus; counterexample bits are
-// appended one at a time after that, so the last word may be partial and
-// comparisons mask it.
-using Sig = std::vector<std::uint64_t>;
+// Signature layout per swept node: a vector of 64-bit words.  The first
+// simWords * simRounds words are random stimulus, then one word per 64
+// counterexample vectors; the word still filling lives in partial_ and
+// comparisons mask it to the bits appended so far.
 
 std::uint64_t mix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
@@ -27,270 +25,324 @@ std::uint64_t mix64(std::uint64_t x) {
 
 }  // namespace
 
-Fraig::Result Fraig::run(const Aig& src, const std::vector<Lit>& roots,
-                         Aig& out, CnfEncoder& enc) const {
+Fraig::Session::Session(FraigOptions options, Aig& out, CnfEncoder& enc)
+    : options_(options), out_(out), enc_(enc) {
   DFV_CHECK_MSG(out.numNodes() == 1 && out.numInputs() == 0,
                 "fraig output graph must be freshly constructed");
-  const auto t0 = std::chrono::steady_clock::now();
-  const std::size_t srcN = src.numNodes();
+  DFV_CHECK_MSG(options.simWords > 0 && options.simRounds > 0,
+                "fraig needs at least one word of random stimulus");
+}
 
-  // -- Cone of influence of the roots (plus node 0, which is free) ---------
-  std::vector<bool> inCone(srcN, false);
-  inCone[0] = true;
-  std::vector<std::uint32_t> stack;
-  for (const Lit r : roots) stack.push_back(nodeOf(r));
-  while (!stack.empty()) {
-    const std::uint32_t n = stack.back();
-    stack.pop_back();
-    if (inCone[n]) continue;
-    inCone[n] = true;
-    if (src.isAndNode(n)) {
-      stack.push_back(nodeOf(src.fanin0(n)));
-      stack.push_back(nodeOf(src.fanin1(n)));
-    }
+std::uint64_t Fraig::Session::inputWord(std::uint32_t input,
+                                        std::size_t word) const {
+  return mix64(options_.seed ^
+               mix64((static_cast<std::uint64_t>(input) << 32) | word));
+}
+
+bool Fraig::Session::sigsEqual(std::uint32_t a, std::uint32_t b,
+                               bool invert) const {
+  const Sig& sa = sigs_[a];
+  const Sig& sb = sigs_[b];
+  const std::uint64_t flip = invert ? ~0ULL : 0ULL;
+  for (std::size_t w = 0; w < sa.size(); ++w)
+    if (sa[w] != (sb[w] ^ flip)) return false;
+  const auto rem = static_cast<unsigned>(cexBits_ % 64);
+  if (rem == 0) return true;
+  const std::uint64_t mask = (1ULL << rem) - 1;
+  return ((partial_[dense_[a]] ^ partial_[dense_[b]] ^ flip) & mask) == 0;
+}
+
+// Complement-canonical classes over the random words: a node whose
+// signature has bit 0 set is compared inverted, so x and ~x land in the same
+// class (merge handles the inversion).  Counterexample words appended later
+// only split classes, which the decision-time sigsEqual re-check observes.
+std::uint32_t Fraig::Session::classify(std::uint32_t n) {
+  const std::size_t randWords =
+      static_cast<std::size_t>(options_.simWords) * options_.simRounds;
+  const Sig& s = sigs_[n];
+  const std::uint64_t flip = phaseOf(n) ? ~0ULL : 0ULL;
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::size_t w = 0; w < randWords; ++w) h = mix64(h ^ s[w] ^ flip);
+  // Full comparison on hash hits, so collisions only cost time.
+  std::vector<std::uint32_t>& bucket = buckets_[h];
+  for (const std::uint32_t cid : bucket) {
+    const Sig& head = sigs_[classHead_[cid]];
+    const std::uint64_t rel = phaseOf(classHead_[cid]) ? ~flip : flip;
+    bool equal = true;
+    for (std::size_t w = 0; w < randWords && equal; ++w)
+      equal = s[w] == (head[w] ^ rel);
+    if (equal) return cid;
   }
-  std::vector<std::uint32_t> coneNodes;  // ascending id == topological order
-  for (std::uint32_t n = 0; n < srcN; ++n)
-    if (inCone[n]) coneNodes.push_back(n);
+  const auto cid = static_cast<std::uint32_t>(classHead_.size());
+  classHead_.push_back(n);
+  reps_.emplace_back();
+  bucket.push_back(cid);
+  return cid;
+}
 
-  Result res;
-  res.nodeMap.assign(srcN, Result::kUnmapped);
-  for (const std::uint32_t n : coneNodes)
-    if (src.isAndNode(n)) ++res.stats.nodesBefore;
-
-  // -- Random simulation: 64-bit parallel signatures -----------------------
-  std::vector<Sig> sigs(srcN);
-  std::mt19937_64 rng(options_.seed);
-  std::size_t cexBits = 0;  // counterexample bits appended past the random words
-
-  const auto simulateWord = [&]() {
-    for (const std::uint32_t n : coneNodes) {
-      std::uint64_t w;
-      if (n == 0) {
-        w = 0;
-      } else if (src.isInputNode(n)) {
-        w = rng();
-      } else {
-        const Lit a = src.fanin0(n);
-        const Lit b = src.fanin1(n);
-        // Fanins have smaller ids, so their word for this round is ready.
-        const std::uint64_t wa =
-            sigs[nodeOf(a)].back() ^ (isComplemented(a) ? ~0ULL : 0ULL);
-        const std::uint64_t wb =
-            sigs[nodeOf(b)].back() ^ (isComplemented(b) ? ~0ULL : 0ULL);
-        w = wa & wb;
-      }
-      sigs[n].push_back(w);
-    }
+// One pass over dense arrays per counterexample: the partial word lives in
+// partial_ and is flushed into the signatures every 64 vectors.
+void Fraig::Session::appendCex() {
+  const auto pos = static_cast<unsigned>(cexBits_ % 64);
+  const std::uint64_t bit = 1ULL << pos;
+  const sat::Solver& solver = enc_.solver();
+  // Assign rather than OR: a node first simulated after this word was
+  // opened carries arbitrary bits past the filled prefix.
+  const auto assign = [&](std::uint32_t d, bool v) {
+    partial_[d] = v ? (partial_[d] | bit) : (partial_[d] & ~bit);
   };
-
-  // Complement-canonical classes: a node whose signature has bit 0 set is
-  // compared inverted, so x and ~x land in the same class (merge handles the
-  // inversion).  The phase bit never changes once round one has run.
-  const auto phaseOf = [&](std::uint32_t n) {
-    return (sigs[n][0] & 1ULL) != 0;
+  // Unassigned or never-encoded inputs default to false — consistent, since
+  // the solver left them unconstrained.
+  for (const auto& [d, lit] : sweptInputs_)
+    assign(d, solver.modelValueOr(lit, false));
+  const auto bitOf = [&](std::uint32_t dl) {
+    return (((partial_[dl >> 1] >> pos) & 1ULL) != 0) != ((dl & 1u) != 0);
   };
-  const auto lastMask = [&]() -> std::uint64_t {
-    const unsigned rem = static_cast<unsigned>(cexBits % 64);
-    return (cexBits > 0 && rem != 0) ? ((1ULL << rem) - 1) : ~0ULL;
-  };
-  const auto sigsEqual = [&](std::uint32_t a, std::uint32_t b, bool invert) {
-    const Sig& sa = sigs[a];
-    const Sig& sb = sigs[b];
-    const std::size_t nw = sa.size();
-    const std::uint64_t flip = invert ? ~0ULL : 0ULL;
-    for (std::size_t w = 0; w + 1 < nw; ++w)
-      if (sa[w] != (sb[w] ^ flip)) return false;
-    return ((sa[nw - 1] ^ sb[nw - 1] ^ flip) & lastMask()) == 0;
-  };
-
-  struct Partition {
-    std::vector<std::vector<std::uint32_t>> members;
-    std::vector<std::int32_t> classOf;
-  };
-  const auto buildClasses = [&]() {
-    Partition p;
-    p.classOf.assign(srcN, -1);
-    // Hash buckets over complement-canonical signatures; full signature
-    // comparison on hits, so hash collisions only cost time.
-    std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> buckets;
-    for (const std::uint32_t n : coneNodes) {
-      const bool inv = phaseOf(n);
-      std::uint64_t h = 0xcbf29ce484222325ULL;
-      for (const std::uint64_t w : sigs[n]) h = mix64(h ^ (inv ? ~w : w));
-      auto& bucket = buckets[h];
-      bool placed = false;
-      for (const std::uint32_t cid : bucket) {
-        const std::uint32_t rep = p.members[cid].front();
-        if (sigsEqual(n, rep, inv != phaseOf(rep))) {
-          p.classOf[n] = static_cast<std::int32_t>(cid);
-          p.members[cid].push_back(n);
-          placed = true;
-          break;
-        }
-      }
-      if (!placed) {
-        const auto cid = static_cast<std::uint32_t>(p.members.size());
-        p.classOf[n] = static_cast<std::int32_t>(cid);
-        p.members.push_back({n});
-        bucket.push_back(cid);
-      }
-    }
-    return p;
-  };
-
-  Partition classes;
-  std::size_t prevClassCount = 0;
-  for (std::uint32_t round = 0; round < options_.simRounds; ++round) {
-    for (std::uint32_t w = 0; w < options_.simWords; ++w) simulateWord();
-    classes = buildClasses();
-    // Refinement converged: more stimulus is not splitting anything.
-    if (round > 0 && classes.members.size() == prevClassCount) break;
-    prevClassCount = classes.members.size();
+  for (std::uint32_t d = 0; d < fan0_.size(); ++d)
+    if (fan0_[d] != kNone) assign(d, bitOf(fan0_[d]) && bitOf(fan1_[d]));
+  if (++cexBits_ % 64 == 0) {
+    for (std::size_t d = 0; d < order_.size(); ++d)
+      sigs_[order_[d]].push_back(partial_[d]);
+    std::fill(partial_.begin(), partial_.end(), 0);
   }
+}
 
-  // -- Rebuild bottom-up, proving candidate merges by SAT ------------------
-  Aig& g2 = out;
-  sat::Solver& solver = enc.solver();
-  g2.reserve(coneNodes.size() + src.numInputs());
-  res.nodeMap[0] = kFalse;
+const Fraig::Result& Fraig::Session::extend(const Aig& src,
+                                            const std::vector<Lit>& newRoots,
+                                            const sat::Budget& budget) {
+  using Clock = std::chrono::steady_clock;
+  const auto t0 = Clock::now();
+  sat::Solver& solver = enc_.solver();
+  const sat::SolverStats before = solver.stats();
+  std::vector<Lit>& map = res_.nodeMap;
+  DFV_CHECK_MSG(src.numNodes() >= map.size(),
+                "fraig session source graph shrank");
+  map.resize(src.numNodes(), Result::kUnmapped);
+  dense_.resize(src.numNodes(), kNone);
+  sigs_.resize(src.numNodes());
+  map[0] = kFalse;
   // Recreate ALL old inputs in id order (cone or not): callers extract
   // counterexample values through input literals, so every input must map.
-  for (const std::uint32_t in : src.inputs())
-    res.nodeMap[in] = g2.makeInput(src.inputNameOr(in));
+  for (; inputsMapped_ < src.numInputs(); ++inputsMapped_) {
+    const std::uint32_t in = src.inputs()[inputsMapped_];
+    map[in] = out_.makeInput(src.inputNameOr(in));
+  }
+  res_.stats = {};
+  res_.roots.clear();
+  FraigStats& stats = res_.stats;
+  const std::size_t outBefore = out_.numNodes();
 
-  // Seed saved phases from the first simulation word so the first descent
-  // of each candidate solve tracks a known-consistent assignment.
-  for (const std::uint32_t in : src.inputs()) {
-    if (!inCone[in]) continue;
-    const sat::Lit sl = enc.satLit(res.nodeMap[in]);
-    solver.setPhase(sl.var(), (sigs[in][0] & 1ULL) != 0);
+  // -- The delta: unswept nodes in the cone of the new roots (plus node 0
+  // on the first call, which is free) -------------------------------------
+  std::vector<std::uint32_t> delta;
+  {
+    std::vector<std::uint32_t> stack;
+    const auto visit = [&](std::uint32_t n) {
+      if (dense_[n] != kNone) return;
+      dense_[n] = 0;  // assigned in sweep order below
+      delta.push_back(n);
+      stack.push_back(n);
+    };
+    visit(0);
+    for (const Lit r : newRoots) visit(nodeOf(r));
+    while (!stack.empty()) {
+      const std::uint32_t n = stack.back();
+      stack.pop_back();
+      if (!src.isAndNode(n)) continue;
+      visit(nodeOf(src.fanin0(n)));
+      visit(nodeOf(src.fanin1(n)));
+    }
+  }
+  // Ascending id == topological order; earlier deltas are already swept.
+  std::sort(delta.begin(), delta.end());
+
+  // -- Simulate the delta on every existing vector ------------------------
+  const std::size_t words = static_cast<std::size_t>(options_.simWords) *
+                                options_.simRounds +
+                            cexBits_ / 64;
+  for (const std::uint32_t n : delta) {
+    const auto d = static_cast<std::uint32_t>(order_.size());
+    dense_[n] = d;
+    order_.push_back(n);
+    Sig& s = sigs_[n];
+    s.assign(words, 0);
+    std::uint64_t part = 0;
+    std::uint32_t f0 = kNone;
+    std::uint32_t f1 = kNone;
+    if (src.isInputNode(n)) {
+      for (std::size_t w = 0; w < words; ++w) s[w] = inputWord(n, w);
+      part = inputWord(n, words);
+      // Seed the saved phase from the first simulation word so the first
+      // descent of each candidate solve tracks a known-consistent
+      // assignment.
+      const sat::Lit lit = enc_.satLit(map[n]);
+      solver.setPhase(lit.var(), (s[0] & 1ULL) != 0);
+      sweptInputs_.emplace_back(d, lit);
+    } else if (n != 0) {
+      ++stats.nodesBefore;
+      const Lit a = src.fanin0(n);
+      const Lit b = src.fanin1(n);
+      const Sig& sa = sigs_[nodeOf(a)];
+      const Sig& sb = sigs_[nodeOf(b)];
+      const std::uint64_t fa = isComplemented(a) ? ~0ULL : 0ULL;
+      const std::uint64_t fb = isComplemented(b) ? ~0ULL : 0ULL;
+      for (std::size_t w = 0; w < words; ++w)
+        s[w] = (sa[w] ^ fa) & (sb[w] ^ fb);
+      f0 = (dense_[nodeOf(a)] << 1) | (a & 1u);
+      f1 = (dense_[nodeOf(b)] << 1) | (b & 1u);
+      part = (partial_[f0 >> 1] ^ fa) & (partial_[f1 >> 1] ^ fb);
+    }
+    fan0_.push_back(f0);
+    fan1_.push_back(f1);
+    partial_.push_back(part);
   }
 
-  const auto appendCex = [&]() {
-    const auto pos = static_cast<unsigned>(cexBits % 64);
-    if (pos == 0)
-      for (const std::uint32_t n : coneNodes) sigs[n].push_back(0);
-    const std::size_t widx = sigs[0].size() - 1;
-    const auto bitOf = [&](Lit l) {
-      const bool v = (sigs[nodeOf(l)][widx] >> pos) & 1ULL;
-      return v != isComplemented(l);
+  // What this call has left of the caller's budget, folded into the
+  // per-candidate cap; false once any cap is spent or the run is cancelled.
+  const auto candidateBudget = [&](sat::Budget& b) {
+    b = options_.candidateBudget;
+    if (budget.cancel != nullptr) b.cancel = budget.cancel;
+    if (budget.cancelled()) return false;
+    const sat::SolverStats& now = solver.stats();
+    const auto cap = [](std::int64_t& c, std::int64_t total,
+                        std::uint64_t spent) {
+      if (total == 0) return true;
+      const std::int64_t left = total - static_cast<std::int64_t>(spent);
+      if (left <= 0) return false;
+      c = c == 0 ? left : std::min(c, left);
+      return true;
     };
-    for (const std::uint32_t n : coneNodes) {
-      bool v = false;
-      if (src.isInputNode(n)) {
-        // Unassigned or never-encoded inputs default to false — consistent,
-        // since the solver left them unconstrained.
-        v = solver.modelValueOr(enc.satLit(res.nodeMap[n]), false);
-      } else if (n != 0) {
-        v = bitOf(src.fanin0(n)) && bitOf(src.fanin1(n));
-      }
-      if (v) sigs[n][widx] |= 1ULL << pos;
+    if (!cap(b.maxConflicts, budget.maxConflicts,
+             now.conflicts - before.conflicts) ||
+        !cap(b.maxPropagations, budget.maxPropagations,
+             now.propagations - before.propagations))
+      return false;
+    if (budget.maxSeconds > 0) {
+      const double left =
+          budget.maxSeconds -
+          std::chrono::duration<double>(Clock::now() - t0).count();
+      if (left <= 0) return false;
+      b.maxSeconds = b.maxSeconds > 0 ? std::min(b.maxSeconds, left) : left;
     }
-    ++cexBits;
+    return true;
   };
 
-  // Per class: the nodes that are live merge targets, in id order.
-  std::vector<std::vector<std::uint32_t>> reps(classes.members.size());
-  for (const std::uint32_t n : coneNodes) {
-    const std::int32_t cid = classes.classOf[n];
-    const bool candidateClass =
-        cid >= 0 && classes.members[static_cast<std::size_t>(cid)].size() > 1;
+  // -- Rebuild bottom-up, proving candidate merges by SAT ------------------
+  bool exhausted = false;
+  for (const std::uint32_t n : delta) {
     if (n == 0 || src.isInputNode(n)) {
       // Constants and inputs are always representatives: nothing with a
       // smaller id can depend on a later input, and node 0's class lets
       // all-false-signature nodes be proved constant.
-      if (candidateClass) reps[static_cast<std::size_t>(cid)].push_back(n);
+      reps_[classify(n)].push_back(n);
       continue;
     }
-    const Lit nl =
-        g2.makeAnd(res.map(src.fanin0(n)), res.map(src.fanin1(n)));
-    res.nodeMap[n] = nl;
-    if (!candidateClass) continue;
+    const Lit nl = out_.makeAnd(res_.map(src.fanin0(n)),
+                                res_.map(src.fanin1(n)));
+    map[n] = nl;
+    const std::uint32_t cid = classify(n);
     bool merged = false;
-    for (const std::uint32_t rep : reps[static_cast<std::size_t>(cid)]) {
+    for (const std::uint32_t rep : reps_[cid]) {
       const bool invert = phaseOf(n) != phaseOf(rep);
-      // Counterexamples appended since class construction may have split
+      // Counterexamples appended since the class was formed may have split
       // the pair apart; re-check at decision time.
       if (!sigsEqual(n, rep, invert)) continue;
-      const Lit target = res.nodeMap[rep] ^ static_cast<Lit>(invert);
+      const Lit target = map[rep] ^ static_cast<Lit>(invert);
       if (nl == target) {
         // Earlier merges cascaded through strashing; nothing to prove.
-        res.nodeMap[n] = target;
-        ++res.stats.mergedNodes;
+        map[n] = target;
+        ++stats.mergedNodes;
         merged = true;
         break;
       }
       if (nl == negate(target)) continue;  // structurally complement: skip
-      const Lit miter = g2.makeXor(nl, target);
+      const Lit miter = out_.makeXor(nl, target);
       if (miter == kFalse) {
-        res.nodeMap[n] = target;
-        ++res.stats.mergedNodes;
+        map[n] = target;
+        ++stats.mergedNodes;
         merged = true;
         break;
       }
       if (miter == kTrue) continue;
-      ++res.stats.satCalls;
-      const sat::Lit q = enc.satLit(miter);
-      const sat::Result r = solver.solve({q}, options_.candidateBudget);
+      sat::Budget b;
+      if (exhausted || !candidateBudget(b)) {
+        exhausted = true;
+        break;
+      }
+      ++stats.satCalls;
+      const sat::Lit q = enc_.satLit(miter);
+      const sat::Result r = solver.solve({q}, b);
       if (r == sat::Result::kUnsat) {
         solver.addClause(~q);  // teach the proven equivalence to later solves
-        res.nodeMap[n] = target;
-        ++res.stats.provenEquiv;
-        ++res.stats.mergedNodes;
+        map[n] = target;
+        ++stats.provenEquiv;
+        ++stats.mergedNodes;
         merged = true;
         break;
       }
       if (r == sat::Result::kSat) {
-        ++res.stats.refuted;
+        ++stats.refuted;
         appendCex();  // splits this pair (and any class it distinguishes)
         continue;
       }
       // Budget expired: leave unmerged (sound) and stop trying — further
-      // candidates in a class this hard would likely expire too.
-      ++res.stats.budgetExpired;
+      // candidates in a class this hard would likely expire too.  When it
+      // was the caller's budget that ran out, no further proof runs.
+      if (candidateBudget(b))
+        ++stats.budgetExpired;
+      else
+        exhausted = true;
       break;
     }
-    if (!merged) reps[static_cast<std::size_t>(cid)].push_back(n);
+    if (!merged) reps_[cid].push_back(n);
   }
 
-  res.roots.reserve(roots.size());
-  for (const Lit r : roots) res.roots.push_back(res.map(r));
+  res_.roots.reserve(newRoots.size());
+  for (const Lit r : newRoots) res_.roots.push_back(res_.map(r));
 
-  // Cone size of the mapped roots in the rebuilt graph (g2 also contains
-  // the candidate-miter XOR nodes; they are dead logic for the caller even
-  // though their clauses remain in the shared solver as learnt context).
+  // AND nodes this call added to the cone of its mapped roots (the graph
+  // also holds the candidate-miter XOR nodes; they are dead logic for the
+  // caller even though their clauses remain in the shared solver as learnt
+  // context).
   {
-    std::vector<bool> seen(g2.numNodes(), false);
+    std::vector<bool> seen(out_.numNodes() - outBefore, false);
     std::vector<std::uint32_t> work;
-    for (const Lit r : res.roots) work.push_back(nodeOf(r));
+    for (const Lit r : res_.roots) work.push_back(nodeOf(r));
     while (!work.empty()) {
       const std::uint32_t n = work.back();
       work.pop_back();
-      if (seen[n]) continue;
-      seen[n] = true;
-      if (g2.isAndNode(n)) {
-        ++res.stats.nodesAfter;
-        work.push_back(nodeOf(g2.fanin0(n)));
-        work.push_back(nodeOf(g2.fanin1(n)));
+      if (n < outBefore || seen[n - outBefore]) continue;
+      seen[n - outBefore] = true;
+      if (out_.isAndNode(n)) {
+        ++stats.nodesAfter;
+        work.push_back(nodeOf(out_.fanin0(n)));
+        work.push_back(nodeOf(out_.fanin1(n)));
       }
     }
   }
 
-  res.stats.seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  const sat::SolverStats& after = solver.stats();
+  stats.conflicts = after.conflicts - before.conflicts;
+  stats.propagations = after.propagations - before.propagations;
+  stats.budgetExhausted = exhausted;
+  stats.seconds =
+      std::chrono::duration<double>(Clock::now() - t0).count();
 #ifdef DFV_FRAIG_TRACE
   std::fprintf(stderr,
-               "[fraig] cone=%zu calls=%llu proven=%zu refuted=%zu expired=%zu "
-               "merged=%zu %.1fms\n",
-               res.stats.nodesBefore,
-               static_cast<unsigned long long>(res.stats.satCalls),
-               res.stats.provenEquiv, res.stats.refuted,
-               res.stats.budgetExpired, res.stats.mergedNodes,
-               res.stats.seconds * 1e3);
+               "[fraig] delta=%zu calls=%llu proven=%zu refuted=%zu "
+               "expired=%zu merged=%zu %.1fms\n",
+               stats.nodesBefore,
+               static_cast<unsigned long long>(stats.satCalls),
+               stats.provenEquiv, stats.refuted, stats.budgetExpired,
+               stats.mergedNodes, stats.seconds * 1e3);
 #endif
-  return res;
+  return res_;
+}
+
+Fraig::Result Fraig::run(const Aig& src, const std::vector<Lit>& roots,
+                         Aig& out, CnfEncoder& enc) const {
+  Session session(options_, out, enc);
+  return session.extend(src, roots);
 }
 
 }  // namespace dfv::aig

@@ -588,11 +588,13 @@ std::uint16_t simulateClass(int classIdx) {
 // Rewriter
 // ---------------------------------------------------------------------------
 
-Rewriter::Result Rewriter::run(const Aig& src, const std::vector<Lit>& roots,
-                               Aig& out) const {
-  DFV_CHECK_MSG(out.numNodes() == 1 && out.numInputs() == 0,
-                "rewrite output graph must be empty");
-  Result res;
+namespace {
+
+/// The one-shot pipeline: balancing, cut rewriting to a fixpoint, the
+/// non-regression guard, and the live-cone emit into the empty `out`.
+Rewriter::Result rewriteCone(const Aig& src, const std::vector<Lit>& roots,
+                             const RewriteOptions& options, Aig& out) {
+  Rewriter::Result res;
   res.stats.nodesBefore = coneAndCount(src, roots);
 
   // Stage chain, starting from the identity over src.
@@ -605,18 +607,18 @@ Rewriter::Result Rewriter::run(const Aig& src, const std::vector<Lit>& roots,
   // `hold` keeps the graph curG points into alive; replacing it frees the
   // previous stage, so peak memory is two stages regardless of pass count.
   std::unique_ptr<Stage> hold;
-  if (options_.balance) {
+  if (options.balance) {
     auto st = std::make_unique<Stage>(balancePass(*curG, curRoots, res.stats));
     curMap = compose(curMap, st->map);
     curRoots = st->roots;
     curG = &st->g;
     hold = std::move(st);
   }
-  if (options_.cuts) {
+  if (options.cuts) {
     std::size_t curSize = coneAndCount(*curG, curRoots);
-    for (std::uint32_t pass = 0; pass < options_.maxPasses; ++pass) {
+    for (std::uint32_t pass = 0; pass < options.maxPasses; ++pass) {
       auto st =
-          std::make_unique<Stage>(cutPass(*curG, curRoots, options_, res.stats));
+          std::make_unique<Stage>(cutPass(*curG, curRoots, options, res.stats));
       const std::size_t next = coneAndCount(st->g, st->roots);
       // A non-improving pass is discarded and ends the iteration; each
       // accepted pass strictly shrinks the cone, so this terminates.
@@ -653,6 +655,117 @@ Rewriter::Result Rewriter::run(const Aig& src, const std::vector<Lit>& roots,
   for (const Lit r : curRoots) res.roots.push_back(mapLit(finMap, r));
   res.stats.nodesAfter = coneAndCount(out, res.roots);
   return res;
+}
+
+}  // namespace
+
+Rewriter::Session::Session(RewriteOptions options, Aig& out)
+    : options_(options), out_(out) {
+  DFV_CHECK_MSG(out.numNodes() == 1 && out.numInputs() == 0,
+                "rewrite output graph must be empty");
+}
+
+const Rewriter::Result& Rewriter::Session::extend(
+    const Aig& src, const std::vector<Lit>& newRoots) {
+  std::vector<Lit>& map = res_.nodeMap;
+  DFV_CHECK_MSG(src.numNodes() >= map.size(),
+                "rewrite session source graph shrank");
+  map.resize(src.numNodes(), kUn);
+  map[0] = kFalse;
+  for (; inputsMapped_ < src.numInputs(); ++inputsMapped_) {
+    const std::uint32_t in = src.inputs()[inputsMapped_];
+    map[in] = out_.makeInput(src.inputNameOr(in));
+  }
+  res_.stats = {};
+  res_.roots.clear();
+
+  // The delta: unmapped AND nodes reachable from the new roots, plus the
+  // mapped nodes it reads (its frontier).
+  std::vector<bool> seen(src.numNodes(), false);
+  std::vector<std::uint32_t> delta;
+  std::vector<std::uint32_t> frontier;
+  std::vector<std::uint32_t> stack;
+  auto visit = [&](std::uint32_t n) {
+    if (seen[n]) return;
+    seen[n] = true;
+    if (map[n] != kUn)
+      frontier.push_back(n);
+    else
+      stack.push_back(n);
+  };
+  for (const Lit r : newRoots) visit(nodeOf(r));
+  while (!stack.empty()) {
+    const std::uint32_t n = stack.back();
+    stack.pop_back();
+    delta.push_back(n);
+    visit(nodeOf(src.fanin0(n)));
+    visit(nodeOf(src.fanin1(n)));
+  }
+
+  if (!delta.empty()) {
+    std::sort(delta.begin(), delta.end());
+    std::sort(frontier.begin(), frontier.end());
+    // Local copy of the delta in source id order, so the pipeline sees the
+    // same relative node order as a one-shot run.  Each distinct rebuilt
+    // node on the frontier becomes one pseudo-input; constants stay
+    // constants.
+    Aig d;
+    std::vector<Lit> local(src.numNodes(), kUn);
+    std::vector<Lit> pseudoTarget;  // per d input, in order: its out literal
+    std::unordered_map<std::uint32_t, Lit> pseudoOf;  // out node -> d input
+    std::size_t fi = 0;
+    std::size_t di = 0;
+    while (fi < frontier.size() || di < delta.size()) {
+      if (di == delta.size() ||
+          (fi < frontier.size() && frontier[fi] < delta[di])) {
+        const std::uint32_t f = frontier[fi++];
+        const Lit target = map[f];
+        const auto comp = static_cast<Lit>(isComplemented(target));
+        if (nodeOf(target) == 0) {
+          local[f] = target;
+          continue;
+        }
+        auto [it, fresh] = pseudoOf.try_emplace(nodeOf(target), kFalse);
+        if (fresh) {
+          it->second = d.makeInput();
+          pseudoTarget.push_back(target ^ comp);
+        }
+        local[f] = it->second ^ comp;
+      } else {
+        const std::uint32_t n = delta[di++];
+        local[n] = d.makeAnd(mapLit(local, src.fanin0(n)),
+                             mapLit(local, src.fanin1(n)));
+      }
+    }
+    std::vector<Lit> dRoots;
+    for (const Lit r : newRoots)
+      if (map[nodeOf(r)] == kUn) dRoots.push_back(mapLit(local, r));
+
+    Aig dOut;
+    const Result dres = rewriteCone(d, dRoots, options_, dOut);
+    res_.stats = dres.stats;
+
+    // Append the rewritten delta to the persistent graph.  dOut recreated
+    // d's inputs in order, so its k-th input is the k-th pseudo-input.
+    std::vector<Lit> toOut(dOut.numNodes(), kUn);
+    toOut[0] = kFalse;
+    for (std::size_t k = 0; k < dOut.numInputs(); ++k)
+      toOut[dOut.inputs()[k]] = pseudoTarget[k];
+    for (std::uint32_t n = 1; n < dOut.numNodes(); ++n)
+      if (dOut.isAndNode(n))
+        toOut[n] = out_.makeAnd(mapLit(toOut, dOut.fanin0(n)),
+                                mapLit(toOut, dOut.fanin1(n)));
+    for (const std::uint32_t n : delta)
+      if (dres.isMapped(local[n])) map[n] = mapLit(toOut, dres.map(local[n]));
+  }
+  for (const Lit r : newRoots) res_.roots.push_back(mapLit(map, r));
+  return res_;
+}
+
+Rewriter::Result Rewriter::run(const Aig& src, const std::vector<Lit>& roots,
+                               Aig& out) const {
+  Session session(options_, out);
+  return session.extend(src, roots);
 }
 
 }  // namespace dfv::aig

@@ -24,7 +24,7 @@
 //      maxPasses), since each round exposes sharing for the next.
 //   4. Non-regression guard: if the rewritten cone is somehow larger than
 //      the original, the pass falls back to a plain copy, so callers
-//      never lose nodes by enabling it.
+//      never lose nodes by enabling it (per delta, in a Session).
 //
 // The pass is deterministic (no RNG, no wall-clock decisions, no pointer-
 // or hash-order dependent choices) and *unconditional*: it never assumes
@@ -52,9 +52,9 @@ struct RewriteOptions {
   std::uint32_t maxPasses = 4;
 };
 
-/// Counters from one Rewriter run.
+/// Counters from one Rewriter run (or one Session::extend).
 struct RewriteStats {
-  std::size_t nodesBefore = 0;     ///< AND nodes in the cone of the roots
+  std::size_t nodesBefore = 0;     ///< AND nodes in the cone (or delta)
   std::size_t nodesAfter = 0;      ///< AND nodes in the rebuilt cone
   std::size_t balancedTrees = 0;   ///< trees with >= 3 leaves rebalanced
   std::size_t cutsEnumerated = 0;  ///< cuts kept across all nodes
@@ -90,11 +90,48 @@ class Rewriter {
     std::vector<Lit> nodeMap;
   };
 
+  /// An incremental rewriting session over a growing source graph (a BMC
+  /// unrolling that gains one frame per depth).  Each extend() rewrites
+  /// only the *delta*: the cone of its new roots, cut off at source nodes
+  /// an earlier call already mapped.  Those frontier nodes enter the delta
+  /// as pseudo-inputs standing for their rebuilt literals, so fan-ins from
+  /// earlier frames resolve through the existing map, and the rewritten
+  /// delta is appended to the one persistent output graph (strashing into
+  /// whatever it shares with earlier deltas).  Cuts and balanced trees
+  /// therefore never span a delta boundary — the price of never touching a
+  /// node twice.  A source node whose function did not survive an earlier
+  /// delta (absorbed into a balanced tree) is simply rebuilt by the first
+  /// later delta that needs it.  The session is a pure function of (graph,
+  /// root sequence, options).
+  class Session {
+   public:
+    /// `out` must be empty (node 0 only) and outlive the session.
+    Session(RewriteOptions options, Aig& out);
+
+    /// Rewrites the delta for `newRoots` (literals of `src`, which must be
+    /// the same graph every call, only grown) into the output graph, after
+    /// recreating every source input not yet mapped, in id order.  Returns
+    /// the cumulative node map, this call's mapped roots, and this call's
+    /// stats (nodesBefore = AND nodes in the delta); the non-regression
+    /// guard applies per delta.
+    const Result& extend(const Aig& src, const std::vector<Lit>& newRoots);
+
+    /// The cumulative map after the last extend().
+    const Result& result() const { return res_; }
+
+   private:
+    RewriteOptions options_;
+    Aig& out_;
+    Result res_;
+    std::size_t inputsMapped_ = 0;  ///< prefix of src.inputs() recreated
+  };
+
   explicit Rewriter(RewriteOptions options = {}) : options_(options) {}
 
   /// Rewrites the cone of `roots` in `src` into the caller-owned graph
   /// `out` (which must be empty — node 0 only).  All inputs of `src` are
-  /// recreated in `out` in id order, exactly like Fraig.
+  /// recreated in `out` in id order, exactly like Fraig.  Equivalent to one
+  /// extend() of a fresh Session.
   Result run(const Aig& src, const std::vector<Lit>& roots, Aig& out) const;
 
  private:

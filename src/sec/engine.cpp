@@ -1,7 +1,7 @@
 #include "sec/engine.h"
 
+#include <algorithm>
 #include <chrono>
-#include <memory>
 #include <optional>
 #include <sstream>
 #include <unordered_map>
@@ -270,65 +270,80 @@ sat::Result solveIntoPhase(sat::Solver& solver,
   return r;
 }
 
-/// The solver interface the engine drives, in one of two modes:
-///  * incremental (SecOptions::fraig and ::rewrite both off): one
-///    persistent solver + lazy encoder over the unrolling graph; asserted
-///    facts become clauses immediately.  This path is identical to the
-///    pre-fraig engine.
-///  * per-solve (the default): asserted facts accumulate as AIG literals;
-///    each solve first rewrites the cone of everything that solve can see
-///    (aig::Rewriter — pure structure, between bit-blast and CNF), then
-///    SAT-sweeps it (aig::Fraig) on the same solver the main solve runs
-///    on, so the rewritten — typically much smaller — cone is already
-///    clausified and the sweep's learnt clauses, equivalence units and
-///    saved phases are reused.  Model extraction maps unrolling-graph
-///    literals through the rewrite's node map and then the sweep's, so
-///    counterexamples are exact.
+/// Shrinks a budget by work already charged to it.  Finite caps drain to a
+/// minimal positive remainder — never to 0, which would mean "unlimited" —
+/// so an exhausted budget makes the next solve fail fast (kUnknown ->
+/// budgetExhausted) instead of silently lifting the cap.
+sat::Budget drainBudget(sat::Budget b, std::uint64_t conflicts,
+                        std::uint64_t propagations, double seconds) {
+  if (b.maxConflicts > 0)
+    b.maxConflicts = std::max<std::int64_t>(
+        1, b.maxConflicts - static_cast<std::int64_t>(conflicts));
+  if (b.maxPropagations > 0)
+    b.maxPropagations = std::max<std::int64_t>(
+        1, b.maxPropagations - static_cast<std::int64_t>(propagations));
+  if (b.maxSeconds > 0) b.maxSeconds = std::max(1e-9, b.maxSeconds - seconds);
+  return b;
+}
+
+/// The solver interface the engine drives: one incremental pipeline for the
+/// whole check.  The miter keeps one sat::Solver and one CnfEncoder over a
+/// persistent swept graph, a persistent rewritten graph, and the composed
+/// unrolling -> rewrite -> fraig node map.  Each solve() takes the facts
+/// asserted since the previous solve plus its query, rewrites only their
+/// not-yet-mapped cone — the nodes the unrolling gained since then
+/// (aig::Rewriter::Session; fan-ins from earlier frames resolve through the
+/// existing map) — sweeps only the new rewritten nodes
+/// (aig::Fraig::Session, whose signatures persist, so a new node can merge
+/// into an old representative), and clausifies only what is new on the
+/// same solver, keeping every learnt clause.  With rewrite and fraig off
+/// the maps are the identity and the encoder works on the unrolling graph
+/// directly.  Model extraction maps unrolling-graph literals through the
+/// rewrite map and then the sweep's, so counterexamples are exact.
+///
+/// Merges must stay unconditional although the sweep's proofs share the
+/// solver with the main solves, so with fraig on every asserted fact
+/// (constraints, certified invariants, "outputs equal at depth t") enters
+/// as a clause guarded by one activation literal.  Main solves assume it;
+/// sweep proofs never do, so they cannot see a fact, and every clause
+/// learnt from one carries the guard.  With no sweep sharing the solver,
+/// facts are plain units.
 class Miter {
  public:
   Miter(aig::Aig& g, const SecOptions& options)
       : g_(g),
-        options_(options),
-        perSolve_(options.fraig || options.rewrite) {
-    if (!perSolve_) {
-      solver_ = std::make_unique<sat::Solver>(options_.solver);
-      enc_ = std::make_unique<aig::CnfEncoder>(g_, *solver_);
+        solver_(options.solver),
+        enc_(options.fraig ? fgAig_ : options.rewrite ? rwAig_ : g, solver_) {
+    if (options.rewrite) rewriter_.emplace(options.rewriteOptions, rwAig_);
+    if (options.fraig) {
+      fraig_.emplace(options.fraigOptions, fgAig_, enc_);
+      act_ = sat::Lit(solver_.newVar(), false);
     }
   }
 
-  void assertTrue(aig::Lit l) {
-    if (!perSolve_)
-      enc_->assertTrue(l);
-    else
-      asserted_.push_back(l);
-  }
+  /// Asserts `l` for every later solve (clausified by the next solve).
+  void assertTrue(aig::Lit l) { pending_.push_back(l); }
 
   /// Solves the accumulated assertions, assuming `query` unless it is
-  /// aig::kTrue (the constraint-vacuity form of the question).
+  /// aig::kTrue (the constraint-vacuity form of the question).  The sweep
+  /// and the solve share `budget`; a sweep that spends it ends the phase
+  /// with kUnknown.
   sat::Result solve(aig::Lit query, const sat::Budget& budget,
                     PhaseStats& phase) {
-    if (!perSolve_) {
-      std::vector<sat::Lit> assumptions;
-      if (query != aig::kTrue) assumptions.push_back(enc_->satLit(query));
-      return solveIntoPhase(*solver_, assumptions, budget, phase);
-    }
-    std::vector<aig::Lit> roots = asserted_;
+    std::vector<aig::Lit> roots = std::move(pending_);
+    pending_.clear();
+    const std::size_t numFacts = roots.size();
     if (query != aig::kTrue) roots.push_back(query);
     // Structural rewrite first: it needs no SAT calls, so everything it
     // removes is cone the sweep below never has to simulate or prove over.
-    const aig::Aig* solveG = &g_;
-    rewritten_.reset();
-    rwAig_.reset();
-    if (options_.rewrite) {
+    if (rewriter_) {
       const auto t0 = std::chrono::steady_clock::now();
-      rwAig_ = std::make_unique<aig::Aig>();
-      rewritten_ = std::make_unique<aig::Rewriter::Result>(
-          aig::Rewriter(options_.rewriteOptions).run(g_, roots, *rwAig_));
+      const aig::Rewriter::Result& rr = rewriter_->extend(g_, roots);
       const double ms =
           std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
               .count() *
           1e3;
-      const aig::RewriteStats& rs = rewritten_->stats;
+      const aig::RewriteStats& rs = rr.stats;
       phase.rewriteNodesBefore += rs.nodesBefore;
       phase.rewriteNodesAfter += rs.nodesAfter;
       phase.rewriteApplied += rs.rewritesApplied;
@@ -336,81 +351,70 @@ class Miter {
       rewriteSaved_ += rs.nodesBefore - rs.nodesAfter;
       rewriteApplied_ += rs.rewritesApplied;
       rewriteTimeMs_ += ms;
-      roots = rewritten_->roots;
-      solveG = rwAig_.get();
+      roots = rr.roots;
     }
-    solver_ = std::make_unique<sat::Solver>(options_.solver);
-    if (options_.fraig) {
-      // The sweep proves its merges through the same solver the main solve
-      // runs on, so the clausified cone, the proven-equivalence units, the
-      // learnt clauses and the saved phases all carry over instead of
-      // being re-derived from scratch.
-      fraigAig_ = std::make_unique<aig::Aig>();
-      enc_ = std::make_unique<aig::CnfEncoder>(*fraigAig_, *solver_);
-      fraiged_ = std::make_unique<aig::Fraig::Result>(aig::Fraig(
-          options_.fraigOptions).run(*solveG, roots, *fraigAig_, *enc_));
-      const aig::FraigStats& fs = fraiged_->stats;
+    sat::Budget solveBudget = budget;
+    bool swept = true;
+    if (fraig_) {
+      // A hint only: the sweep's proofs are free to try the guard either
+      // way, but starting from "facts off" keeps them out of the facts.
+      solver_.setPhase(act_->var(), false);
+      const aig::Fraig::Result& fr =
+          fraig_->extend(rewriter_ ? rwAig_ : g_, roots, budget);
+      const aig::FraigStats& fs = fr.stats;
       phase.fraigNodesBefore += fs.nodesBefore;
       phase.fraigNodesAfter += fs.nodesAfter;
       phase.fraigMergedNodes += fs.mergedNodes;
       phase.fraigSatCalls += fs.satCalls;
       phase.fraigTimeMs += fs.seconds * 1e3;
+      phase.conflicts += fs.conflicts;
+      phase.propagations += fs.propagations;
       fraigMerged_ += fs.mergedNodes;
       fraigSatCalls_ += fs.satCalls;
       fraigTimeMs_ += fs.seconds * 1e3;
-      roots = fraiged_->roots;
-    } else {
-      fraiged_.reset();
-      fraigAig_.reset();
-      enc_ = std::make_unique<aig::CnfEncoder>(*solveG, *solver_);
+      roots = fr.roots;
+      swept = !fs.budgetExhausted;
+      solveBudget =
+          drainBudget(budget, fs.conflicts, fs.propagations, fs.seconds);
     }
-    for (std::size_t i = 0; i < asserted_.size(); ++i)
-      enc_->assertTrue(roots[i]);
+    for (std::size_t i = 0; i < numFacts; ++i) {
+      std::vector<sat::Lit> clause{enc_.satLit(roots[i])};
+      if (act_) clause.push_back(~*act_);
+      solver_.addClause(std::move(clause));
+    }
+    if (!swept) {
+      phase.budgetExhausted = true;
+      return sat::Result::kUnknown;
+    }
     std::vector<sat::Lit> assumptions;
-    if (query != aig::kTrue)
-      assumptions.push_back(enc_->satLit(roots.back()));
-    const sat::Result r = solveIntoPhase(*solver_, assumptions, budget, phase);
-    // The solver is transient in this mode: bank its cost before the next
-    // solve replaces it.
-    conflicts_ += solver_->stats().conflicts;
-    decisions_ += solver_->stats().decisions;
-    bankInprocess(solver_->stats());
-    return r;
+    if (act_) assumptions.push_back(*act_);
+    if (query != aig::kTrue) assumptions.push_back(enc_.satLit(roots.back()));
+    return solveIntoPhase(solver_, assumptions, solveBudget, phase);
   }
 
-  /// After kSat: the model value of an unrolling-graph literal (mapped
-  /// through the last rewrite and sweep in per-solve mode).
+  /// After kSat: the model value of an unrolling-graph literal.
   bool modelOf(aig::Lit l, bool def) {
-    if (rewritten_ != nullptr) {
-      if (!rewritten_->isMapped(l)) return def;
-      l = rewritten_->map(l);
+    if (rewriter_) {
+      if (!rewriter_->result().isMapped(l)) return def;
+      l = rewriter_->result().map(l);
     }
-    if (fraiged_ != nullptr) {
-      if (!fraiged_->isMapped(l)) return def;
-      l = fraiged_->map(l);
+    if (fraig_) {
+      if (!fraig_->result().isMapped(l)) return def;
+      l = fraig_->result().map(l);
     }
-    return solver_->modelValueOr(enc_->satLit(l), def);
+    return solver_.modelValueOr(enc_.satLit(l), def);
   }
 
   /// Folds this miter's total solver + rewrite + fraig cost into the run
   /// stats.
   void foldInto(SecStats& stats) const {
-    if (!perSolve_) {
-      stats.satConflicts += solver_->stats().conflicts;
-      stats.satDecisions += solver_->stats().decisions;
-      const sat::SolverStats& ss = solver_->stats();
-      stats.satSubsumedClauses += ss.subsumedClauses;
-      stats.satVivifiedClauses += ss.vivifiedClauses;
-      stats.satEliminatedVars += ss.eliminatedVars;
-      stats.satInprocessRounds += ss.inprocessRounds;
-    } else {
-      stats.satConflicts += conflicts_;
-      stats.satDecisions += decisions_;
-      stats.satSubsumedClauses += subsumed_;
-      stats.satVivifiedClauses += vivified_;
-      stats.satEliminatedVars += elimVars_;
-      stats.satInprocessRounds += inprocRounds_;
-    }
+    const sat::SolverStats& ss = solver_.stats();
+    stats.satConflicts += ss.conflicts;
+    stats.satDecisions += ss.decisions;
+    stats.satSubsumedClauses += ss.subsumedClauses;
+    stats.satVivifiedClauses += ss.vivifiedClauses;
+    stats.satEliminatedVars += ss.eliminatedVars;
+    stats.satInprocessRounds += ss.inprocessRounds;
     stats.fraigMergedNodes += fraigMerged_;
     stats.fraigSatCalls += fraigSatCalls_;
     stats.fraigTimeMs += fraigTimeMs_;
@@ -420,32 +424,21 @@ class Miter {
   }
 
  private:
-  void bankInprocess(const sat::SolverStats& ss) {
-    subsumed_ += ss.subsumedClauses;
-    vivified_ += ss.vivifiedClauses;
-    elimVars_ += ss.eliminatedVars;
-    inprocRounds_ += ss.inprocessRounds;
-  }
-
   aig::Aig& g_;
-  const SecOptions& options_;
-  const bool perSolve_;
-  std::unique_ptr<sat::Solver> solver_;
-  std::unique_ptr<aig::CnfEncoder> enc_;
-  std::vector<aig::Lit> asserted_;  // per-solve mode only
-  std::unique_ptr<aig::Aig> rwAig_;              // last solve's rewrite
-  std::unique_ptr<aig::Rewriter::Result> rewritten_;
-  std::unique_ptr<aig::Aig> fraigAig_;           // last solve's rebuilt graph
-  std::unique_ptr<aig::Fraig::Result> fraiged_;  // last solve's sweep
-  std::uint64_t conflicts_ = 0, decisions_ = 0;
+  aig::Aig rwAig_;  // the rewritten graph (empty with rewrite off)
+  aig::Aig fgAig_;  // the swept graph the encoder sees (fraig on)
+  sat::Solver solver_;
+  aig::CnfEncoder enc_;
+  std::optional<sat::Lit> act_;  // guards every fact while fraig is on
+  std::optional<aig::Rewriter::Session> rewriter_;
+  std::optional<aig::Fraig::Session> fraig_;
+  std::vector<aig::Lit> pending_;  // facts asserted since the last solve
   std::size_t fraigMerged_ = 0;
   std::uint64_t fraigSatCalls_ = 0;
   double fraigTimeMs_ = 0.0;
   std::size_t rewriteSaved_ = 0;
   std::uint64_t rewriteApplied_ = 0;
   double rewriteTimeMs_ = 0.0;
-  std::uint64_t subsumed_ = 0, vivified_ = 0, elimVars_ = 0,
-                inprocRounds_ = 0;
 };
 
 bv::BitVector extractWord(Miter& miter, const aig::Word& w) {
@@ -523,24 +516,6 @@ void replayCounterexample(const SecProblem& problem, Counterexample& cex) {
                   "SEC engine bug: counterexample did not replay — "
                       << cex.summary());
   }
-}
-
-/// Shrinks the shared induction budget pool by what one certification pass
-/// spent.  Finite caps drain to a minimal positive remainder — never to 0,
-/// which would mean "unlimited" — so an exhausted pool makes the next solve
-/// fail fast (kUnknown -> budgetExhausted) instead of silently lifting the
-/// cap.
-sat::Budget drainBudget(sat::Budget b, const inv::Stats& spent) {
-  if (b.maxConflicts > 0)
-    b.maxConflicts = std::max<std::int64_t>(
-        1, b.maxConflicts - static_cast<std::int64_t>(spent.certConflicts));
-  if (b.maxPropagations > 0)
-    b.maxPropagations = std::max<std::int64_t>(
-        1,
-        b.maxPropagations - static_cast<std::int64_t>(spent.certPropagations));
-  if (b.maxSeconds > 0)
-    b.maxSeconds = std::max(1e-9, b.maxSeconds - spent.certSeconds);
-  return b;
 }
 
 }  // namespace
@@ -638,7 +613,9 @@ SecResult checkEquivalence(const SecProblem& problem,
       is.certPropagations += r.stats.certPropagations;
       is.certSeconds += r.stats.certSeconds;
       is.budgetExhausted = is.budgetExhausted || r.stats.budgetExhausted;
-      inductionBudget = drainBudget(inductionBudget, r.stats);
+      inductionBudget =
+          drainBudget(inductionBudget, r.stats.certConflicts,
+                      r.stats.certPropagations, r.stats.certSeconds);
     };
     runSide(*slmForInduction, slmCertified);
     runSide(*rtlForInduction, rtlCertified);

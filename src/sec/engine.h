@@ -61,8 +61,12 @@ struct Counterexample {
 
 /// Telemetry for one solver phase (one BMC transaction, or the inductive
 /// step): SAT-statistic deltas attributable to that phase's solve calls,
-/// plus their wall-clock time.  Populated whether or not the phase hit its
-/// budget, so an interrupted run still reports how far it got.
+/// plus their wall-clock time.  `seconds` is the main solves alone; the
+/// conflict and propagation counts also include the fraig sweep the phase
+/// ran first, since the phase budget pays for both.  The rewrite and fraig
+/// counters cover the phase's delta: the miter nodes its facts and query
+/// added since the previous phase.  Populated whether or not the phase hit
+/// its budget, so an interrupted run still reports how far it got.
 struct PhaseStats {
   double seconds = 0.0;
   std::uint64_t conflicts = 0;
@@ -71,17 +75,18 @@ struct PhaseStats {
   std::uint64_t restarts = 0;
   std::uint64_t learntClauses = 0;
   std::uint64_t deletedClauses = 0;
-  bool budgetExhausted = false;  ///< a solve in this phase returned kUnknown
-  /// SAT-sweeping cost/effect for this phase's solves (all zero when
+  /// The phase's sweep or a solve in it ran out of budget (kUnknown).
+  bool budgetExhausted = false;
+  /// SAT-sweeping cost/effect for this phase's delta (all zero when
   /// SecOptions::fraig is off).
-  std::size_t fraigNodesBefore = 0;  ///< and-nodes in the solved cone
-  std::size_t fraigNodesAfter = 0;   ///< and-nodes after merging
+  std::size_t fraigNodesBefore = 0;  ///< and-nodes swept (the delta)
+  std::size_t fraigNodesAfter = 0;   ///< of those, left after merging
   std::size_t fraigMergedNodes = 0;
   std::uint64_t fraigSatCalls = 0;
   double fraigTimeMs = 0.0;
-  /// Structural-rewrite cost/effect for this phase's solves (all zero when
+  /// Structural-rewrite cost/effect for this phase's delta (all zero when
   /// SecOptions::rewrite is off).
-  std::size_t rewriteNodesBefore = 0;  ///< and-nodes in the solved cone
+  std::size_t rewriteNodesBefore = 0;  ///< and-nodes in the delta
   std::size_t rewriteNodesAfter = 0;   ///< and-nodes after rewriting
   std::uint64_t rewriteApplied = 0;    ///< NPN-table rewrites committed
   double rewriteTimeMs = 0.0;
@@ -160,7 +165,7 @@ struct SecStats {
   std::uint64_t fraigSatCalls = 0;
   double fraigTimeMs = 0.0;
   /// Rewrite totals across all phases (see the per-phase fields for splits).
-  std::size_t rewriteSavedNodes = 0;  ///< sum of (before - after) per solve
+  std::size_t rewriteSavedNodes = 0;  ///< sum of (before - after) per delta
   std::uint64_t rewriteApplied = 0;
   double rewriteTimeMs = 0.0;
   /// Inprocessing totals across all phases.
@@ -207,8 +212,8 @@ struct SecOptions {
   bool tryInduction = true;
   /// Per-instance SAT solver heuristics (seed, phase saving, restart
   /// policy, inprocessing).  The portfolio racer (core::buildPortfolio)
-  /// diversifies these.  Every Miter solver this run constructs —
-  /// incremental or per-solve fraig-mode — uses them.  SEC turns clause-DB
+  /// diversifies these.  Both solvers this run constructs — the BMC
+  /// miter's and the induction miter's — use them.  SEC turns clause-DB
   /// inprocessing on (the raw sat::Solver default is off): vivification,
   /// subsumption and bounded variable elimination never change verdicts,
   /// only the search trajectory, and their work is charged against the
@@ -219,20 +224,23 @@ struct SecOptions {
   /// exposed so bench_sec_ablation can quantify the optimization (see
   /// DESIGN.md §7).  Verdicts are identical either way.
   bool structuralAliasing = true;
-  /// SAT-sweep (fraig) the miter cone before every BMC and induction solve:
+  /// SAT-sweep (fraig) the miter before every BMC and induction solve —
+  /// only the nodes that solve adds, on the miter's one persistent solver:
   /// seeded random simulation proposes candidate equivalence classes,
   /// incremental SAT proves or refutes them, and proven-equal nodes are
   /// merged before the solver sees the formula (see aig/fraig.h and
-  /// DESIGN.md).  Composes with structuralAliasing: aliasing makes the two
-  /// sides share state variables, fraiging then proves and merges the
-  /// internal points that became semantically equal.  Only unconditional
-  /// equivalences are merged, so verdicts are identical either way.
+  /// DESIGN.md).  Sweep proofs are charged to the phase budget.  Composes
+  /// with structuralAliasing: aliasing makes the two sides share state
+  /// variables, fraiging then proves and merges the internal points that
+  /// became semantically equal.  Only unconditional equivalences are
+  /// merged, so verdicts are identical either way.
   bool fraig = true;
   /// Tuning for the fraig pass (seed, stimulus size, per-candidate budget).
   aig::FraigOptions fraigOptions{};
-  /// DAG-aware structural rewrite (aig::Rewriter) of the miter cone before
-  /// each solve, between bit-blasting and CNF: AND-tree balancing plus
-  /// 4-input-cut rewriting against the NPN optimal-structure table.  Like
+  /// DAG-aware structural rewrite (aig::Rewriter) of the miter before each
+  /// solve — only the per-depth delta, appended to one persistent
+  /// rewritten graph — between bit-blasting and CNF: AND-tree balancing
+  /// plus 4-input-cut rewriting against the NPN optimal-structure table.  Like
   /// fraig the pass is unconditional — it never sees the problem
   /// constraints — so it is sound for BMC and induction alike, and it is
   /// deterministic, so verdicts are identical with it on or off (tests and
@@ -287,12 +295,13 @@ struct SecOptions {
   /// Tuning for mining and certification (see inv::Options).
   inv::Options invOptions{};
   /// Resource cap applied to each BMC solve (one per transaction, plus the
-  /// constraint-vacuity check).  Default-constructed = unlimited.  When a
-  /// BMC solve is cut off the engine stops and returns kInconclusive —
-  /// neither equivalence nor a counterexample is known at that depth.
+  /// constraint-vacuity check), shared with the fraig sweep that precedes
+  /// it.  Default-constructed = unlimited.  When a BMC solve or its sweep
+  /// is cut off the engine stops and returns kInconclusive — neither
+  /// equivalence nor a counterexample is known at that depth.
   sat::Budget bmcBudget{};
-  /// Resource cap for the inductive-step solve.  When it is cut off the
-  /// bounded verdict (which is already sound) stands, and
+  /// Resource cap for the inductive-step solve and its fraig sweep.  When
+  /// it is cut off the bounded verdict (which is already sound) stands, and
   /// stats.induction.budgetExhausted records the failed upgrade.
   sat::Budget inductionBudget{};
 };

@@ -379,7 +379,7 @@ TEST(BmcParallel, BudgetExhaustionStaysInconclusiveInParity) {
   RegroupedAddFixture f;
   sec::SecOptions opts;
   opts.boundTransactions = 3;
-  opts.fraig = false;  // phase budgets only govern the main solves
+  opts.fraig = false;  // the cap binds on the main solve itself
   opts.bmcBudget.maxPropagations = 1;
   const sec::SecResult serial = sec::checkEquivalence(*f.problem, opts);
   ASSERT_EQ(serial.verdict, sec::Verdict::kInconclusive);

@@ -350,5 +350,82 @@ TEST(Rewrite, ShrinksBlastedArithmetic) {
   EXPECT_GT(res.stats.rewritesApplied, 0u);
 }
 
+// ---------------------------------------------------------------------------
+// Rewriter::Session: incremental rewriting over a growing graph.
+// ---------------------------------------------------------------------------
+
+TEST(RewriteSession, DeltasPreserveSemanticsOfEveryRootSoFar) {
+  std::mt19937_64 rng(0x5e55);
+  for (int iter = 0; iter < 15; ++iter) {
+    Aig g;
+    Aig out;
+    Rewriter::Session session({}, out);
+    std::vector<Lit> roots;
+    std::vector<Lit> pool = {kFalse, kTrue};
+    for (int step = 0; step < 3; ++step) {
+      // Each step adds inputs and gates that may read any earlier literal,
+      // so deltas reach back into what earlier calls already rewrote.
+      for (int i = 0; i < 2; ++i) pool.push_back(g.makeInput());
+      const std::size_t firstNew = pool.size();
+      for (int i = 0; i < 30; ++i) {
+        const Lit a = pool[rng() % pool.size()] ^ static_cast<Lit>(rng() & 1);
+        const Lit b = pool[rng() % pool.size()] ^ static_cast<Lit>(rng() & 1);
+        pool.push_back((rng() & 1) ? g.makeAnd(a, b) : g.makeXor(a, b));
+      }
+      std::vector<Lit> fresh;
+      for (int i = 0; i < 3; ++i)
+        fresh.push_back(pool[firstNew + rng() % (pool.size() - firstNew)]);
+      const Rewriter::Result& res = session.extend(g, fresh);
+      ASSERT_EQ(res.roots.size(), fresh.size());
+      EXPECT_LE(res.stats.nodesAfter, res.stats.nodesBefore);
+      roots.insert(roots.end(), fresh.begin(), fresh.end());
+      for (std::uint64_t bits = 0; bits < (1ULL << g.numInputs()); ++bits) {
+        const auto srcVals = evalUnderBits(g, bits);
+        const auto outVals = evalUnderBits(out, bits);
+        for (const Lit r : roots)
+          ASSERT_EQ(Aig::litValue(srcVals, r),
+                    Aig::litValue(outVals, session.result().map(r)))
+              << "iter " << iter << " step " << step << " bits " << bits;
+      }
+    }
+  }
+}
+
+TEST(RewriteSession, IdenticalFramesCostIdenticalDeltas) {
+  // A BMC-shaped unrolling: frame t reads frame t-1's state word and a
+  // fresh input word.  Every frame is the same shape, so every extend
+  // rewrites the same number of nodes — the session's cost is linear in
+  // the number of frames, not quadratic.
+  ir::Context ctx;
+  ir::NodeRef sv = ctx.input("s", 8);
+  ir::NodeRef xv = ctx.input("x", 8);
+  ir::NodeRef next = ctx.add(ctx.mul(sv, ctx.constantUint(8, 3)), xv);
+  ir::NodeRef obs = ctx.add(ctx.bitXor(sv, xv), ctx.constantUint(8, 1));
+  Aig g;
+  Aig out;
+  Rewriter::Session session({}, out);
+  Word state;
+  {
+    BitBlaster b(g);
+    state = b.freshWord(8, "s0");
+  }
+  std::vector<RewriteStats> perFrame;
+  for (int t = 0; t < 5; ++t) {
+    BitBlaster b(g);
+    b.bindScalar(sv, state);
+    b.bindScalar(xv, b.freshWord(8, "x" + std::to_string(t)));
+    const Word o = b.blast(obs);
+    state = b.blast(next);
+    std::vector<Lit> roots(o.begin(), o.end());
+    roots.insert(roots.end(), state.begin(), state.end());
+    perFrame.push_back(session.extend(g, roots).stats);
+  }
+  ASSERT_GT(perFrame[0].nodesBefore, 0u);
+  for (const RewriteStats& st : perFrame) {
+    EXPECT_EQ(st.nodesBefore, perFrame[0].nodesBefore);
+    EXPECT_EQ(st.nodesAfter, perFrame[0].nodesAfter);
+  }
+}
+
 }  // namespace
 }  // namespace dfv::aig

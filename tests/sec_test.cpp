@@ -6,12 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
+#include "designs/conv.h"
 #include "designs/fir.h"
 #include "designs/histo.h"
 #include "designs/truncsum.h"
 #include "designs/wrapcnt.h"
 #include "rtl/lower.h"
 #include "rtl/netlist.h"
+#include "slmc/elaborate.h"
 
 namespace dfv::sec {
 namespace {
@@ -420,28 +424,36 @@ TEST(SecEngine, GenerousBudgetsDoNotChangeVerdicts) {
   }
 }
 
-TEST(SecEngine, CexOnLaterTransactionExercisesDepth) {
-  // Sides agree on transaction 0 (both output 0 from reset) and diverge
-  // from transaction 1 on: state-dependent divergence needs BMC depth >= 2.
+/// Sides agree on transaction 0 (both output 0 from reset) and diverge
+/// from transaction 1 on: state-dependent divergence needs BMC depth >= 2.
+struct LaterTxnDivergenceFixture {
   ir::Context ctx;
-  ir::TransitionSystem slm(ctx, "slm");
-  ir::NodeRef sx = slm.addInput("s.x", 4);
-  ir::NodeRef scnt = slm.addState("s.cnt", 4, 0);
-  slm.setNext(scnt, ctx.add(scnt, ctx.one(4)));
-  slm.addOutput("y", ctx.mul(scnt, sx));
+  ir::TransitionSystem slm{ctx, "slm"};
+  ir::TransitionSystem rtl{ctx, "rtl"};
+  std::unique_ptr<SecProblem> problem;
 
-  ir::TransitionSystem rtl(ctx, "rtl");
-  ir::NodeRef rx = rtl.addInput("r.x", 4);
-  ir::NodeRef rcnt = rtl.addState("r.cnt", 4, 0);
-  rtl.setNext(rcnt, ctx.add(rcnt, ctx.one(4)));
-  rtl.addOutput("y", ctx.mul(rcnt, ctx.add(rx, rcnt)));  // diverges when cnt>0
+  LaterTxnDivergenceFixture() {
+    ir::NodeRef sx = slm.addInput("s.x", 4);
+    ir::NodeRef scnt = slm.addState("s.cnt", 4, 0);
+    slm.setNext(scnt, ctx.add(scnt, ctx.one(4)));
+    slm.addOutput("y", ctx.mul(scnt, sx));
 
-  SecProblem p(ctx, slm, 1, rtl, 1);
-  ir::NodeRef v = p.declareTxnVar("x", 4);
-  p.bindInput(Side::kSlm, "s.x", 0, v);
-  p.bindInput(Side::kRtl, "r.x", 0, v);
-  p.checkOutputs("y", 0, "y", 0);
-  SecResult r = checkEquivalence(p, {.boundTransactions = 4});
+    ir::NodeRef rx = rtl.addInput("r.x", 4);
+    ir::NodeRef rcnt = rtl.addState("r.cnt", 4, 0);
+    rtl.setNext(rcnt, ctx.add(rcnt, ctx.one(4)));
+    rtl.addOutput("y", ctx.mul(rcnt, ctx.add(rx, rcnt)));  // cnt>0 diverges
+
+    problem = std::make_unique<SecProblem>(ctx, slm, 1, rtl, 1);
+    ir::NodeRef v = problem->declareTxnVar("x", 4);
+    problem->bindInput(Side::kSlm, "s.x", 0, v);
+    problem->bindInput(Side::kRtl, "r.x", 0, v);
+    problem->checkOutputs("y", 0, "y", 0);
+  }
+};
+
+TEST(SecEngine, CexOnLaterTransactionExercisesDepth) {
+  LaterTxnDivergenceFixture f;
+  SecResult r = checkEquivalence(*f.problem, {.boundTransactions = 4});
   ASSERT_EQ(r.verdict, Verdict::kNotEquivalent);
   EXPECT_GE(r.cex->failingTransaction, 1u);
 }
@@ -644,6 +656,159 @@ TEST(SecRewrite, InprocessingPreservesVerdictsAndRecordsWork) {
 // verdict-preserving (reachable-from-reset facts, applied to BMC only), so
 // every design must get the identical verdict with it on and off, and the
 // stats must record the work when it is on.
+
+// --- The incremental miter ------------------------------------------------
+//
+// One solver, encoder, rewritten graph and swept graph serve a whole check;
+// each BMC depth rewrites and sweeps only the nodes it added.  Verdicts and
+// counterexample depths must not depend on the rewrite x fraig arm, the
+// sweep must never see an asserted fact, and its work is charged to the
+// phase budget.
+
+TEST(SecMiter, VerdictParityAcrossRewriteFraigArmsAndBounds) {
+  Fig1Fixture fig1Good(false), fig1Bug(true), fig1Masked(true);
+  for (ir::NodeRef v : fig1Masked.problem->txnVars())
+    fig1Masked.problem->addConstraint(
+        fig1Masked.ctx.ult(v, fig1Masked.ctx.constantUint(8, 32)));
+  ChecksumFixture checksum;
+  RegroupedAddFixture regrouped;
+  LaterTxnDivergenceFixture later;
+  const std::vector<std::pair<const char*, const SecProblem*>> problems = {
+      {"fig1", fig1Good.problem.get()},
+      {"fig1-bug", fig1Bug.problem.get()},
+      {"fig1-masked", fig1Masked.problem.get()},
+      {"checksum", checksum.problem.get()},
+      {"regrouped", regrouped.problem.get()},
+      {"later-txn", later.problem.get()}};
+  for (const auto& [name, problem] : problems) {
+    for (unsigned k = 1; k <= 4; ++k) {
+      std::optional<SecResult> ref;
+      for (const bool rw : {false, true}) {
+        for (const bool fr : {false, true}) {
+          SecOptions o{.boundTransactions = k};
+          o.rewrite = rw;
+          o.fraig = fr;
+          SecResult r = checkEquivalence(*problem, o);
+          // A cex only comes back after it replayed on both interpreters.
+          EXPECT_EQ(r.cex.has_value(), r.verdict == Verdict::kNotEquivalent);
+          if (!ref) {
+            ref = std::move(r);
+            continue;
+          }
+          EXPECT_EQ(r.verdict, ref->verdict)
+              << name << " k=" << k << " rewrite=" << rw << " fraig=" << fr;
+          if (r.cex && ref->cex) {
+            EXPECT_EQ(r.cex->failingTransaction, ref->cex->failingTransaction)
+                << name << " k=" << k << " rewrite=" << rw
+                << " fraig=" << fr;
+          }
+        }
+      }
+    }
+  }
+  // The later-transaction bug is invisible at bound 1 and found at depth 1.
+  EXPECT_EQ(checkEquivalence(*later.problem, {.boundTransactions = 1,
+                                              .tryInduction = false})
+                .verdict,
+            Verdict::kBoundedEquivalent);
+}
+
+/// SLM latches a 24-bit transaction word and outputs "the previous word was
+/// all ones" through a 23-gate AND tree; RTL outputs constant 0.  The
+/// constraint (top bit clear) makes the two agree, so the tree is false
+/// under the facts asserted at depth 0 — but not unconditionally.
+struct LatchedAllOnesFixture {
+  ir::Context ctx;
+  ir::TransitionSystem slm{ctx, "slm"};
+  ir::TransitionSystem rtl{ctx, "rtl"};
+  std::unique_ptr<SecProblem> problem;
+
+  LatchedAllOnesFixture() {
+    ir::NodeRef sx = slm.addInput("s.x", 24);
+    ir::NodeRef s = slm.addState("s.last", 24, 0);
+    slm.setNext(s, sx);
+    slm.addOutput("y", ctx.eq(s, ctx.constantUint(24, 0xffffff)));
+    rtl.addInput("r.x", 24);
+    rtl.addOutput("y", ctx.zero(1));
+    problem = std::make_unique<SecProblem>(ctx, slm, 1, rtl, 1);
+    ir::NodeRef v = problem->declareTxnVar("x", 24);
+    problem->bindInput(Side::kSlm, "s.x", 0, v);
+    problem->bindInput(Side::kRtl, "r.x", 0, v);
+    // A single literal after blasting: the constraint adds no AND nodes.
+    problem->addConstraint(ctx.eq(ctx.extract(v, 23, 23), ctx.zero(1)));
+    problem->checkOutputs("y", 0, "y", 0);
+  }
+};
+
+TEST(SecMiter, SweepNeverMergesUnderAssertedFacts) {
+  // Depth 1's only new cone is the AND tree over the depth-0 word.  Random
+  // stimulus never sets all 24 bits, so the tree sits in constant-false's
+  // class; with the depth-0 constraint visible, the proof would succeed and
+  // the miter root would collapse to false.  Facts are guarded by the
+  // activation literal the sweep never assumes, so the proof is refuted and
+  // the tree stays in the swept graph (the main solve, which does assume
+  // the guard, still proves the depth clean).
+  LatchedAllOnesFixture f;
+  SecOptions o{.boundTransactions = 2, .tryInduction = false};
+  o.invariants = false;
+  SecResult r = checkEquivalence(*f.problem, o);
+  EXPECT_EQ(r.verdict, Verdict::kBoundedEquivalent);
+  ASSERT_EQ(r.stats.bmcTransactions.size(), 2u);
+  const PhaseStats& depth1 = r.stats.bmcTransactions[1];
+  EXPECT_GT(depth1.fraigSatCalls, 0u);
+  EXPECT_GT(depth1.fraigNodesAfter, 0u)
+      << "the sweep merged the depth-1 miter under an asserted fact";
+}
+
+TEST(SecMiter, SweepWorkIsChargedToThePhaseBudget) {
+  // The regrouped adders merge only through SAT proofs.  A one-conflict
+  // phase cap is below what the sweep needs: the phase must end
+  // inconclusive with its sweep conflicts recorded, not run the sweep
+  // uncapped and report a decided verdict.
+  RegroupedAddFixture f;
+  SecOptions o{.boundTransactions = 1};
+  const SecResult free = checkEquivalence(*f.problem, o);
+  ASSERT_EQ(free.verdict, Verdict::kProvenEquivalent);
+  ASSERT_GT(free.stats.bmcTransactions[0].conflicts, 1u);
+  o.bmcBudget.maxConflicts = 1;
+  const SecResult capped = checkEquivalence(*f.problem, o);
+  EXPECT_EQ(capped.verdict, Verdict::kInconclusive);
+  ASSERT_EQ(capped.stats.bmcTransactions.size(), 1u);
+  const PhaseStats& phase = capped.stats.bmcTransactions[0];
+  EXPECT_TRUE(phase.budgetExhausted);
+  EXPECT_EQ(phase.conflicts, 1u);
+  EXPECT_GT(phase.fraigSatCalls, 0u);
+}
+
+TEST(SecMiter, IdenticalFramesRewriteIdenticalDeltas) {
+  // conv_win's transactions unroll to same-shaped frames, so each BMC
+  // depth rewrites and sweeps the same number of new nodes: the miter's
+  // preprocessing is linear in the bound, not quadratic.
+  ir::Context ctx;
+  const auto kernel = designs::ConvKernel::sharpen();
+  auto e = slmc::elaborate(designs::makeConvWindowSlm(kernel), ctx, "s.");
+  ASSERT_TRUE(e.ok);
+  const ir::TransitionSystem rtl = rtl::lowerToTransitionSystem(
+      designs::makeConvWindowRtl(kernel), ctx, "r.");
+  SecProblem p(ctx, *e.ts, 1, rtl, 1);
+  for (unsigned i = 0; i < 9; ++i) {
+    const std::string n = "p" + std::to_string(i);
+    ir::NodeRef v = p.declareTxnVar(n, 8);
+    p.bindInput(Side::kSlm, "s." + n, 0, v);
+    p.bindInput(Side::kRtl, "r." + n, 0, v);
+  }
+  p.checkOutputs("ret", 0, "pix", 0);
+  SecOptions o{.boundTransactions = 4, .tryInduction = false};
+  SecResult r = checkEquivalence(p, o);
+  EXPECT_EQ(r.verdict, Verdict::kBoundedEquivalent);
+  ASSERT_EQ(r.stats.bmcTransactions.size(), 4u);
+  const PhaseStats& first = r.stats.bmcTransactions[0];
+  EXPECT_GT(first.rewriteNodesBefore, 0u);
+  for (const PhaseStats& ph : r.stats.bmcTransactions) {
+    EXPECT_EQ(ph.rewriteNodesBefore, first.rewriteNodesBefore);
+    EXPECT_EQ(ph.fraigNodesBefore, first.fraigNodesBefore);
+  }
+}
 
 TEST(SecAbsint, TruncsumGoodPairProvenEitherWay) {
   SecOptions on, off;
