@@ -329,6 +329,5 @@ int main(int argc, char** argv) {
   }
   std::printf("\nthe flagged shape is the one the solver pays for -- the\n"
               "rule predicts bench_sec_ablation's no-merge cliff statically\n");
-  report.write();
-  return dirtySeeds == 0 ? 0 : 1;
+  return report.write() && dirtySeeds == 0 ? 0 : 1;
 }

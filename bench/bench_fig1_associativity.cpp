@@ -144,6 +144,5 @@ int main(int argc, char** argv) {
   report.beginRow("sec_witness")
       .field("verdict", sec::verdictName(r.verdict))
       .field("cexFound", r.cex.has_value());
-  report.write();
-  return 0;
+  return report.write() ? 0 : 1;
 }

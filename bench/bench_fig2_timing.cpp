@@ -153,6 +153,5 @@ int main(int argc, char** argv) {
       .field("inOrderClean", io.clean())
       .field("inOrderMaxSkew", io.maxSkew)
       .field("cycleExactClean", ce.clean());
-  report.write();
-  return 0;
+  return report.write() ? 0 : 1;
 }

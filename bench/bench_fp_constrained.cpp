@@ -152,6 +152,5 @@ int main(int argc, char** argv) {
         .field("seconds", secs)
         .field("conflicts", r.stats.satConflicts);
   }
-  report.write();
-  return 0;
+  return report.write() ? 0 : 1;
 }

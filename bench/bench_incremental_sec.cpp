@@ -186,6 +186,5 @@ int main(int argc, char** argv) {
       .field("edits", editCount)
       .field("fullSeconds", fullTotal)
       .field("incrSeconds", incrTotal);
-  report.write();
-  return 0;
+  return report.write() ? 0 : 1;
 }

@@ -72,9 +72,11 @@ core::JournalRecord sampleRecord(unsigned i) {
   core::AttemptRecord a;
   a.maxConflicts = 100000;
   a.outcome = "inconclusive";
-  a.satConflicts = 104729;
-  a.satPropagations = 1299709;
-  a.aigNodes = 2048;
+  a.counters = sec::deterministicCounters(sec::SecStats{});
+  a.counters["sat_conflicts"] = 104729;
+  a.counters["sat_propagations"] = 1299709;
+  a.counters["aig_nodes"] = 2048;
+  b.counters = a.counters;
   b.attemptLog.push_back(a);
   a.rung = 1;
   a.maxConflicts = 400000;
@@ -286,8 +288,7 @@ int main(int argc, char** argv) {
   bool ok = runOverhead(json, smoke);
   ok = runRecovery(json) && ok;
   json.beginRow("summary").field("parity", ok);
-  json.write();
   // Exit gate: the journal must never affect a verdict.  (Timing is a
   // measurement, not a gate — see the header comment.)
-  return ok ? 0 : 1;
+  return json.write() && ok ? 0 : 1;
 }

@@ -261,6 +261,5 @@ int main(int argc, char** argv) {
         .field("parity", par.verdict == serial.verdict);
   }
 
-  report.write();
-  return 0;
+  return report.write() ? 0 : 1;
 }

@@ -33,6 +33,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -117,16 +118,15 @@ struct Totals {
   unsigned faulted = 0;
   unsigned escaped = 0;
   std::uint64_t faultInjections = 0;
-  std::uint64_t sliceStatesSevered = 0;
-  std::uint64_t sliceSeqConstants = 0;
+  /// Block counters summed by name (sec::deterministicCounters).
+  std::map<std::string, std::uint64_t> counters;
 
   void absorb(const core::PlanReport& r) {
     degraded += r.degraded;
     faulted += r.faulted;
     for (const core::BlockResult& b : r.blocks) {
       faultInjections += b.faultInjections;
-      sliceStatesSevered += b.sliceStatesSevered;
-      sliceSeqConstants += b.sliceSeqConstants;
+      for (const auto& [name, value] : b.counters) counters[name] += value;
     }
   }
 };
@@ -364,17 +364,18 @@ void runInvariantRescue(benchutil::JsonReport& json, Totals& totals) {
     const core::PlanReport report = runner.runAll();
     totals.absorb(report);
     const core::BlockResult& b = report.blocks.at(0);
+    const std::uint64_t certified = b.counters.at("inv_certified");
     std::printf("%-12s => %-40s attempts=%u degraded=%-5s certified=%llu\n",
                 p.name, b.detail.c_str(), b.attempts,
                 b.degraded ? "true" : "false",
-                static_cast<unsigned long long>(b.invCertified));
+                static_cast<unsigned long long>(certified));
     json.beginRow("inv_rescue")
         .field("policy", p.name)
         .field("detail", b.detail)
         .field("attempts", b.attempts)
         .field("degraded", b.degraded)
         .field("passed", b.passed)
-        .field("invCertified", b.invCertified);
+        .field("invCertified", certified);
   }
   std::printf("\n");
 }
@@ -395,15 +396,16 @@ int main(int argc, char** argv) {
               "slice(severed=%llu seqconst=%llu)\n",
               totals.degraded, totals.faulted, totals.escaped,
               static_cast<unsigned long long>(totals.faultInjections),
-              static_cast<unsigned long long>(totals.sliceStatesSevered),
-              static_cast<unsigned long long>(totals.sliceSeqConstants));
+              static_cast<unsigned long long>(
+                  totals.counters["slice_states_severed"]),
+              static_cast<unsigned long long>(
+                  totals.counters["slice_seq_constants"]));
   json.beginRow("summary")
       .field("degraded", totals.degraded)
       .field("faulted", totals.faulted)
       .field("escaped", totals.escaped)
       .field("faultInjections", totals.faultInjections)
-      .field("sliceStatesSevered", totals.sliceStatesSevered)
-      .field("sliceSeqConstants", totals.sliceSeqConstants);
-  json.write();
-  return totals.escaped == 0 ? 0 : 1;
+      .field("slice_states_severed", totals.counters["slice_states_severed"])
+      .field("slice_seq_constants", totals.counters["slice_seq_constants"]);
+  return json.write() && totals.escaped == 0 ? 0 : 1;
 }

@@ -352,7 +352,7 @@ int main(int argc, char** argv) {
   // block is outside every checked cone, and severing it must cut the
   // induction graph by more than 5% (counted as a regression otherwise).
   unsigned sliceRegressions = 0;
-  std::uint64_t sliceStatesSeveredTotal = 0, sliceSeqConstantsTotal = 0;
+  std::uint64_t severedTotal = 0, seqConstantsTotal = 0;
   {
     std::vector<Case> slCases = {
         {"fir", 2, 1000000, 0,
@@ -399,8 +399,8 @@ int main(int argc, char** argv) {
                 sl.slm.statesSevered + sl.rtl.statesSevered;
             const std::uint64_t seqcst =
                 sl.slm.seqConstants + sl.rtl.seqConstants;
-            sliceStatesSeveredTotal += severed;
-            sliceSeqConstantsTotal += seqcst;
+            severedTotal += severed;
+            seqConstantsTotal += seqcst;
             if (absint && fraig) (slice ? indOn : indOff) =
                 r.stats.inductionAigNodes;
             std::printf(
@@ -419,8 +419,8 @@ int main(int argc, char** argv) {
                 .field("seconds", secs)
                 .field("bmcAigNodes", r.stats.bmcAigNodes)
                 .field("inductionAigNodes", r.stats.inductionAigNodes)
-                .field("sliceStatesSevered", severed)
-                .field("sliceSeqConstants", seqcst)
+                .field("slice_states_severed", severed)
+                .field("slice_seq_constants", seqcst)
                 .field("sliceNodesBeforeRtl", sl.rtl.nodesBefore)
                 .field("sliceNodesAfterRtl", sl.rtl.nodesAfter)
                 .field("sliceSeconds", sl.seconds)
@@ -1004,13 +1004,12 @@ int main(int argc, char** argv) {
       .field("verdictMismatches", verdictMismatches)
       .field("sliceRegressions", sliceRegressions)
       .field("rewriteRegressions", rewriteRegressions)
-      .field("sliceStatesSevered", sliceStatesSeveredTotal)
-      .field("sliceSeqConstants", sliceSeqConstantsTotal)
+      .field("slice_states_severed", severedTotal)
+      .field("slice_seq_constants", seqConstantsTotal)
       .field("invRegressions", invRegressions)
       .field("invCertified", invCertifiedTotal)
       .field("disagreements", disagreements);
-  report.write();
-  return disagreements == 0 && verdictMismatches == 0 &&
+  return report.write() && disagreements == 0 && verdictMismatches == 0 &&
                  sliceRegressions == 0 && rewriteRegressions == 0 &&
                  invRegressions == 0
              ? 0

@@ -291,6 +291,5 @@ int main(int argc, char** argv) {
   std::printf("(a starved budget reports INCONCLUSIVE, never a false "
               "\"equivalent\" -- the plan\n layer keeps it distinct from "
               "pass so a starved block cannot greenlight a tapeout)\n");
-  report.write();
-  return 0;
+  return report.write() ? 0 : 1;
 }

@@ -143,6 +143,5 @@ int main(int argc, char** argv) {
   }
   std::printf("\n(narrow accumulator: a correct-by-typical-workload design "
               "that only formal input coverage exposes)\n");
-  report.write();
-  return 0;
+  return report.write() ? 0 : 1;
 }

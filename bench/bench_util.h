@@ -13,15 +13,12 @@
 //   bench_sec_ablation --json BENCH_sec_ablation.json
 #pragma once
 
-#include <concepts>
-#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
-#include "drc/diagnostics.h"
+#include "common/json.h"
 
 namespace dfv::benchutil {
 
@@ -58,75 +55,49 @@ inline std::vector<char*> benchmarkJsonArgs(int argc, char** argv) {
 /// rows unconditionally.
 class JsonReport {
  public:
-  JsonReport(int argc, char** argv, std::string benchName)
-      : name_(std::move(benchName)), smoke_(smokeMode(argc, argv)) {
+  JsonReport(int argc, char** argv, const std::string& benchName) {
     if (const char* p = jsonPath(argc, argv)) path_ = p;
+    doc_.beginObject()
+        .field("bench", benchName)
+        .field("smoke", smokeMode(argc, argv))
+        .key("rows")
+        .beginArray();
   }
-
-  bool enabled() const { return !path_.empty(); }
 
   /// Starts a row; `table` names which printed table it belongs to.
   JsonReport& beginRow(const std::string& table) {
-    rows_.emplace_back("\"table\": " + quoted(table));
+    if (rowOpen_) doc_.endObject();
+    doc_.beginObject().field("table", table);
+    rowOpen_ = true;
     return *this;
   }
-  JsonReport& field(const std::string& key, const std::string& v) {
-    return rawField(key, quoted(v));
-  }
-  JsonReport& field(const std::string& key, const char* v) {
-    return rawField(key, quoted(v));
-  }
-  JsonReport& field(const std::string& key, double v) {
-    char buf[48];
-    std::snprintf(buf, sizeof buf, "%.6g", v);
-    return rawField(key, buf);
-  }
-  JsonReport& field(const std::string& key, bool v) {
-    return rawField(key, v ? "true" : "false");
-  }
-  template <typename Int>
-    requires std::integral<Int>
-  JsonReport& field(const std::string& key, Int v) {
-    return rawField(key, std::to_string(v));
+  /// Adds one field to the current row (string, bool, integer or double);
+  /// before any beginRow() it throws, since the writer is not in an object.
+  template <typename T>
+  JsonReport& field(const std::string& key, const T& v) {
+    doc_.field(key, v);
+    return *this;
   }
 
   /// Writes the document; prints a warning and returns false on IO failure.
   bool write() const {
-    if (!enabled()) return true;
+    if (path_.empty()) return true;
+    common::JsonWriter doc = doc_;
+    if (rowOpen_) doc.endObject();
+    doc.endArray().endObject();
     std::FILE* f = std::fopen(path_.c_str(), "w");
-    if (f == nullptr) {
+    bool ok = f != nullptr && std::fprintf(f, "%s\n", doc.str().c_str()) > 0;
+    if (f != nullptr) ok = std::fclose(f) == 0 && ok;
+    if (!ok)
       std::fprintf(stderr, "warning: cannot write --json file %s\n",
                    path_.c_str());
-      return false;
-    }
-    std::fprintf(f, "{\n  \"bench\": %s,\n  \"smoke\": %s,\n  \"rows\": [\n",
-                 quoted(name_).c_str(), smoke_ ? "true" : "false");
-    for (std::size_t i = 0; i < rows_.size(); ++i)
-      std::fprintf(f, "    {%s}%s\n", rows_[i].c_str(),
-                   i + 1 < rows_.size() ? "," : "");
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    return true;
+    return ok;
   }
 
  private:
-  static std::string quoted(const std::string& s) {
-    return "\"" + drc::jsonEscape(s) + "\"";
-  }
-  JsonReport& rawField(const std::string& key, const std::string& json) {
-    // field() before any beginRow() is a bench bug.
-    if (rows_.empty()) {
-      std::fprintf(stderr, "JsonReport misuse: field() before beginRow()\n");
-      std::abort();
-    }
-    rows_.back() += ", " + quoted(key) + ": " + json;
-    return *this;
-  }
-
   std::string path_;
-  std::string name_;
-  bool smoke_;
-  std::vector<std::string> rows_;
+  common::JsonWriter doc_;
+  bool rowOpen_ = false;
 };
 
 }  // namespace dfv::benchutil

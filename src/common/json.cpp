@@ -2,9 +2,47 @@
 
 #include <cerrno>
 #include <charconv>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <iterator>
+#include <utility>
 
 namespace dfv::common {
+
+namespace {
+
+/// Length of the valid UTF-8 sequence starting at s[i], or 0 if the bytes
+/// there are not well-formed (truncated, overlong, a surrogate, or > U+10FFFF
+/// — the RFC 3629 table, which both the reader and jsonEscape enforce).
+std::size_t utf8SequenceLength(std::string_view s, std::size_t i) {
+  const auto byte = [&](std::size_t k) -> unsigned {
+    return static_cast<unsigned char>(s[k]);
+  };
+  const unsigned b0 = byte(i);
+  if (b0 < 0x80) return 1;
+  const auto cont = [&](std::size_t k) {
+    return k < s.size() && (byte(k) & 0xc0u) == 0x80u;
+  };
+  if (b0 >= 0xc2 && b0 <= 0xdf) return cont(i + 1) ? 2 : 0;
+  if (b0 >= 0xe0 && b0 <= 0xef) {
+    if (!cont(i + 1) || !cont(i + 2)) return 0;
+    const unsigned b1 = byte(i + 1);
+    if (b0 == 0xe0 && b1 < 0xa0) return 0;  // overlong
+    if (b0 == 0xed && b1 > 0x9f) return 0;  // UTF-16 surrogate range
+    return 3;
+  }
+  if (b0 >= 0xf0 && b0 <= 0xf4) {
+    if (!cont(i + 1) || !cont(i + 2) || !cont(i + 3)) return 0;
+    const unsigned b1 = byte(i + 1);
+    if (b0 == 0xf0 && b1 < 0x90) return 0;  // overlong
+    if (b0 == 0xf4 && b1 > 0x8f) return 0;  // above U+10FFFF
+    return 4;
+  }
+  return 0;  // 0x80..0xc1 (bare continuation / overlong lead), 0xf5..0xff
+}
+
+}  // namespace
 
 bool JsonValue::asBool() const {
   DFV_CHECK_MSG(kind_ == Kind::kBool, "JSON value is not a bool");
@@ -28,26 +66,6 @@ double JsonValue::asDouble() const {
   const double v = std::strtod(text_.c_str(), &end);
   DFV_CHECK_MSG(end == text_.c_str() + text_.size() && errno != ERANGE,
                 "number '" << text_ << "' does not fit a double");
-  return v;
-}
-
-std::uint64_t JsonValue::asUint64() const {
-  DFV_CHECK_MSG(kind_ == Kind::kNumber, "JSON value is not a number");
-  std::uint64_t v = 0;
-  const auto [ptr, ec] =
-      std::from_chars(text_.data(), text_.data() + text_.size(), v);
-  DFV_CHECK_MSG(ec == std::errc{} && ptr == text_.data() + text_.size(),
-                "number '" << text_ << "' is not a uint64");
-  return v;
-}
-
-std::int64_t JsonValue::asInt64() const {
-  DFV_CHECK_MSG(kind_ == Kind::kNumber, "JSON value is not a number");
-  std::int64_t v = 0;
-  const auto [ptr, ec] =
-      std::from_chars(text_.data(), text_.data() + text_.size(), v);
-  DFV_CHECK_MSG(ec == std::errc{} && ptr == text_.data() + text_.size(),
-                "number '" << text_ << "' is not an int64");
   return v;
 }
 
@@ -240,43 +258,6 @@ class JsonParser {
     return true;
   }
 
-  /// Validates one multi-byte UTF-8 sequence starting at pos_ (whose lead
-  /// byte is >= 0x80) and appends it.  RFC 3629: no overlongs, no
-  /// surrogates, nothing above U+10FFFF.
-  bool utf8Sequence(std::string& out) {
-    const auto byte = [&](std::size_t i) {
-      return static_cast<unsigned char>(text_[i]);
-    };
-    const unsigned char lead = byte(pos_);
-    unsigned len = 0;
-    std::uint32_t cp = 0;
-    if ((lead & 0xE0) == 0xC0) {
-      len = 2;
-      cp = lead & 0x1Fu;
-    } else if ((lead & 0xF0) == 0xE0) {
-      len = 3;
-      cp = lead & 0x0Fu;
-    } else if ((lead & 0xF8) == 0xF0) {
-      len = 4;
-      cp = lead & 0x07u;
-    } else {
-      return fail("invalid UTF-8 lead byte");
-    }
-    if (pos_ + len > text_.size()) return fail("truncated UTF-8 sequence");
-    for (unsigned i = 1; i < len; ++i) {
-      if ((byte(pos_ + i) & 0xC0) != 0x80)
-        return fail("invalid UTF-8 continuation byte");
-      cp = (cp << 6) | (byte(pos_ + i) & 0x3Fu);
-    }
-    const bool overlong = (len == 2 && cp < 0x80) || (len == 3 && cp < 0x800) ||
-                          (len == 4 && cp < 0x10000);
-    if (overlong || cp > 0x10FFFF || (cp >= 0xD800 && cp <= 0xDFFF))
-      return fail("invalid UTF-8 code point");
-    out.append(text_.substr(pos_, len));
-    pos_ += len;
-    return true;
-  }
-
   bool parseString(std::string& out) {
     ++pos_;  // opening quote
     out.clear();
@@ -289,7 +270,10 @@ class JsonParser {
       }
       if (c < 0x20) return fail("raw control character in string");
       if (c >= 0x80) {
-        if (!utf8Sequence(out)) return false;
+        const std::size_t len = utf8SequenceLength(text_, pos_);
+        if (len == 0) return fail("invalid UTF-8 sequence");
+        out.append(text_.substr(pos_, len));
+        pos_ += len;
         continue;
       }
       if (c != '\\') {
@@ -395,6 +379,90 @@ std::vector<JsonValue> parseJsonLines(std::string_view text) {
     pos = end + 1;
   }
   return out;
+}
+
+std::string jsonEscape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 8);
+  for (std::size_t i = 0; i < s.size();) {
+    const char c = s[i];
+    const auto uc = static_cast<unsigned char>(c);
+    switch (c) {
+      case '"': out += "\\\""; ++i; continue;
+      case '\\': out += "\\\\"; ++i; continue;
+      case '\b': out += "\\b"; ++i; continue;
+      case '\f': out += "\\f"; ++i; continue;
+      case '\n': out += "\\n"; ++i; continue;
+      case '\r': out += "\\r"; ++i; continue;
+      case '\t': out += "\\t"; ++i; continue;
+      default: break;
+    }
+    if (uc < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof buf, "\\u%04x", uc);
+      out += buf;
+      ++i;
+      continue;
+    }
+    const std::size_t len = utf8SequenceLength(s, i);
+    if (len == 0) {
+      out += "\\ufffd";
+      ++i;
+      continue;
+    }
+    out.append(s, i, len);
+    i += len;
+  }
+  return out;
+}
+
+// ----- JsonWriter -----------------------------------------------------------
+
+JsonWriter& JsonWriter::open(char c) {
+  raw(std::string_view(&c, 1));
+  open_ += c;
+  needComma_ = false;
+  return *this;
+}
+
+JsonWriter& JsonWriter::close(char opener, char c) {
+  DFV_CHECK_MSG(!open_.empty() && open_.back() == opener && !afterKey_,
+                "JsonWriter: unbalanced '" << c << "'");
+  open_.pop_back();
+  out_ += c;
+  needComma_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::raw(std::string_view text) {
+  if (!std::exchange(afterKey_, false) && needComma_) out_ += ',';
+  out_ += text;
+  needComma_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::key(std::string_view k) {
+  DFV_CHECK_MSG(!open_.empty() && open_.back() == '{' && !afterKey_,
+                "JsonWriter: key '" << k << "' outside an object");
+  raw('"' + jsonEscape(k) + "\":");
+  afterKey_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(std::string_view s) {
+  return raw('"' + jsonEscape(s) + '"');
+}
+
+JsonWriter& JsonWriter::value(double v) {
+  if (!std::isfinite(v)) return raw("null");
+  char buf[32];
+  return raw(std::string_view(buf, std::to_chars(buf, std::end(buf), v).ptr));
+}
+
+const std::string& JsonWriter::str() const {
+  DFV_CHECK_MSG(open_.empty() && !afterKey_,
+                "JsonWriter: unterminated document");
+  return out_;
 }
 
 }  // namespace dfv::common

@@ -4,38 +4,27 @@
 #include <unistd.h>
 
 #include <cctype>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 
 #include "common/crc32.h"
 #include "common/hash.h"
-#include "drc/diagnostics.h"
 #include "fault/fault.h"
 
 namespace dfv::core {
 
 using common::JsonValue;
-using drc::jsonEscape;
+using common::JsonWriter;
 
 namespace {
 
 constexpr const char* kFormat = "dfv-journal";
-constexpr std::uint64_t kVersion = 1;
+constexpr std::uint64_t kVersion = 2;
 /// Sanity bound on one record payload; no real frame comes close, and the
 /// cap keeps a corrupted length field from asking the loader to swallow the
 /// address space.
 constexpr std::size_t kMaxPayload = std::size_t{64} << 20;
-
-/// Doubles round-trip exactly through 17 significant digits; the resumed
-/// report's `seconds` fields must be bit-identical to the recorded run's.
-std::string fmtDouble(double v) {
-  if (!std::isfinite(v)) return "0";
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
 
 void writeAll(int fd, const char* data, std::size_t n) {
   std::size_t off = 0;
@@ -54,8 +43,6 @@ bool readFile(const std::string& path, std::string& out) {
   out = os.str();
   return true;
 }
-
-const char* boolStr(bool b) { return b ? "true" : "false"; }
 
 }  // namespace
 
@@ -96,9 +83,9 @@ void Journal::commitHeader(const std::string& planName) {
   const fault::Policy p = fault::onSiteHit(fault::Site::kJournalCommit);
   if (p == fault::Policy::kThrowCheckError)
     fault::throwInjected(fault::Site::kJournalCommit);
-  std::string payload = "{\"format\":\"" + std::string(kFormat) +
-                        "\",\"version\":" + std::to_string(kVersion) +
-                        ",\"plan\":\"" + jsonEscape(planName) + "\"}\n";
+  JsonWriter w;
+  w.beginObject().field("format", kFormat).field("version", kVersion);
+  std::string payload = w.field("plan", planName).endObject().str() + "\n";
   if (p == fault::Policy::kTornWrite) {
     // A crash mid-commit: half a header still gets renamed into place here
     // so the damage is reachable — load classifies it kBadHeader and
@@ -158,53 +145,12 @@ std::uint64_t Journal::appended() const {
 // ----- Record codec ---------------------------------------------------------
 
 std::string Journal::encodeRecord(const JournalRecord& rec) {
-  const BlockResult& b = rec.result;
-  std::ostringstream os;
-  os << "{\"digest\":" << rec.digest
-     << ",\"fingerprint\":" << rec.fingerprint
-     << ",\"has_drc\":" << boolStr(rec.hasDrc || b.drc.has_value())
-     << ",\"result\":{\"name\":\"" << jsonEscape(b.block) << "\",\"method\":\""
-     << (b.method == Method::kSec ? "sec" : "cosim")
-     << "\",\"passed\":" << boolStr(b.passed)
-     << ",\"skipped_unchanged\":" << boolStr(b.skippedUnchanged)
-     << ",\"blocked_by_drc\":" << boolStr(b.blockedByDrc)
-     << ",\"inconclusive\":" << boolStr(b.inconclusive)
-     << ",\"faulted\":" << boolStr(b.faulted)
-     << ",\"degraded\":" << boolStr(b.degraded)
-     << ",\"attempts\":" << b.attempts
-     << ",\"fault_injections\":" << b.faultInjections
-     << ",\"slice_states_severed\":" << b.sliceStatesSevered
-     << ",\"slice_seq_constants\":" << b.sliceSeqConstants
-     << ",\"inv_certified\":" << b.invCertified
-     << ",\"seconds\":" << fmtDouble(b.seconds)
-     << ",\"detail\":\"" << jsonEscape(b.detail) << "\""
-     << ",\"portfolio_winner\":" << b.portfolioWinner
-     << ",\"portfolio_winner_name\":\"" << jsonEscape(b.portfolioWinnerName)
-     << "\",\"attempt_log\":[";
-  for (std::size_t i = 0; i < b.attemptLog.size(); ++i) {
-    const AttemptRecord& a = b.attemptLog[i];
-    if (i > 0) os << ',';
-    os << "{\"rung\":" << a.rung << ",\"max_conflicts\":" << a.maxConflicts
-       << ",\"max_propagations\":" << a.maxPropagations << ",\"outcome\":\""
-       << jsonEscape(a.outcome) << "\",\"faulted\":" << boolStr(a.faulted)
-       << ",\"seconds\":" << fmtDouble(a.seconds)
-       << ",\"member\":" << a.member << ",\"member_name\":\""
-       << jsonEscape(a.memberName) << "\",\"winner\":" << boolStr(a.winner)
-       << ",\"cancelled\":" << boolStr(a.cancelled)
-       << ",\"sat_conflicts\":" << a.satConflicts
-       << ",\"sat_decisions\":" << a.satDecisions
-       << ",\"sat_propagations\":" << a.satPropagations
-       << ",\"aig_nodes\":" << a.aigNodes
-       << ",\"sat_learnts\":" << a.satLearnts
-       << ",\"sat_subsumed\":" << a.satSubsumed
-       << ",\"sat_vivified\":" << a.satVivified
-       << ",\"sat_eliminated_vars\":" << a.satEliminatedVars
-       << ",\"rewrite_saved_nodes\":" << a.rewriteSavedNodes
-       << ",\"inv_candidates\":" << a.invCandidates
-       << ",\"inv_certified\":" << a.invCertified << "}";
-  }
-  os << "]}}";
-  return os.str();
+  JsonWriter w;
+  w.beginObject().field("digest", rec.digest);
+  w.field("fingerprint", rec.fingerprint);
+  w.field("has_drc", rec.hasDrc || rec.result.drc.has_value());
+  encodeBlockResult(w.key("result"), rec.result);
+  return w.endObject().str();
 }
 
 JournalRecord Journal::decodeRecord(const JsonValue& v) {
@@ -212,53 +158,7 @@ JournalRecord Journal::decodeRecord(const JsonValue& v) {
   rec.digest = v.at("digest").asUint64();
   rec.fingerprint = v.at("fingerprint").asUint64();
   rec.hasDrc = v.at("has_drc").asBool();
-  const JsonValue& r = v.at("result");
-  BlockResult& b = rec.result;
-  b.block = r.at("name").asString();
-  const std::string& method = r.at("method").asString();
-  DFV_CHECK_MSG(method == "sec" || method == "cosim",
-                "bad journal method '" << method << "'");
-  b.method = method == "sec" ? Method::kSec : Method::kCosim;
-  b.passed = r.at("passed").asBool();
-  b.skippedUnchanged = r.at("skipped_unchanged").asBool();
-  b.blockedByDrc = r.at("blocked_by_drc").asBool();
-  b.inconclusive = r.at("inconclusive").asBool();
-  b.faulted = r.at("faulted").asBool();
-  b.degraded = r.at("degraded").asBool();
-  b.attempts = static_cast<unsigned>(r.at("attempts").asUint64());
-  b.faultInjections = r.at("fault_injections").asUint64();
-  b.sliceStatesSevered = r.at("slice_states_severed").asUint64();
-  b.sliceSeqConstants = r.at("slice_seq_constants").asUint64();
-  b.invCertified = r.at("inv_certified").asUint64();
-  b.seconds = r.at("seconds").asDouble();
-  b.detail = r.at("detail").asString();
-  b.portfolioWinner = static_cast<int>(r.at("portfolio_winner").asInt64());
-  b.portfolioWinnerName = r.at("portfolio_winner_name").asString();
-  for (const JsonValue& av : r.at("attempt_log").items()) {
-    AttemptRecord a;
-    a.rung = static_cast<unsigned>(av.at("rung").asUint64());
-    a.maxConflicts = av.at("max_conflicts").asInt64();
-    a.maxPropagations = av.at("max_propagations").asInt64();
-    a.outcome = av.at("outcome").asString();
-    a.faulted = av.at("faulted").asBool();
-    a.seconds = av.at("seconds").asDouble();
-    a.member = static_cast<int>(av.at("member").asInt64());
-    a.memberName = av.at("member_name").asString();
-    a.winner = av.at("winner").asBool();
-    a.cancelled = av.at("cancelled").asBool();
-    a.satConflicts = av.at("sat_conflicts").asUint64();
-    a.satDecisions = av.at("sat_decisions").asUint64();
-    a.satPropagations = av.at("sat_propagations").asUint64();
-    a.aigNodes = static_cast<std::size_t>(av.at("aig_nodes").asUint64());
-    a.satLearnts = av.at("sat_learnts").asUint64();
-    a.satSubsumed = av.at("sat_subsumed").asUint64();
-    a.satVivified = av.at("sat_vivified").asUint64();
-    a.satEliminatedVars = av.at("sat_eliminated_vars").asUint64();
-    a.rewriteSavedNodes = av.at("rewrite_saved_nodes").asUint64();
-    a.invCandidates = av.at("inv_candidates").asUint64();
-    a.invCertified = av.at("inv_certified").asUint64();
-    b.attemptLog.push_back(std::move(a));
-  }
+  rec.result = decodeBlockResult(v.at("result"));
   return rec;
 }
 

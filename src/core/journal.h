@@ -13,16 +13,22 @@
 // On-disk layout (two files derived from one base path):
 //   <base>.hdr  — one JSON object {"format","version","plan"}, committed by
 //                 write-tmp + fsync + atomic rename (fault site
-//                 journal.commit).  The rename is the "journal live"
-//                 barrier: a crash before it leaves the previous header
-//                 (or none) and an empty WAL — a cold start, never a lie.
+//                 journal.commit); any version but 2 is a bad header, so
+//                 an older journal cold-starts.  The rename is the
+//                 "journal live" barrier: a crash before it leaves the
+//                 previous header (or none) and an empty WAL — a cold
+//                 start, never a lie.
 //   <base>.wal  — append-only frames, one per record:
 //                     <len> <crc32:8 hex> <payload>\n
 //                 where len is the payload's byte length and the CRC is
 //                 over the payload bytes only.  Appends write the whole
 //                 frame then fsync (fault sites journal.append,
 //                 journal.fsync); a frame is valid only when complete and
-//                 checksum-clean.
+//                 checksum-clean.  The payload is
+//                     {"digest","fingerprint","has_drc","result"}
+//                 where "result" is the block's encodeBlockResult object
+//                 (core/plan.h) — the same object the plan report writes,
+//                 counters included as one generic "counters" map.
 //
 // Corruption is a first-class input, not an error path.  `load` classifies:
 //   * torn tail — the file ends mid-frame (crash during append): the tail
@@ -57,9 +63,9 @@ namespace dfv::core {
 struct JournalRecord {
   std::uint64_t digest = 0;       ///< the block's content digest at run time
   std::uint64_t fingerprint = 0;  ///< problem fingerprint (see below)
-  /// A block that ran DRC (including one the gate blocked) carries
-  /// diagnostics the journal does not serialize; such records are never
-  /// resumable (DRC is re-evaluated live, not replayed from disk).
+  /// A block that ran DRC (including one the gate blocked) is never
+  /// resumable: its diagnostics are written but never decoded, because DRC
+  /// is re-evaluated live, not replayed from disk.
   bool hasDrc = false;
   BlockResult result;  ///< result.block names the block
 };

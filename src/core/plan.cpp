@@ -1,8 +1,106 @@
 #include "core/plan.h"
 
+#include <concepts>
 #include <sstream>
 
 namespace dfv::core {
+
+using common::JsonValue;
+using common::JsonWriter;
+
+namespace {
+
+const char* statusName(const BlockResult& b) {
+  return b.skippedUnchanged ? "skipped"
+         : b.blockedByDrc   ? "blocked"
+         : b.faulted        ? "faulted"
+         : b.inconclusive   ? "inconclusive"
+         : b.passed         ? "pass"
+                            : "fail";
+}
+
+// The fields the codec carries, each named once: encodeBlockResult and
+// decodeBlockResult both walk these lists, so no field can be written
+// under one key and read back under another.
+template <typename F>
+void attemptFields(F&& f) {
+  f("rung", &AttemptRecord::rung);
+  f("max_conflicts", &AttemptRecord::maxConflicts);
+  f("max_propagations", &AttemptRecord::maxPropagations);
+  f("outcome", &AttemptRecord::outcome);
+  f("faulted", &AttemptRecord::faulted);
+  f("seconds", &AttemptRecord::seconds);
+  f("member", &AttemptRecord::member);
+  f("member_name", &AttemptRecord::memberName);
+  f("winner", &AttemptRecord::winner);
+  f("cancelled", &AttemptRecord::cancelled);
+  f("counters", &AttemptRecord::counters);
+}
+
+template <typename F>
+void blockFields(F&& f) {
+  f("passed", &BlockResult::passed);
+  f("skipped_unchanged", &BlockResult::skippedUnchanged);
+  f("blocked_by_drc", &BlockResult::blockedByDrc);
+  f("inconclusive", &BlockResult::inconclusive);
+  f("faulted", &BlockResult::faulted);
+  f("degraded", &BlockResult::degraded);
+  f("resumed", &BlockResult::resumed);
+  f("attempts", &BlockResult::attempts);
+  f("fault_injections", &BlockResult::faultInjections);
+  f("seconds", &BlockResult::seconds);
+  f("detail", &BlockResult::detail);
+  f("portfolio_winner", &BlockResult::portfolioWinner);
+  f("portfolio_winner_name", &BlockResult::portfolioWinnerName);
+  f("counters", &BlockResult::counters);
+  f("attempt_log", &BlockResult::attemptLog);
+}
+
+template <typename T>
+void put(JsonWriter& w, const T& v) {
+  w.value(v);
+}
+
+void put(JsonWriter& w, const std::map<std::string, std::uint64_t>& counters) {
+  w.beginObject();
+  for (const auto& [name, value] : counters) w.field(name, value);
+  w.endObject();
+}
+
+void put(JsonWriter& w, const std::vector<AttemptRecord>& log) {
+  w.beginArray();
+  for (const AttemptRecord& a : log) {
+    w.beginObject();
+    attemptFields([&](const char* k, auto m) { put(w.key(k), a.*m); });
+    w.endObject();
+  }
+  w.endArray();
+}
+
+// Readers are strict: JsonValue throws CheckError on a type mismatch, and
+// asInteger on a value that does not fit the field.
+void get(const JsonValue& v, bool& out) { out = v.asBool(); }
+void get(const JsonValue& v, double& out) { out = v.asDouble(); }
+void get(const JsonValue& v, std::string& out) { out = v.asString(); }
+
+template <std::integral T>
+void get(const JsonValue& v, T& out) {
+  out = v.asInteger<T>();
+}
+
+void get(const JsonValue& v, std::map<std::string, std::uint64_t>& out) {
+  for (const auto& [name, value] : v.members())
+    out.emplace(name, value.asUint64());
+}
+
+void get(const JsonValue& v, std::vector<AttemptRecord>& out) {
+  for (const JsonValue& av : v.items()) {
+    AttemptRecord& a = out.emplace_back();
+    attemptFields([&](const char* k, auto m) { get(av.at(k), a.*m); });
+  }
+}
+
+}  // namespace
 
 bool isResumableVerdict(const BlockResult& r) {
   // The extra conjuncts beyond "passed and clean" are belt-and-braces for
@@ -30,6 +128,52 @@ std::string PlanReport::summary() const {
   if (faulted > 0) os << " (" << faulted << " faulted)";
   if (degraded > 0) os << " (" << degraded << " degraded to cosim)";
   return os.str();
+}
+
+void encodeBlockResult(JsonWriter& w, const BlockResult& b) {
+  w.beginObject()
+      .field("name", b.block)
+      .field("method", b.method == Method::kSec ? "sec" : "cosim")
+      .field("status", statusName(b));
+  blockFields([&](const char* k, auto m) { put(w.key(k), b.*m); });
+  if (b.drc.has_value()) b.drc->writeJson(w.key("drc"));
+  w.endObject();
+}
+
+BlockResult decodeBlockResult(const JsonValue& v) {
+  BlockResult b;
+  b.block = v.at("name").asString();
+  const std::string& method = v.at("method").asString();
+  DFV_CHECK_MSG(method == "sec" || method == "cosim",
+                "bad block method '" << method << "'");
+  b.method = method == "sec" ? Method::kSec : Method::kCosim;
+  blockFields([&](const char* k, auto m) { get(v.at(k), b.*m); });
+  return b;
+}
+
+std::string PlanReport::json(const std::string& planName) const {
+  JsonWriter w;
+  w.beginObject()
+      .field("plan", planName)
+      .key("summary")
+      .beginObject()
+      .field("verified", verified)
+      .field("skipped", skipped)
+      .field("failed", failed)
+      .field("inconclusive", inconclusive)
+      .field("blocked", blocked)
+      .field("faulted", faulted)
+      .field("degraded", degraded)
+      .field("resumed", resumed)
+      .field("workers", workers)
+      .field("total_seconds", totalSeconds)
+      .field("all_passed", allPassed())
+      .endObject()
+      .key("blocks")
+      .beginArray();
+  for (const BlockResult& b : blocks) encodeBlockResult(w, b);
+  w.endArray().endObject();
+  return w.str();
 }
 
 void PlanReport::tally(const BlockResult& r) {

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -51,30 +52,12 @@ struct AttemptRecord {
   std::string memberName;
   bool winner = false;
   bool cancelled = false;
-  /// Deterministic per-attempt solver telemetry (SecStats deltas of THIS
-  /// attempt only — each attempt runs a fresh engine, so these are
-  /// disjoint across rungs, never cumulative).  They double as the replay
-  /// fingerprint: re-running the winning member single-threaded must
-  /// reproduce them bit-for-bit.
-  std::uint64_t satConflicts = 0;
-  std::uint64_t satDecisions = 0;
-  std::uint64_t satPropagations = 0;
-  std::size_t aigNodes = 0;
-  /// Clause-DB telemetry: learnt clauses across all phases, plus what the
-  /// inter-restart inprocessing passes did to the database (zero with
-  /// SolverOptions::inprocess off).
-  std::uint64_t satLearnts = 0;
-  std::uint64_t satSubsumed = 0;
-  std::uint64_t satVivified = 0;
-  std::uint64_t satEliminatedVars = 0;
-  /// AIG nodes removed from miter cones by DAG-aware rewriting (zero with
-  /// SecOptions::rewrite off).
-  std::uint64_t rewriteSavedNodes = 0;
-  /// Invariant strengthening (SecStats::inv, both sides summed; zero with
-  /// SecOptions::invariants off).  A rung that flips invariants on shows
-  /// up here as candidates appearing and, on a rescue, certified > 0.
-  std::uint64_t invCandidates = 0;
-  std::uint64_t invCertified = 0;
+  /// Deterministic counters of THIS attempt (sec::deterministicCounters;
+  /// each attempt runs a fresh engine, so they are disjoint across rungs,
+  /// never cumulative).  They double as the replay fingerprint: re-running
+  /// the winning member single-threaded must reproduce them bit-for-bit.
+  /// Empty for cosim and faulted attempts.
+  std::map<std::string, std::uint64_t> counters;
 };
 
 /// Result of verifying one block.
@@ -89,13 +72,10 @@ struct BlockResult {
   bool degraded = false;   ///< SEC never concluded; fell back to cosim
   unsigned attempts = 1;   ///< verification attempts consumed (retry ladder)
   std::uint64_t faultInjections = 0;  ///< injector firings during this block
-  /// Slice telemetry from the last SEC attempt (SecStats::slice, both sides
-  /// summed; zero for cosim blocks or with SecOptions::slice off).
-  std::uint64_t sliceStatesSevered = 0;
-  std::uint64_t sliceSeqConstants = 0;
-  /// Certified invariants from the last SEC attempt (SecStats::inv, both
-  /// sides; zero for cosim blocks or with SecOptions::invariants off).
-  std::uint64_t invCertified = 0;
+  /// Counters of the last SEC attempt that returned a result (under
+  /// portfolio racing, of the member whose verdict was taken); empty for
+  /// cosim blocks.
+  std::map<std::string, std::uint64_t> counters;
   double seconds = 0.0;
   std::string detail;  ///< verdict name, mismatch summary, cex summary...
   std::vector<AttemptRecord> attemptLog;  ///< per-attempt telemetry
@@ -122,6 +102,15 @@ struct BlockResult {
 /// exactly this function, so the two policies cannot drift apart
 /// (tests/journal_test.cpp pins the equivalence).
 bool isResumableVerdict(const BlockResult& r);
+
+/// THE BlockResult JSON codec: PlanReport::json writes one object per block
+/// with it and the journal embeds one per record.  The object carries every
+/// field plus the derived "status" and, when present, the "drc" report.
+void encodeBlockResult(common::JsonWriter& w, const BlockResult& b);
+/// Strict inverse: a missing or mistyped field, or an integer too wide for
+/// its field, throws CheckError.  "status" and "drc" are not decoded (DRC
+/// is re-evaluated live, never replayed).
+BlockResult decodeBlockResult(const common::JsonValue& v);
 
 /// Report for a whole plan run.
 struct PlanReport {

@@ -82,29 +82,6 @@ sec::SecOptions attemptOptions(const sec::SecOptions& base, unsigned attempt,
   return opts;
 }
 
-/// Copies the replay-fingerprint telemetry of one attempt's SecStats into
-/// its AttemptRecord.  Each attempt runs a fresh engine, so these are the
-/// attempt's own costs — disjoint across rungs, never cumulative.
-void recordSecTelemetry(AttemptRecord& rec, const sec::SecStats& s) {
-  rec.satConflicts = s.satConflicts;
-  rec.satDecisions = s.satDecisions;
-  std::uint64_t props = s.induction.propagations;
-  std::uint64_t learnts = s.induction.learntClauses;
-  for (const sec::PhaseStats& p : s.bmcTransactions) {
-    props += p.propagations;
-    learnts += p.learntClauses;
-  }
-  rec.satPropagations = props;
-  rec.satLearnts = learnts;
-  rec.satSubsumed = s.satSubsumedClauses;
-  rec.satVivified = s.satVivifiedClauses;
-  rec.satEliminatedVars = s.satEliminatedVars;
-  rec.rewriteSavedNodes = s.rewriteSavedNodes;
-  rec.aigNodes = s.aigNodes;
-  rec.invCandidates = s.inv.candidates;
-  rec.invCertified = s.inv.certified;
-}
-
 /// Runs one cosim attempt — a cosim block's runner or a SEC block's
 /// degradation fallback — into `r`, isolating a throw as a fault.
 void runCosimAttempt(const ResilientRunner::CosimRunner& runner,
@@ -250,11 +227,7 @@ BlockResult ResilientRunner::runEntry(Entry& e) {
         if (sr.cex.has_value()) r.detail += ": " + sr.cex->summary();
         inductionCutOff = sr.verdict == sec::Verdict::kBoundedEquivalent &&
                           sr.stats.induction.budgetExhausted;
-        r.sliceStatesSevered = sr.stats.slice.slm.statesSevered +
-                               sr.stats.slice.rtl.statesSevered;
-        r.sliceSeqConstants = sr.stats.slice.slm.seqConstants +
-                              sr.stats.slice.rtl.seqConstants;
-        r.invCertified = sr.stats.inv.certified;
+        r.counters = sec::deterministicCounters(sr.stats);
       };
       if (!racing()) {
         AttemptRecord rec = attemptRow(attempt, opts);
@@ -263,7 +236,7 @@ BlockResult ResilientRunner::runEntry(Entry& e) {
           const sec::SecResult sr = e.secRunner(opts);
           applyResult(sr);
           rec.outcome = sec::verdictName(sr.verdict);
-          recordSecTelemetry(rec, sr.stats);
+          rec.counters = r.counters;
         } catch (const std::exception& ex) {
           faultedNow = true;
           r.passed = false;
@@ -294,7 +267,7 @@ BlockResult ResilientRunner::runEntry(Entry& e) {
             rec.outcome = sec::verdictName(a.result.verdict);
             // Loser telemetry describes a cancelled run and varies with
             // scheduling; only the winner's row is a replay fingerprint.
-            recordSecTelemetry(rec, a.result.stats);
+            rec.counters = sec::deterministicCounters(a.result.stats);
           }
           r.attemptLog.push_back(std::move(rec));
         }

@@ -1,7 +1,6 @@
 #include "drc/diagnostics.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 
 namespace dfv::drc {
@@ -126,95 +125,31 @@ void DrcReport::merge(const DrcReport& other) {
   diags_.insert(diags_.end(), other.diags_.begin(), other.diags_.end());
 }
 
-namespace {
-
-/// Length of the valid UTF-8 sequence starting at s[i], or 0 if the bytes
-/// there are not well-formed (truncated, overlong, a surrogate, or > U+10FFFF
-/// — the RFC 3629 table, which is also what JSON parsers enforce).
-std::size_t utf8SequenceLength(const std::string& s, std::size_t i) {
-  const auto byte = [&](std::size_t k) -> unsigned {
-    return static_cast<unsigned char>(s[k]);
-  };
-  const unsigned b0 = byte(i);
-  if (b0 < 0x80) return 1;
-  const auto cont = [&](std::size_t k) {
-    return k < s.size() && (byte(k) & 0xc0u) == 0x80u;
-  };
-  if (b0 >= 0xc2 && b0 <= 0xdf) return cont(i + 1) ? 2 : 0;
-  if (b0 >= 0xe0 && b0 <= 0xef) {
-    if (!cont(i + 1) || !cont(i + 2)) return 0;
-    const unsigned b1 = byte(i + 1);
-    if (b0 == 0xe0 && b1 < 0xa0) return 0;  // overlong
-    if (b0 == 0xed && b1 > 0x9f) return 0;  // UTF-16 surrogate range
-    return 3;
-  }
-  if (b0 >= 0xf0 && b0 <= 0xf4) {
-    if (!cont(i + 1) || !cont(i + 2) || !cont(i + 3)) return 0;
-    const unsigned b1 = byte(i + 1);
-    if (b0 == 0xf0 && b1 < 0x90) return 0;  // overlong
-    if (b0 == 0xf4 && b1 > 0x8f) return 0;  // above U+10FFFF
-    return 4;
-  }
-  return 0;  // 0x80..0xc1 (bare continuation / overlong lead), 0xf5..0xff
-}
-
-}  // namespace
-
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (std::size_t i = 0; i < s.size();) {
-    const char c = s[i];
-    const auto uc = static_cast<unsigned char>(c);
-    switch (c) {
-      case '"': out += "\\\""; ++i; continue;
-      case '\\': out += "\\\\"; ++i; continue;
-      case '\b': out += "\\b"; ++i; continue;
-      case '\f': out += "\\f"; ++i; continue;
-      case '\n': out += "\\n"; ++i; continue;
-      case '\r': out += "\\r"; ++i; continue;
-      case '\t': out += "\\t"; ++i; continue;
-      default: break;
-    }
-    if (uc < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", uc);
-      out += buf;
-      ++i;
-      continue;
-    }
-    const std::size_t len = utf8SequenceLength(s, i);
-    if (len == 0) {
-      // Ill-formed UTF-8 (diagnostics quote raw design bytes): substitute
-      // U+FFFD per byte rather than emitting a JSON document parsers reject.
-      out += "\\ufffd";
-      ++i;
-      continue;
-    }
-    out.append(s, i, len);
-    i += len;
-  }
-  return out;
-}
-
 std::string DrcReport::toJson() const {
-  std::ostringstream os;
-  os << "{\"errors\":" << errors() << ",\"warnings\":" << warnings()
-     << ",\"infos\":" << count(Severity::kInfo)
-     << ",\"clean\":" << (clean() ? "true" : "false") << ",\"diagnostics\":[";
-  for (std::size_t i = 0; i < diags_.size(); ++i) {
-    const Diagnostic& d = diags_[i];
-    if (i > 0) os << ',';
-    os << "{\"rule\":\"" << ruleName(d.rule) << "\",\"severity\":\""
-       << severityName(d.severity) << "\",\"layer\":\"" << layerName(d.layer)
-       << "\",\"location\":\"" << jsonEscape(d.location)
-       << "\",\"message\":\"" << jsonEscape(d.message) << '"';
-    if (!d.evidence.empty())
-      os << ",\"evidence\":\"" << jsonEscape(d.evidence) << '"';
-    os << '}';
+  common::JsonWriter w;
+  writeJson(w);
+  return w.str();
+}
+
+void DrcReport::writeJson(common::JsonWriter& w) const {
+  w.beginObject()
+      .field("errors", errors())
+      .field("warnings", warnings())
+      .field("infos", count(Severity::kInfo))
+      .field("clean", clean())
+      .key("diagnostics")
+      .beginArray();
+  for (const Diagnostic& d : diags_) {
+    w.beginObject()
+        .field("rule", ruleName(d.rule))
+        .field("severity", severityName(d.severity))
+        .field("layer", layerName(d.layer))
+        .field("location", d.location)
+        .field("message", d.message);
+    if (!d.evidence.empty()) w.field("evidence", d.evidence);
+    w.endObject();
   }
-  os << "]}";
-  return os.str();
+  w.endArray().endObject();
 }
 
 }  // namespace dfv::drc

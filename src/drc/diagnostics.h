@@ -6,15 +6,16 @@
 // Diagnostic: a stable rule identifier, a severity, the layer the rule
 // inspected (SLM source, IR, RTL netlist, SEC problem shape), a
 // human-readable location path, and a message.  A DrcReport aggregates the
-// diagnostics of one run and serializes to the same dependency-free JSON
-// style core::PlanReport::json uses, so CI systems get one machine-readable
-// stream for lint results and verification results alike.
+// diagnostics of one run and serializes through common::JsonWriter, the
+// writer core::PlanReport::json also uses, so CI systems get one
+// machine-readable stream for lint results and verification results alike.
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "common/check.h"
+#include "common/json.h"
 
 namespace dfv::drc {
 
@@ -138,6 +139,8 @@ class DrcReport {
 
   /// {"errors":N,"warnings":N,"infos":N,"clean":bool,"diagnostics":[...]}.
   std::string toJson() const;
+  /// Writes the toJson() object as the writer's next value.
+  void writeJson(common::JsonWriter& w) const;
 
   /// Appends every diagnostic of `other` (used to merge per-layer passes).
   void merge(const DrcReport& other);
@@ -146,7 +149,8 @@ class DrcReport {
   std::vector<Diagnostic> diags_;
 };
 
-/// Escapes a string for embedding in a JSON value (shared with core).
-std::string jsonEscape(const std::string& s);
+/// The JSON string escaper lives in common; this name stays for callers
+/// that reach it through the DRC header.
+using common::jsonEscape;
 
 }  // namespace dfv::drc

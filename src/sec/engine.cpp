@@ -22,6 +22,39 @@ const char* verdictName(Verdict v) {
   DFV_UNREACHABLE("bad verdict");
 }
 
+std::map<std::string, std::uint64_t> deterministicCounters(
+    const SecStats& s) {
+  std::uint64_t propagations = s.induction.propagations;
+  std::uint64_t learnts = s.induction.learntClauses;
+  for (const PhaseStats& p : s.bmcTransactions) {
+    propagations += p.propagations;
+    learnts += p.learntClauses;
+  }
+  return {
+      {"transactions_checked", s.transactionsChecked},
+      {"aig_nodes", s.aigNodes},
+      {"bmc_aig_nodes", s.bmcAigNodes},
+      {"induction_aig_nodes", s.inductionAigNodes},
+      {"sat_conflicts", s.satConflicts},
+      {"sat_decisions", s.satDecisions},
+      {"sat_propagations", propagations},
+      {"sat_learnts", learnts},
+      {"sat_subsumed", s.satSubsumedClauses},
+      {"sat_vivified", s.satVivifiedClauses},
+      {"sat_eliminated_vars", s.satEliminatedVars},
+      {"sat_inprocess_rounds", s.satInprocessRounds},
+      {"fraig_sat_calls", s.fraigSatCalls},
+      {"rewrite_applied", s.rewriteApplied},
+      {"rewrite_saved_nodes", s.rewriteSavedNodes},
+      {"slice_states_severed",
+       s.slice.slm.statesSevered + s.slice.rtl.statesSevered},
+      {"slice_seq_constants",
+       s.slice.slm.seqConstants + s.slice.rtl.seqConstants},
+      {"inv_candidates", s.inv.candidates},
+      {"inv_certified", s.inv.certified},
+  };
+}
+
 std::string Counterexample::summary() const {
   std::ostringstream os;
   os << "transaction " << failingTransaction << ": SLM." << check.slmOutput

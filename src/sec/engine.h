@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -189,6 +190,12 @@ struct SecStats {
   /// SecOptions::invariants).
   InvStats inv{};
 };
+
+/// The run's deterministic counters under their report/journal names — the
+/// only place a counter is named, so a new one is one line here.  No wall
+/// time: the map is also the portfolio replay fingerprint, which re-running
+/// the recorded winner single-threaded must reproduce exactly.
+std::map<std::string, std::uint64_t> deterministicCounters(const SecStats& s);
 
 struct SecResult {
   Verdict verdict = Verdict::kBoundedEquivalent;

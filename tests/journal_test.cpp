@@ -14,8 +14,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -186,6 +188,62 @@ TEST(Json, ParseLinesRejectsBlankAndMalformedLines) {
   }
 }
 
+// Everything the one writer emits, the strict reader accepts and decodes
+// back: every control character, ill-formed UTF-8 (as U+FFFD per byte),
+// the integer extremes, doubles bit-exact, non-finite doubles as null, and
+// empty containers nested in each other.
+TEST(Json, WriterOutputRoundTripsThroughTheStrictReader) {
+  std::string controls;
+  for (char c = 0; c < 0x20; ++c) controls += c;
+  controls += "\"\\\x7f";
+  const std::string badUtf8 = "a\x80" "b\xc0\xaf" "c\xed\xa0\x80"
+                              "d\xf4\x90\x80\x80" "e\xe2\x82";
+  common::JsonWriter w;
+  w.beginObject()
+      .field("controls", controls)
+      .field("bad_utf8", badUtf8)
+      .field("u64_max", std::numeric_limits<std::uint64_t>::max())
+      .field("i64_min", std::numeric_limits<std::int64_t>::min())
+      .field("tenth", 0.1)
+      .field("third", 1.0 / 3)
+      .field("nan", std::nan(""))
+      .field("inf", std::numeric_limits<double>::infinity())
+      .key("nested")
+      .beginArray()
+      .beginArray().endArray()
+      .beginObject().endObject()
+      .beginObject().key("e").beginArray().beginArray().endArray().endArray()
+      .endObject()
+      .endArray()
+      .endObject();
+  const std::string doc = w.str();
+  EXPECT_EQ(doc.find(' '), std::string::npos);  // compact: "key":value
+  const JsonValue v = common::parseJson(doc);
+  EXPECT_EQ(v.at("controls").asString(), controls);
+  const std::string r = "\xef\xbf\xbd";  // U+FFFD
+  EXPECT_EQ(v.at("bad_utf8").asString(),
+            "a" + r + "b" + r + r + "c" + r + r + r + "d" + r + r + r + r +
+                "e" + r + r);
+  EXPECT_EQ(v.at("u64_max").asUint64(),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(v.at("i64_min").asInt64(),
+            std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(v.at("tenth").asDouble(), 0.1);  // bit-exact
+  EXPECT_EQ(v.at("third").asDouble(), 1.0 / 3);
+  EXPECT_TRUE(v.at("nan").isNull());
+  EXPECT_TRUE(v.at("inf").isNull());
+  const auto& nested = v.at("nested").items();
+  ASSERT_EQ(nested.size(), 3u);
+  EXPECT_TRUE(nested[0].items().empty());
+  EXPECT_TRUE(nested[1].members().empty());
+  ASSERT_EQ(nested[2].at("e").items().size(), 1u);
+  EXPECT_TRUE(nested[2].at("e").items()[0].items().empty());
+  // An unterminated document is a writer bug, not output.
+  common::JsonWriter open;
+  open.beginObject().key("k");
+  EXPECT_THROW((void)open.str(), CheckError);
+}
+
 // The existing gap the reader closes: nothing in-repo ever PARSED the
 // documents PlanReport::json emits.  Round-trip one through the strict
 // parser and check the load-bearing fields.
@@ -225,10 +283,9 @@ JournalRecord richRecord() {
   b.passed = true;
   b.attempts = 3;
   b.faultInjections = 7;
-  b.sliceStatesSevered = 11;
-  b.sliceSeqConstants = 4;
-  b.invCertified = 2;
-  b.seconds = 0.1;  // not exactly representable: %.17g must round-trip it
+  b.resumed = true;
+  b.counters = {{"slice_states_severed", 11}, {"inv_certified", 2}};
+  b.seconds = 0.1;  // not exactly representable: must round-trip bit-exact
   b.detail = "proven equivalent";
   b.portfolioWinner = 1;
   b.portfolioWinnerName = "seed+1";
@@ -241,17 +298,10 @@ JournalRecord richRecord() {
   a.member = 1;
   a.memberName = "seed+1";
   a.winner = true;
-  a.satConflicts = 123456789012345ull;
-  a.satDecisions = 42;
-  a.satPropagations = 99;
-  a.aigNodes = 1024;
-  a.satLearnts = 17;
-  a.satSubsumed = 5;
-  a.satVivified = 3;
-  a.satEliminatedVars = 2;
-  a.rewriteSavedNodes = 8;
-  a.invCandidates = 6;
-  a.invCertified = 2;
+  a.counters = sec::deterministicCounters(sec::SecStats{});
+  std::uint64_t n = 0;
+  for (auto& [name, value] : a.counters) value = ++n * 1000003;
+  a.counters["sat_conflicts"] = 18446744073709551615ull;  // max u64
   b.attemptLog.push_back(a);
   a.rung = 0;
   a.winner = false;
@@ -278,10 +328,9 @@ void expectSameRecord(const JournalRecord& x, const JournalRecord& y) {
   EXPECT_EQ(a.degraded, b.degraded);
   EXPECT_EQ(a.attempts, b.attempts);
   EXPECT_EQ(a.faultInjections, b.faultInjections);
-  EXPECT_EQ(a.sliceStatesSevered, b.sliceStatesSevered);
-  EXPECT_EQ(a.sliceSeqConstants, b.sliceSeqConstants);
-  EXPECT_EQ(a.invCertified, b.invCertified);
-  EXPECT_EQ(a.seconds, b.seconds);  // bit-exact via %.17g
+  EXPECT_EQ(a.resumed, b.resumed);
+  EXPECT_EQ(a.counters, b.counters);
+  EXPECT_EQ(a.seconds, b.seconds);  // bit-exact: shortest round-trip form
   EXPECT_EQ(a.detail, b.detail);
   EXPECT_EQ(a.portfolioWinner, b.portfolioWinner);
   EXPECT_EQ(a.portfolioWinnerName, b.portfolioWinnerName);
@@ -299,17 +348,7 @@ void expectSameRecord(const JournalRecord& x, const JournalRecord& y) {
     EXPECT_EQ(p.memberName, q.memberName);
     EXPECT_EQ(p.winner, q.winner);
     EXPECT_EQ(p.cancelled, q.cancelled);
-    EXPECT_EQ(p.satConflicts, q.satConflicts);
-    EXPECT_EQ(p.satDecisions, q.satDecisions);
-    EXPECT_EQ(p.satPropagations, q.satPropagations);
-    EXPECT_EQ(p.aigNodes, q.aigNodes);
-    EXPECT_EQ(p.satLearnts, q.satLearnts);
-    EXPECT_EQ(p.satSubsumed, q.satSubsumed);
-    EXPECT_EQ(p.satVivified, q.satVivified);
-    EXPECT_EQ(p.satEliminatedVars, q.satEliminatedVars);
-    EXPECT_EQ(p.rewriteSavedNodes, q.rewriteSavedNodes);
-    EXPECT_EQ(p.invCandidates, q.invCandidates);
-    EXPECT_EQ(p.invCertified, q.invCertified);
+    EXPECT_EQ(p.counters, q.counters);
   }
 }
 
@@ -324,13 +363,24 @@ TEST(RecordCodec, RoundTripsEveryField) {
 TEST(RecordCodec, RejectsWellFormedJsonThatIsNotARecord) {
   EXPECT_THROW((void)Journal::decodeRecord(common::parseJson("{\"x\":1}")),
                CheckError);
-  // Right shape, wrong method string.
-  std::string payload = Journal::encodeRecord(richRecord());
-  const std::size_t at = payload.find("\"sec\"");
-  ASSERT_NE(at, std::string::npos);
-  payload.replace(at, 5, "\"hec\"");
-  EXPECT_THROW((void)Journal::decodeRecord(common::parseJson(payload)),
-               CheckError);
+  // Right shape, one field patched: a wrong method string, and integers
+  // that parse as u64/i64 but do not fit their narrower fields (they must
+  // be rejected, never wrapped: 2^32+3 attempts is not 3 attempts).
+  const std::string good = Journal::encodeRecord(richRecord());
+  const std::pair<std::string, std::string> patches[] = {
+      {"\"method\":\"sec\"", "\"method\":\"hec\""},
+      {"\"attempts\":3", "\"attempts\":4294967299"},
+      {"\"member\":1", "\"member\":1099511627776"},
+  };
+  for (const auto& [from, to] : patches) {
+    std::string payload = good;
+    const std::size_t at = payload.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    payload.replace(at, from.size(), to);
+    EXPECT_THROW((void)Journal::decodeRecord(common::parseJson(payload)),
+                 CheckError)
+        << to;
+  }
 }
 
 // ----- Journal write/load and the damage taxonomy ---------------------------
@@ -373,6 +423,16 @@ TEST(JournalIo, MissingAndBadHeaders) {
                  "{\"format\":\"dfv-journal\",\"version\":999,"
                  "\"plan\":\"soc\"}\n");
   EXPECT_EQ(Journal::load(wrongVersion).damage, JournalDamage::kBadHeader);
+
+  // A version-1 journal (the pre-counter-map record shape) cold-starts.
+  const std::string v1 = tempBase("v1");
+  { Journal j(v1, "soc"); j.append(richRecord()); }
+  writeFileOrDie(v1 + ".hdr",
+                 "{\"format\":\"dfv-journal\",\"version\":1,"
+                 "\"plan\":\"soc\"}\n");
+  loaded = Journal::load(v1);
+  EXPECT_EQ(loaded.damage, JournalDamage::kBadHeader);
+  EXPECT_TRUE(loaded.records.empty());
 }
 
 TEST(JournalIo, ReconstructionOverwritesAStaleJournal) {

@@ -205,11 +205,11 @@ TEST(RetryLadder, AttemptRowsRecordDisjointPerAttemptTelemetry) {
   ASSERT_EQ(log.size(), 3u);
   for (unsigned i = 0; i < 3; ++i) {
     EXPECT_EQ(log[i].rung, i) << i;
-    EXPECT_EQ(log[i].satConflicts, 100u * (i + 1)) << i;
-    EXPECT_EQ(log[i].satDecisions, 10u * (i + 1)) << i;
-    // satPropagations sums this attempt's BMC phases plus induction.
-    EXPECT_EQ(log[i].satPropagations, 1005u * (i + 1)) << i;
-    EXPECT_EQ(log[i].aigNodes, 7u * (i + 1)) << i;
+    EXPECT_EQ(log[i].counters.at("sat_conflicts"), 100u * (i + 1)) << i;
+    EXPECT_EQ(log[i].counters.at("sat_decisions"), 10u * (i + 1)) << i;
+    // sat_propagations sums this attempt's BMC phases plus induction.
+    EXPECT_EQ(log[i].counters.at("sat_propagations"), 1005u * (i + 1)) << i;
+    EXPECT_EQ(log[i].counters.at("aig_nodes"), 7u * (i + 1)) << i;
   }
 }
 
@@ -448,10 +448,10 @@ TEST(RealDesigns, InvariantRungRescuesWrapcntFromBoundedToProven) {
   ASSERT_EQ(b.attemptLog.size(), 2u);
   EXPECT_EQ(b.attemptLog[0].outcome, "bounded-equivalent");
   EXPECT_EQ(b.attemptLog[1].outcome, "proven-equivalent");
-  EXPECT_EQ(b.attemptLog[0].invCertified, 0u);
-  EXPECT_EQ(b.attemptLog[0].invCandidates, 0u);
-  EXPECT_GT(b.attemptLog[1].invCertified, 0u);
-  EXPECT_EQ(b.invCertified, b.attemptLog[1].invCertified);
+  EXPECT_EQ(b.attemptLog[0].counters.at("inv_certified"), 0u);
+  EXPECT_EQ(b.attemptLog[0].counters.at("inv_candidates"), 0u);
+  EXPECT_GT(b.attemptLog[1].counters.at("inv_certified"), 0u);
+  EXPECT_EQ(b.counters, b.attemptLog[1].counters);
   const std::string json = report.json("wrapcnt");
   EXPECT_NE(json.find("\"inv_certified\":"), std::string::npos);
   EXPECT_NE(json.find("\"inv_candidates\":"), std::string::npos);
