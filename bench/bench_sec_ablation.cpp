@@ -709,7 +709,12 @@ int main(int argc, char** argv) {
   // (rewrite and fraig both off, under a conflict + propagation cap that
   // reports INCONCLUSIVE where it binds — gcd_breakif's off arm needs ~733k
   // conflicts at k = 1).  Gate: every completed off arm agrees with the on
-  // arm on the verdict and on the failing transaction.
+  // arm on the verdict and on the failing transaction, and gcd_breakif's
+  // on arm at k = 4 replays at least one depth from the rewrite memo (its
+  // depths add identical deltas; a change to the unroller's node order
+  // could otherwise turn the memo off silently).  The smoke run keeps only
+  // that gcd_breakif cell.
+  unsigned memoRegressions = 0;
   {
     struct SweepCase {
       const char* name;
@@ -744,9 +749,10 @@ int main(int argc, char** argv) {
                                           designs::FirBug::kWrongCoefficient)));
          }},
     };
-    if (smoke) sweepCases.erase(sweepCases.begin());  // gcd_breakif: seconds
     const std::vector<unsigned> bounds =
         smoke ? std::vector<unsigned>{1, 2} : std::vector<unsigned>{1, 2, 4, 8};
+    constexpr unsigned kMemoBound = 4;
+    std::uint64_t gcdMemoHits = 0;
     const unsigned detailBound = bounds.back();
     const std::int64_t offConflicts = smoke ? 10000 : 100000;
     const std::int64_t offPropagations = smoke ? 2000000 : 20000000;
@@ -760,7 +766,9 @@ int main(int argc, char** argv) {
                 "on verdict", "off verdict", "fail@");
     std::vector<std::string> detail;
     for (const SweepCase& c : sweepCases) {
-      for (const unsigned k : bounds) {
+      const bool gcd = std::string(c.name) == "gcd_breakif";
+      for (const unsigned k :
+           smoke && gcd ? std::vector<unsigned>{kMemoBound} : bounds) {
         sec::SecResult arms[2];
         double secs[2] = {0, 0};
         bool cut[2] = {false, false};
@@ -782,6 +790,7 @@ int main(int argc, char** argv) {
                     }) > 0;
         }
         const sec::SecResult& r = arms[1];
+        if (gcd && k == kMemoBound) gcdMemoHits = r.stats.rewriteMemoHits;
         const double rw = r.stats.rewriteTimeMs * 1e-3;
         const double fr = r.stats.fraigTimeMs * 1e-3;
         const double solve = sumPhases(
@@ -815,14 +824,16 @@ int main(int argc, char** argv) {
               .field("fraigSeconds", p.fraigTimeMs * 1e-3)
               .field("solveSeconds", p.seconds)
               .field("deltaNodes", p.rewriteNodesBefore)
-              .field("sweptNodes", p.fraigNodesBefore);
+              .field("sweptNodes", p.fraigNodesBefore)
+              .field("rewrite_memo_hits", p.rewriteMemoHits);
           if (k != detailBound) return;
           char line[160];
           std::snprintf(line, sizeof line,
-                        "%-12s %5s %8.3f %8.3f %8.3f %10zu %10zu", c.name,
-                        depth.c_str(), p.rewriteTimeMs * 1e-3,
+                        "%-12s %5s %8.3f %8.3f %8.3f %10zu %10zu %5llu",
+                        c.name, depth.c_str(), p.rewriteTimeMs * 1e-3,
                         p.fraigTimeMs * 1e-3, p.seconds, p.rewriteNodesBefore,
-                        p.fraigNodesBefore);
+                        p.fraigNodesBefore,
+                        static_cast<unsigned long long>(p.rewriteMemoHits));
           detail.emplace_back(line);
         };
         for (std::size_t t = 0; t < r.stats.bmcTransactions.size(); ++t)
@@ -845,11 +856,15 @@ int main(int argc, char** argv) {
     std::printf("\nper depth at k=%u, layers on (delta = AND nodes the "
                 "depth added to the miter):\n",
                 detailBound);
-    std::printf("%-12s %5s %8s %8s %8s %10s %10s\n", "design", "depth",
-                "rw(s)", "fraig(s)", "solve(s)", "delta", "swept");
+    std::printf("%-12s %5s %8s %8s %8s %10s %10s %5s\n", "design", "depth",
+                "rw(s)", "fraig(s)", "solve(s)", "delta", "swept", "memo");
     for (const std::string& line : detail) std::printf("%s\n", line.c_str());
+    if (gcdMemoHits == 0) ++memoRegressions;
     std::printf("(verdict and failing-transaction parity are part of the "
-                "mismatch count above)\n\n");
+                "mismatch count above; memo = depths replayed from the\n"
+                " rewrite memo; gcd_breakif at k=%u replayed %llu, must be "
+                "> 0)\n\n",
+                kMemoBound, static_cast<unsigned long long>(gcdMemoHits));
   }
 
   // --- Part 2: strash reserve + hash mixing ---------------------------------
@@ -1004,6 +1019,7 @@ int main(int argc, char** argv) {
       .field("verdictMismatches", verdictMismatches)
       .field("sliceRegressions", sliceRegressions)
       .field("rewriteRegressions", rewriteRegressions)
+      .field("memoRegressions", memoRegressions)
       .field("slice_states_severed", severedTotal)
       .field("slice_seq_constants", seqConstantsTotal)
       .field("invRegressions", invRegressions)
@@ -1011,7 +1027,7 @@ int main(int argc, char** argv) {
       .field("disagreements", disagreements);
   return report.write() && disagreements == 0 && verdictMismatches == 0 &&
                  sliceRegressions == 0 && rewriteRegressions == 0 &&
-                 invRegressions == 0
+                 invRegressions == 0 && memoRegressions == 0
              ? 0
              : 1;
 }

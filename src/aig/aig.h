@@ -8,8 +8,8 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/check.h"
@@ -29,7 +29,7 @@ inline bool isComplemented(Lit l) { return l & 1u; }
 /// An and-inverter graph with structural hashing.
 class Aig {
  public:
-  Aig() {
+  Aig() : strash_(16, 0) {
     // Node 0: constant false.
     fanin0_.push_back(kFalse);
     fanin1_.push_back(kFalse);
@@ -38,31 +38,18 @@ class Aig {
 
   /// Pre-sizes the node storage and the strash table for ~`nodes` nodes.
   /// The BMC engine knows how many transactions it will unroll and how big
-  /// one transaction's frame is, so it can avoid the rehash-and-copy churn
-  /// of growing a multi-million-entry table incrementally.
-  void reserve(std::size_t nodes) {
-    fanin0_.reserve(nodes);
-    fanin1_.reserve(nodes);
-    isInput_.reserve(nodes);
-    strash_.reserve(nodes);
-  }
+  /// one transaction's frame is, so it can avoid the rehash churn of
+  /// growing a multi-million-slot table incrementally.
+  void reserve(std::size_t nodes);
 
-  /// Current strash bucket count (telemetry for reserve()'s effect).
-  std::size_t strashBucketCount() const { return strash_.bucket_count(); }
+  /// Current strash slot count (telemetry for reserve()'s effect).
+  std::size_t strashBucketCount() const { return strash_.size(); }
 
   /// Creates a primary input; returns its positive literal.
   Lit makeInput(std::string name = "");
 
   /// AND of two literals (folded, simplified, hashed).
   Lit makeAnd(Lit a, Lit b);
-
-  /// Strash probe: the literal makeAnd(a, b) would return if it can be
-  /// produced without allocating a node (constant fold, trivial rule, or
-  /// an existing hashed node), or kNotFound otherwise.  Const — never
-  /// mutates the graph.  The rewriter prices candidate implementations
-  /// with this before committing them.
-  static constexpr Lit kNotFound = ~Lit{0};
-  Lit probeAnd(Lit a, Lit b) const;
 
   Lit makeOr(Lit a, Lit b) { return negate(makeAnd(negate(a), negate(b))); }
   Lit makeXor(Lit a, Lit b) {
@@ -106,7 +93,7 @@ class Aig {
   /// (indexed by node id; non-input positions ignored).  Used by property
   /// tests to check the blaster and the CNF encoding.
   std::vector<bool> evaluate(
-      const std::unordered_map<std::uint32_t, bool>& inputValues) const;
+      const std::map<std::uint32_t, bool>& inputValues) const;
 
   /// Evaluates a single literal under the given full node-value table.
   static bool litValue(const std::vector<bool>& nodeValues, Lit l) {
@@ -114,27 +101,20 @@ class Aig {
   }
 
  private:
-  struct PairHash {
-    std::size_t operator()(const std::pair<Lit, Lit>& p) const {
-      // splitmix64 finalizer.  libstdc++'s hash<uint64_t> is the identity,
-      // which makes (a<<32)|b keys collide structurally: sequentially
-      // allocated fanin pairs land in neighboring buckets and long probe
-      // chains form as the table fills.  Proper avalanche keeps the strash
-      // at O(1) across the multi-million-node BMC unrollings.
-      std::uint64_t x =
-          (static_cast<std::uint64_t>(p.first) << 32) | p.second;
-      x += 0x9e3779b97f4a7c15ULL;
-      x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-      return static_cast<std::size_t>(x ^ (x >> 31));
-    }
-  };
+  /// The strash slot holding the AND node with fan-ins (a, b), a < b, or
+  /// the empty slot where it belongs.
+  std::size_t strashSlot(Lit a, Lit b) const;
+  /// Re-inserts every AND node into a table of `slots` (a power of two).
+  void rehash(std::size_t slots);
 
   std::vector<Lit> fanin0_, fanin1_;  // per node; inputs have kFalse/kFalse
   std::vector<bool> isInput_;
   std::vector<std::uint32_t> inputs_;
-  std::unordered_map<std::uint32_t, std::string> inputNames_;
-  std::unordered_map<std::pair<Lit, Lit>, Lit, PairHash> strash_;
+  std::map<std::uint32_t, std::string> inputNames_;
+  // Structural hash: an open-addressing table of AND node ids (0 = empty;
+  // node 0 is the constant, never an AND), linear probing, keys read back
+  // from fanin0_/fanin1_, power-of-two size, load factor at most 1/2.
+  std::vector<std::uint32_t> strash_;
 };
 
 }  // namespace dfv::aig

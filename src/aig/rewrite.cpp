@@ -29,14 +29,15 @@ const std::array<std::array<std::uint8_t, 4>, 24>& permList() {
 }
 
 /// Lazily-built canonicalization table: for every 16-bit truth table, the
-/// orbit representative (smallest member, discovered in ascending order)
-/// and one transform that maps the representative onto it.  Deterministic:
-/// fixed iteration order, no hashing in the fill.
+/// orbit representative (smallest member, discovered in ascending order),
+/// one transform that maps the representative onto it, and the index of
+/// its class in the structure table.  Deterministic: fixed iteration order,
+/// no hashing in the fill.
 struct NpnTable {
   std::vector<npn::Canon> canon;
-  std::unordered_map<std::uint16_t, int> repIndex;
+  std::vector<std::uint8_t> classOf;  ///< per truth table, like canon
 
-  NpnTable() : canon(65536) {
+  NpnTable() : canon(65536), classOf(65536) {
     std::vector<bool> assigned(65536, false);
     int next = 0;
     for (std::uint32_t t = 0; t < 65536; ++t) {
@@ -46,13 +47,13 @@ struct NpnTable {
       // generator: representatives must match the table bit-for-bit.
       DFV_CHECK_MSG(next < kNpnClassCount && kNpnRepTT[next] == rep,
                     "NPN representative mismatch against rewrite_table.inc");
-      repIndex.emplace(rep, next);
       for (std::uint8_t pi = 0; pi < 24; ++pi)
         for (std::uint8_t mask = 0; mask < 32; ++mask) {
           const std::uint16_t x = npn::applyTransform(rep, pi, mask);
           if (!assigned[x]) {
             assigned[x] = true;
             canon[x] = npn::Canon{rep, pi, mask};
+            classOf[x] = static_cast<std::uint8_t>(next);
           }
         }
       ++next;
@@ -103,6 +104,17 @@ std::size_t coneAndCount(const Aig& g, const std::vector<Lit>& roots) {
   for (const std::uint32_t n : coneNodes(g, roots))
     if (g.isAndNode(n)) ++count;
   return count;
+}
+
+/// Exact structural equality: the same nodes, each of the same kind with the
+/// same fan-ins (so inputs sit at the same positions).
+bool sameStructure(const Aig& a, const Aig& b) {
+  if (a.numNodes() != b.numNodes()) return false;
+  for (std::uint32_t n = 1; n < a.numNodes(); ++n)
+    if (a.isInputNode(n) != b.isInputNode(n) || a.fanin0(n) != b.fanin0(n) ||
+        a.fanin1(n) != b.fanin1(n))
+      return false;
+  return true;
 }
 
 /// Recreates ALL inputs of `src` in `out` in id order (the same contract
@@ -229,26 +241,15 @@ struct Cut {
   std::uint16_t tt = 0;  // function of the node over leaves (var i = leaf i)
 };
 
-/// Re-expresses `c.tt` over the (super)set `uni` of leaves.
-std::uint16_t expandTT(const Cut& c, const std::array<std::uint32_t, 4>& uni,
-                       int uniSize) {
-  std::array<int, 4> pos{};
-  for (int k = 0; k < c.size; ++k) {
-    for (int u = 0; u < uniSize; ++u)
-      if (uni[static_cast<std::size_t>(u)] ==
-          c.leaves[static_cast<std::size_t>(k)]) {
-        pos[static_cast<std::size_t>(k)] = u;
-        break;
-      }
+/// Re-expresses `c.tt` over the sorted superset `uni` of its leaves.
+std::uint16_t expandTT(const Cut& c, const std::array<std::uint32_t, 4>& uni) {
+  std::array<std::uint8_t, 4> pos{};
+  std::uint8_t u = 0;
+  for (std::size_t k = 0; k < c.size; ++k) {
+    while (uni[u] != c.leaves[k]) ++u;
+    pos[k] = u;
   }
-  std::uint16_t r = 0;
-  for (int m = 0; m < 16; ++m) {
-    int sm = 0;
-    for (int k = 0; k < c.size; ++k)
-      sm |= ((m >> pos[static_cast<std::size_t>(k)]) & 1) << k;
-    r |= static_cast<std::uint16_t>(((c.tt >> sm) & 1) << m);
-  }
-  return r;
+  return npn::expandTruth(c.tt, c.size, pos);
 }
 
 /// Merges two fanin cuts (with their edge complements) into a cut of the
@@ -276,9 +277,9 @@ bool mergeCut(const Cut& a, bool compA, const Cut& b, bool compB, Cut& out) {
   out.leaves = uni;
   out.size = static_cast<std::uint8_t>(u);
   const std::uint16_t ta = static_cast<std::uint16_t>(
-      expandTT(a, uni, u) ^ (compA ? 0xFFFFu : 0u));
+      expandTT(a, uni) ^ (compA ? 0xFFFFu : 0u));
   const std::uint16_t tb = static_cast<std::uint16_t>(
-      expandTT(b, uni, u) ^ (compB ? 0xFFFFu : 0u));
+      expandTT(b, uni) ^ (compB ? 0xFFFFu : 0u));
   out.tt = static_cast<std::uint16_t>(ta & tb);
   return true;
 }
@@ -473,7 +474,7 @@ Stage cutPass(const Aig& src, const std::vector<Lit>& roots,
     std::int64_t bestNet = priceImpl(dflt);
     for (const Cut& c : kept) {
       const npn::Canon& cn = tab.canon[c.tt];
-      const int cls = tab.repIndex.at(cn.rep);
+      const int cls = tab.classOf[c.tt];
       loadInputs(c, cn);
       gateLits.clear();
       auto resolve = [&](std::uint16_t enc) -> Lit {
@@ -548,9 +549,26 @@ const Canon& canonicalize(std::uint16_t tt) { return npnTable().canon[tt]; }
 int classCount() { return kNpnClassCount; }
 
 int classIndex(std::uint16_t repTT) {
-  const auto& idx = npnTable().repIndex;
-  const auto it = idx.find(repTT);
-  return it == idx.end() ? -1 : it->second;
+  const NpnTable& tab = npnTable();
+  return tab.canon[repTT].rep == repTT ? tab.classOf[repTT] : -1;
+}
+
+std::uint16_t expandTruth(std::uint16_t tt, int size,
+                          const std::array<std::uint8_t, 4>& pos) {
+  // kProj[v] holds the minterms with x_v = 1.  Swapping variables k < j
+  // exchanges the minterms with (x_k, x_j) = (1, 0) and (0, 1), which sit
+  // `shift` apart; since slot j is unused, the swap is a move.
+  static constexpr std::uint16_t kProj[4] = {0xAAAA, 0xCCCC, 0xF0F0, 0xFF00};
+  std::uint32_t r = tt;
+  for (int k = size - 1; k >= 0; --k) {
+    const int j = pos[static_cast<std::size_t>(k)];
+    if (j == k) continue;
+    const std::uint32_t m =
+        kProj[k] & static_cast<std::uint16_t>(~kProj[j]);
+    const int shift = (1 << j) - (1 << k);
+    r = (r & ~(m | (m << shift))) | ((r & m) << shift) | ((r >> shift) & m);
+  }
+  return static_cast<std::uint16_t>(r);
 }
 
 int classGateCount(int classIdx) {
@@ -741,9 +759,20 @@ const Rewriter::Result& Rewriter::Session::extend(
     for (const Lit r : newRoots)
       if (map[nodeOf(r)] == kUn) dRoots.push_back(mapLit(local, r));
 
-    Aig dOut;
-    const Result dres = rewriteCone(d, dRoots, options_, dOut);
+    // The memo: an exact match of the last delta replays its rewrite.
+    const bool hit = memo_ && memo_->roots == dRoots &&
+                     sameStructure(memo_->delta, d);
+    if (!hit) {
+      memo_.emplace();
+      memo_->delta = std::move(d);
+      memo_->roots = std::move(dRoots);
+      memo_->res =
+          rewriteCone(memo_->delta, memo_->roots, options_, memo_->out);
+    }
+    const Aig& dOut = memo_->out;
+    const Result& dres = memo_->res;
     res_.stats = dres.stats;
+    res_.stats.memoHits = hit ? 1 : 0;
 
     // Append the rewritten delta to the persistent graph.  dOut recreated
     // d's inputs in order, so its k-th input is the k-th pseudo-input.

@@ -33,7 +33,9 @@
 // alike, and counterexample replay through Result::map stays exact.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "aig/aig.h"
@@ -60,6 +62,7 @@ struct RewriteStats {
   std::size_t cutsEnumerated = 0;  ///< cuts kept across all nodes
   std::size_t rewritesApplied = 0; ///< nodes built from a non-structural cut
   bool fellBackToCopy = false;     ///< non-regression guard fired
+  std::size_t memoHits = 0;        ///< deltas replayed from the session memo
 };
 
 /// Structural rewriting over the cone of a set of root literals.
@@ -103,6 +106,18 @@ class Rewriter {
   /// delta (absorbed into a balanced tree) is simply rebuilt by the first
   /// later delta that needs it.  The session is a pure function of (graph,
   /// root sequence, options).
+  ///
+  /// Delta memo: BMC depths from 2 on usually add the same transition-
+  /// relation logic, so consecutive deltas are often equal node for node.
+  /// The session keeps the last rewritten delta (its local graph, its roots
+  /// and the rewrite of it).  When the next delta equals it exactly (every
+  /// node's kind and fan-ins, hence every input position, and the root
+  /// list; never a hash match alone), the stored rewrite is appended
+  /// through the new delta's pseudo-inputs instead of rewriting again.
+  /// Rewriting a delta is a pure function of (delta, roots, options), so
+  /// the output is bit-identical either way; the stats are the stored
+  /// rewrite's plus memoHits = 1.  One entry, so memory stays bounded by
+  /// the largest delta.
   class Session {
    public:
     /// `out` must be empty (node 0 only) and outlive the session.
@@ -120,10 +135,20 @@ class Rewriter {
     const Result& result() const { return res_; }
 
    private:
+    /// The last rewritten delta: its local graph and roots, and the
+    /// rewrite of it into `out` (with the local-node -> out map in `res`).
+    struct Memo {
+      Aig delta;
+      std::vector<Lit> roots;
+      Aig out;
+      Result res;
+    };
+
     RewriteOptions options_;
     Aig& out_;
     Result res_;
     std::size_t inputsMapped_ = 0;  ///< prefix of src.inputs() recreated
+    std::optional<Memo> memo_;
   };
 
   explicit Rewriter(RewriteOptions options = {}) : options_(options) {}
@@ -168,6 +193,14 @@ int classIndex(std::uint16_t repTT);
 
 /// AND gates in the stored optimal structure of class `classIdx`.
 int classGateCount(int classIdx);
+
+/// The rewriter's cut kernel: re-expresses `tt`, a function of variables
+/// 0..size-1 that ignores variables size..3, over a wider variable set in
+/// which variable k sits at position pos[k].  `pos` must be strictly
+/// increasing (so pos[k] >= k); variables move top-down by swaps, each into
+/// a slot no variable of `tt` uses.
+std::uint16_t expandTruth(std::uint16_t tt, int size,
+                          const std::array<std::uint8_t, 4>& pos);
 
 /// Representative truth table of class `classIdx`.
 std::uint16_t classTruth(int classIdx);

@@ -350,6 +350,7 @@ sec::SecResult checkBmcParallel(ParallelExecutor& exec,
     merged.stats.fraigTimeMs += s.fraigTimeMs;
     merged.stats.rewriteSavedNodes += s.rewriteSavedNodes;
     merged.stats.rewriteApplied += s.rewriteApplied;
+    merged.stats.rewriteMemoHits += s.rewriteMemoHits;
     merged.stats.rewriteTimeMs += s.rewriteTimeMs;
     merged.stats.satSubsumedClauses += s.satSubsumedClauses;
     merged.stats.satVivifiedClauses += s.satVivifiedClauses;

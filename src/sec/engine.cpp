@@ -46,6 +46,7 @@ std::map<std::string, std::uint64_t> deterministicCounters(
       {"fraig_sat_calls", s.fraigSatCalls},
       {"rewrite_applied", s.rewriteApplied},
       {"rewrite_saved_nodes", s.rewriteSavedNodes},
+      {"rewrite_memo_hits", s.rewriteMemoHits},
       {"slice_states_severed",
        s.slice.slm.statesSevered + s.slice.rtl.statesSevered},
       {"slice_seq_constants",
@@ -380,9 +381,11 @@ class Miter {
       phase.rewriteNodesBefore += rs.nodesBefore;
       phase.rewriteNodesAfter += rs.nodesAfter;
       phase.rewriteApplied += rs.rewritesApplied;
+      phase.rewriteMemoHits += rs.memoHits;
       phase.rewriteTimeMs += ms;
       rewriteSaved_ += rs.nodesBefore - rs.nodesAfter;
       rewriteApplied_ += rs.rewritesApplied;
+      rewriteMemoHits_ += rs.memoHits;
       rewriteTimeMs_ += ms;
       roots = rr.roots;
     }
@@ -453,6 +456,7 @@ class Miter {
     stats.fraigTimeMs += fraigTimeMs_;
     stats.rewriteSavedNodes += rewriteSaved_;
     stats.rewriteApplied += rewriteApplied_;
+    stats.rewriteMemoHits += rewriteMemoHits_;
     stats.rewriteTimeMs += rewriteTimeMs_;
   }
 
@@ -471,6 +475,7 @@ class Miter {
   double fraigTimeMs_ = 0.0;
   std::size_t rewriteSaved_ = 0;
   std::uint64_t rewriteApplied_ = 0;
+  std::uint64_t rewriteMemoHits_ = 0;
   double rewriteTimeMs_ = 0.0;
 };
 
@@ -831,7 +836,7 @@ SecResult checkEquivalence(const SecProblem& problem,
       // assignment — inputs always map, and ones outside the solved cone are
       // unconstrained, so their default is consistent with the model.
       {
-        std::unordered_map<std::uint32_t, bool> inputVals;
+        std::map<std::uint32_t, bool> inputVals;
         for (const std::uint32_t in : g.inputs())
           inputVals[in] = miter.modelOf(in << 1, false);
         const std::vector<bool> nodeVals = g.evaluate(inputVals);

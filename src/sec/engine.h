@@ -90,6 +90,7 @@ struct PhaseStats {
   std::size_t rewriteNodesBefore = 0;  ///< and-nodes in the delta
   std::size_t rewriteNodesAfter = 0;   ///< and-nodes after rewriting
   std::uint64_t rewriteApplied = 0;    ///< NPN-table rewrites committed
+  std::uint64_t rewriteMemoHits = 0;   ///< deltas replayed from the memo
   double rewriteTimeMs = 0.0;
   /// Clause-database inprocessing deltas for this phase's solves (all zero
   /// when SecOptions::solver.inprocess is off).
@@ -168,6 +169,7 @@ struct SecStats {
   /// Rewrite totals across all phases (see the per-phase fields for splits).
   std::size_t rewriteSavedNodes = 0;  ///< sum of (before - after) per delta
   std::uint64_t rewriteApplied = 0;
+  std::uint64_t rewriteMemoHits = 0;
   double rewriteTimeMs = 0.0;
   /// Inprocessing totals across all phases.
   std::uint64_t satSubsumedClauses = 0;

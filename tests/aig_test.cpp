@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
 #include <random>
+#include <tuple>
 
 #include "aig/aig.h"
 #include "aig/bitblast.h"
@@ -33,6 +36,65 @@ TEST(Aig, ConstantFoldingAndHashing) {
   const std::size_t before = g.numNodes();
   g.makeAnd(a, b);
   EXPECT_EQ(g.numNodes(), before);
+}
+
+TEST(Aig, StrashAgreesWithAMapReferenceAcrossTableGrowth) {
+  // 600k random makeAnd calls per arm, about half of them repeats of an
+  // earlier pair in either fan-in order, against a std::map reference of
+  // every hashed pair.  The growing arm doubles its table from the minimum
+  // size on the way; the reserved arm never rehashes.
+  constexpr int kCalls = 600000;
+  for (const bool reserve : {false, true}) {
+    Aig g;
+    if (reserve) g.reserve(kCalls + 64);
+    const std::size_t reservedSlots = g.strashBucketCount();
+    std::mt19937_64 rng(reserve ? 0x5a5a : 0xa5a5);
+    std::vector<Lit> pool = {kFalse, kTrue};
+    for (int i = 0; i < 64; ++i) pool.push_back(g.makeInput());
+    std::map<std::pair<Lit, Lit>, Lit> ref;
+    std::vector<std::pair<Lit, Lit>> asked;
+    for (int call = 0; call < kCalls; ++call) {
+      Lit a;
+      Lit b;
+      if (!asked.empty() && (rng() & 1)) {
+        std::tie(a, b) = asked[rng() % asked.size()];
+        if (rng() & 1) std::swap(a, b);
+      } else {
+        a = pool[rng() % pool.size()] ^ static_cast<Lit>(rng() & 1);
+        b = pool[rng() % pool.size()] ^ static_cast<Lit>(rng() & 1);
+      }
+      Lit want;
+      if (a == kFalse || b == kFalse || a == negate(b)) {
+        want = kFalse;
+      } else if (a == kTrue || a == b) {
+        want = b;
+      } else if (b == kTrue) {
+        want = a;
+      } else {
+        const auto key = std::minmax(a, b);
+        auto [it, fresh] =
+            ref.try_emplace(key, static_cast<Lit>(g.numNodes() << 1));
+        if (fresh) asked.push_back(key);
+        want = it->second;
+      }
+      const std::size_t nodes = g.numNodes();
+      const Lit got = g.makeAnd(a, b);
+      ASSERT_EQ(got, want) << "call " << call;
+      if (g.numNodes() != nodes) {
+        ASSERT_EQ(nodeOf(got), nodes);
+        ASSERT_EQ(g.fanin0(nodeOf(got)), std::min(a, b));
+        ASSERT_EQ(g.fanin1(nodeOf(got)), std::max(a, b));
+        if (rng() % 4 == 0) pool.push_back(got);
+      }
+    }
+    EXPECT_EQ(g.numNodes(), 1 + 64 + ref.size());
+    const std::size_t slots = g.strashBucketCount();
+    EXPECT_EQ(slots & (slots - 1), 0u);  // a power of two
+    EXPECT_GE(slots, 2 * ref.size());    // load factor at most 1/2
+    if (reserve) {
+      EXPECT_EQ(slots, reservedSlots);
+    }
+  }
 }
 
 TEST(Aig, EvaluateTruthTable) {
@@ -145,7 +207,7 @@ TEST_P(BlastProperty, AllOpsMatchInterpreter) {
     if (iter % 11 == 0) vb = BitVector(w);
     const bool vs = rng() & 1;
 
-    std::unordered_map<std::uint32_t, bool> inputVals;
+    std::map<std::uint32_t, bool> inputVals;
     for (unsigned i = 0; i < w; ++i) {
       inputVals[nodeOf(wa[i])] = va.bit(i);
       inputVals[nodeOf(wb[i])] = vb.bit(i);
@@ -198,7 +260,7 @@ TEST(Blast, ArrayReadWriteMatchesInterpreter) {
 
   for (int iter = 0; iter < 100; ++iter) {
     std::vector<BitVector> contents;
-    std::unordered_map<std::uint32_t, bool> inputVals;
+    std::map<std::uint32_t, bool> inputVals;
     for (unsigned i = 0; i < memT.depth; ++i) {
       BitVector e = BitVector::fromUint(8, rng());
       contents.push_back(e);
@@ -320,7 +382,7 @@ std::vector<Lit> buildRandomAig(Aig& g, std::mt19937_64& rng,
 /// Evaluates the graph under the dense input assignment `bits` (bit i of
 /// `bits` is the value of the i-th input, in g.inputs() order).
 std::vector<bool> evalUnderBits(const Aig& g, std::uint64_t bits) {
-  std::unordered_map<std::uint32_t, bool> inputVals;
+  std::map<std::uint32_t, bool> inputVals;
   std::size_t i = 0;
   for (const std::uint32_t in : g.inputs())
     inputVals[in] = (bits >> i++) & 1;
@@ -345,7 +407,7 @@ TEST(CnfStyle, PlaistedGreenbaumEquisatisfiableWithTseitin) {
       EXPECT_LE(pg.clausesEmitted(), ts.clausesEmitted());
       if (rpg != sat::Result::kSat) continue;
       // The PG model must certify the asserted root on the real circuit.
-      std::unordered_map<std::uint32_t, bool> inputVals;
+      std::map<std::uint32_t, bool> inputVals;
       for (const std::uint32_t in : g.inputs())
         inputVals[in] = spg.modelValueOr(pg.satLit(in << 1), false);
       EXPECT_TRUE(Aig::litValue(g.evaluate(inputVals), root))

@@ -8,9 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <map>
 #include <random>
 #include <set>
-#include <unordered_map>
 
 #include "aig/aig.h"
 #include "aig/bitblast.h"
@@ -79,6 +81,47 @@ TEST(Npn, TransformsRespectComposition) {
   }
 }
 
+/// The minterm-by-minterm re-expression the swap kernel replaced: output
+/// minterm m reads input minterm sm, whose bit k is bit pos[k] of m.
+std::uint16_t expandByMinterms(std::uint16_t tt, int size,
+                               const std::array<std::uint8_t, 4>& pos) {
+  std::uint16_t r = 0;
+  for (int m = 0; m < 16; ++m) {
+    int sm = 0;
+    for (int k = 0; k < size; ++k)
+      sm |= ((m >> pos[static_cast<std::size_t>(k)]) & 1) << k;
+    r |= static_cast<std::uint16_t>(((tt >> sm) & 1) << m);
+  }
+  return r;
+}
+
+TEST(Npn, SwapKernelMatchesMintermLoopExhaustively) {
+  // Every cut size, every strictly increasing placement of its variables
+  // in 4 slots, and every function of those variables (padded so it
+  // ignores the unused ones, as cut truth tables do).
+  int placements = 0;
+  for (int size = 1; size <= 4; ++size) {
+    for (unsigned slots = 0; slots < 16; ++slots) {
+      if (std::popcount(slots) != size) continue;
+      std::array<std::uint8_t, 4> pos{};
+      int k = 0;
+      for (std::uint8_t s = 0; s < 4; ++s)
+        if ((slots >> s) & 1) pos[static_cast<std::size_t>(k++)] = s;
+      ++placements;
+      const unsigned rows = 1u << size;
+      for (std::uint32_t f = 0; f < (1u << rows); ++f) {
+        std::uint16_t tt = 0;
+        for (unsigned m = 0; m < 16; ++m)
+          tt |= static_cast<std::uint16_t>(((f >> (m % rows)) & 1) << m);
+        ASSERT_EQ(npn::expandTruth(tt, size, pos),
+                  expandByMinterms(tt, size, pos))
+            << "size " << size << " slots " << slots << " f " << f;
+      }
+    }
+  }
+  EXPECT_EQ(placements, 15);
+}
+
 // ---------------------------------------------------------------------------
 // Rewriter: exhaustive differential sweeps against the source graph.
 // ---------------------------------------------------------------------------
@@ -111,7 +154,7 @@ std::vector<Lit> buildRandomAig(Aig& g, std::mt19937_64& rng,
 }
 
 std::vector<bool> evalUnderBits(const Aig& g, std::uint64_t bits) {
-  std::unordered_map<std::uint32_t, bool> inputVals;
+  std::map<std::uint32_t, bool> inputVals;
   std::size_t i = 0;
   for (const std::uint32_t in : g.inputs()) inputVals[in] = (bits >> i++) & 1;
   return g.evaluate(inputVals);
@@ -305,7 +348,7 @@ TEST_P(RewriteBlastProperty, BlastedOpsMatchInterpreterAfterRewrite) {
     if (iter % 11 == 0) vb = BitVector(w);
     const bool vs = rng() & 1;
 
-    std::unordered_map<std::uint32_t, bool> inputVals;
+    std::map<std::uint32_t, bool> inputVals;
     for (unsigned i = 0; i < w; ++i) {
       inputVals[nodeOf(res.map(wa[i]))] = va.bit(i);
       inputVals[nodeOf(res.map(wb[i]))] = vb.bit(i);
@@ -424,6 +467,185 @@ TEST(RewriteSession, IdenticalFramesCostIdenticalDeltas) {
   for (const RewriteStats& st : perFrame) {
     EXPECT_EQ(st.nodesBefore, perFrame[0].nodesBefore);
     EXPECT_EQ(st.nodesAfter, perFrame[0].nodesAfter);
+  }
+}
+
+/// Rebuilds the delta Session::extend will see for `roots` (the not-yet-
+/// mapped cone, with each distinct rebuilt frontier node as one input, in
+/// source id order) as a standalone graph `h`.  Returns the mapped roots in
+/// `h`; `targets` gets each input's literal in the session's output graph.
+std::vector<Lit> standaloneDelta(const Aig& src, const Rewriter::Result& m,
+                                 const std::vector<Lit>& roots, Aig& h,
+                                 std::vector<Lit>& targets) {
+  std::vector<bool> seen(src.numNodes(), false);
+  std::vector<std::uint32_t> nodes;
+  std::vector<std::uint32_t> stack;
+  for (const Lit r : roots) stack.push_back(nodeOf(r));
+  while (!stack.empty()) {
+    const std::uint32_t n = stack.back();
+    stack.pop_back();
+    if (seen[n]) continue;
+    seen[n] = true;
+    nodes.push_back(n);
+    if (m.isMapped(n << 1)) continue;
+    stack.push_back(nodeOf(src.fanin0(n)));
+    stack.push_back(nodeOf(src.fanin1(n)));
+  }
+  std::sort(nodes.begin(), nodes.end());
+  std::vector<Lit> local(src.numNodes(), kFalse);
+  std::map<std::uint32_t, Lit> inputOf;  // output node -> input of h
+  auto at = [&](Lit l) { return local[nodeOf(l)] ^ (l & 1u); };
+  for (const std::uint32_t n : nodes) {
+    if (!m.isMapped(n << 1)) {
+      local[n] = h.makeAnd(at(src.fanin0(n)), at(src.fanin1(n)));
+      continue;
+    }
+    const Lit t = m.map(n << 1);
+    if (nodeOf(t) == 0) {
+      local[n] = t;
+      continue;
+    }
+    auto [it, fresh] = inputOf.try_emplace(nodeOf(t), kFalse);
+    if (fresh) {
+      it->second = h.makeInput();
+      targets.push_back(t & ~1u);
+    }
+    local[n] = it->second ^ (t & 1u);
+  }
+  std::vector<Lit> out;
+  for (const Lit r : roots) out.push_back(at(r));
+  return out;
+}
+
+bool sameCounters(const RewriteStats& a, const RewriteStats& b) {
+  return a.nodesBefore == b.nodesBefore && a.nodesAfter == b.nodesAfter &&
+         a.balancedTrees == b.balancedTrees &&
+         a.cutsEnumerated == b.cutsEnumerated &&
+         a.rewritesApplied == b.rewritesApplied &&
+         a.fellBackToCopy == b.fellBackToCopy;
+}
+
+TEST(RewriteSession, IdenticalFrameReplaysTheMemoExactly) {
+  // Frame t reads frame t-1's state word and a fresh input word.  Frames 1
+  // and 2 see the same delta, so frame 2 is a memo hit, and what it appends
+  // must be exactly what a fresh session's rewrite of that delta builds.
+  ir::Context ctx;
+  ir::NodeRef sv = ctx.input("s", 8);
+  ir::NodeRef xv = ctx.input("x", 8);
+  ir::NodeRef next = ctx.add(ctx.mul(sv, ctx.constantUint(8, 3)), xv);
+  ir::NodeRef obs = ctx.add(ctx.bitXor(sv, xv), ctx.constantUint(8, 1));
+  Aig g;
+  Word state;
+  std::vector<std::vector<Lit>> frames;
+  {
+    BitBlaster b(g);
+    state = b.freshWord(8, "s0");
+  }
+  for (int t = 0; t < 3; ++t) {
+    BitBlaster b(g);
+    b.bindScalar(sv, state);
+    b.bindScalar(xv, b.freshWord(8, "x" + std::to_string(t)));
+    const Word o = b.blast(obs);
+    state = b.blast(next);
+    frames.emplace_back(o.begin(), o.end());
+    frames.back().insert(frames.back().end(), state.begin(), state.end());
+  }
+
+  Aig out;
+  Rewriter::Session session({}, out);
+  const RewriteStats s0 = session.extend(g, frames[0]).stats;
+  const RewriteStats s1 = session.extend(g, frames[1]).stats;
+  EXPECT_EQ(s0.memoHits, 0u);
+
+  // The reference: frame 2's delta as a fresh session's first delta.
+  Aig h;
+  std::vector<Lit> targets;
+  const std::vector<Lit> hRoots =
+      standaloneDelta(g, session.result(), frames[2], h, targets);
+  Aig hOut;
+  Rewriter::Session fresh({}, hOut);
+  const Rewriter::Result& ref = fresh.extend(h, hRoots);
+  EXPECT_EQ(ref.stats.memoHits, 0u);
+
+  const std::size_t before = out.numNodes();
+  const Rewriter::Result& hit = session.extend(g, frames[2]);
+  EXPECT_EQ(hit.stats.memoHits, 1u);
+  EXPECT_TRUE(sameCounters(hit.stats, ref.stats));
+  EXPECT_TRUE(sameCounters(hit.stats, s1));
+
+  // Structure: replaying the reference's nodes through the pseudo-input
+  // targets must find every one already in place, in the same number.
+  std::vector<Lit> phi(hOut.numNodes(), kFalse);
+  ASSERT_EQ(hOut.numInputs(), targets.size());
+  for (std::size_t k = 0; k < targets.size(); ++k)
+    phi[hOut.inputs()[k]] = targets[k];
+  std::size_t refAnds = 0;
+  auto through = [&](Lit l) { return phi[nodeOf(l)] ^ (l & 1u); };
+  const std::size_t after = out.numNodes();
+  for (std::uint32_t n = 1; n < hOut.numNodes(); ++n) {
+    if (!hOut.isAndNode(n)) continue;
+    ++refAnds;
+    phi[n] = out.makeAnd(through(hOut.fanin0(n)), through(hOut.fanin1(n)));
+    ASSERT_GE(nodeOf(phi[n]), before) << "reference node " << n;
+  }
+  EXPECT_EQ(out.numNodes(), after);
+  EXPECT_EQ(after - before, refAnds);
+  ASSERT_EQ(hit.roots.size(), ref.roots.size());
+  for (std::size_t r = 0; r < ref.roots.size(); ++r)
+    EXPECT_EQ(hit.roots[r], through(ref.roots[r])) << "root " << r;
+
+  // And the whole session still computes every frame's roots.
+  std::mt19937_64 rng(0x3e30);
+  for (int sample = 0; sample < 2000; ++sample) {
+    const std::uint64_t bits = rng();
+    const auto srcVals = evalUnderBits(g, bits);
+    const auto outVals = evalUnderBits(out, bits);
+    for (const auto& f : frames)
+      for (const Lit r : f)
+        ASSERT_EQ(Aig::litValue(srcVals, r),
+                  Aig::litValue(outVals, session.result().map(r)));
+  }
+}
+
+/// A fixed 4-input cone: three roots over and/xor/mux shapes.  `variant`
+/// perturbs it in one place: 1 complements one fan-in, 2 complements one
+/// root, 3 creates the last input only after the first gates (the same
+/// gates, but the input sits at a different position in the delta).
+std::vector<Lit> fixedCone(Aig& g, int variant) {
+  std::array<Lit, 4> x{};
+  for (int i = 0; i < 3; ++i) x[static_cast<std::size_t>(i)] = g.makeInput();
+  if (variant != 3) x[3] = g.makeInput();
+  const Lit a = g.makeXor(x[0], x[1]);
+  const Lit b = g.makeAnd(x[1], variant == 1 ? negate(x[2]) : x[2]);
+  if (variant == 3) x[3] = g.makeInput();
+  const Lit c = g.makeMux(a, b, x[3]);
+  const Lit d = g.makeOr(c, g.makeAnd(x[0], x[3]));
+  return {c, variant == 2 ? negate(d) : d, g.makeXor(d, b)};
+}
+
+TEST(RewriteSession, MemoMissesOnAnyStructuralDifference) {
+  for (int variant = 0; variant <= 3; ++variant) {
+    Aig g;
+    const std::vector<Lit> first = fixedCone(g, 0);
+    const std::vector<Lit> second = fixedCone(g, variant);
+    Aig out;
+    Rewriter::Session session({}, out);
+    const RewriteStats s0 = session.extend(g, first).stats;
+    const RewriteStats s1 = session.extend(g, second).stats;
+    EXPECT_EQ(s0.memoHits, 0u);
+    EXPECT_EQ(s1.memoHits, variant == 0 ? 1u : 0u) << "variant " << variant;
+    if (variant == 0) {
+      EXPECT_TRUE(sameCounters(s0, s1));
+    }
+    for (std::uint64_t bits = 0; bits < (1ULL << g.numInputs()); ++bits) {
+      const auto srcVals = evalUnderBits(g, bits);
+      const auto outVals = evalUnderBits(out, bits);
+      for (const auto& roots : {first, second})
+        for (const Lit r : roots)
+          ASSERT_EQ(Aig::litValue(srcVals, r),
+                    Aig::litValue(outVals, session.result().map(r)))
+              << "variant " << variant << " bits " << bits;
+    }
   }
 }
 
