@@ -266,7 +266,7 @@ void runLadders(benchutil::JsonReport& json, Totals& totals, bool smoke) {
   }
   {
     // FIR without structural aliasing: BMC is easy but the inductive step
-    // needs ~204k conflicts.  Rungs 0 and 1 return the sound bounded
+    // needs ~169k conflicts.  Rungs 0 and 1 return the sound bounded
     // verdict with the induction cut off; the ladder keeps climbing
     // (RetryPolicy::retryInductionCutoff) until the budget covers the
     // proof.

@@ -544,10 +544,6 @@ int main(int argc, char** argv) {
                   .field("rewriteApplied", r.stats.rewriteApplied)
                   .field("rewriteSavedNodes", r.stats.rewriteSavedNodes)
                   .field("rewriteTimeMs", r.stats.rewriteTimeMs)
-                  .field("satSubsumedClauses", r.stats.satSubsumedClauses)
-                  .field("satVivifiedClauses", r.stats.satVivifiedClauses)
-                  .field("satEliminatedVars", r.stats.satEliminatedVars)
-                  .field("satInprocessRounds", r.stats.satInprocessRounds)
                   .field("conflicts", conflictsUsed(r.stats))
                   .field("budgetCut", cut)
                   .field("verdict", sec::verdictName(r.verdict));
@@ -585,12 +581,13 @@ int main(int argc, char** argv) {
   // --- Part 1e: invariants x slice x absint matrix --------------------------
   //
   // Certified invariant strengthening (SecOptions::invariants) is the only
-  // channel through which reachability-shaped facts may reach k-induction
-  // (DESIGN.md §16): dfv::inv re-proves every mined fact with a Houdini
-  // SAT certificate, making it sound from any start state.  wrapcnt is the
-  // calibrated fixture — its >= vs == wrap comparators agree only on
-  // reachable states, so every invariants=off cell must stay BOUNDED and
-  // every invariants=on cell must reach PROVEN (the acceptance gate).
+  // channel through which reachability-shaped facts may reach transaction
+  // induction (DESIGN.md §16): dfv::inv re-proves every mined fact with a
+  // Houdini SAT certificate, making it sound from any start state.
+  // wrapcnt is the calibrated fixture — its >= vs == wrap comparators
+  // agree only on reachable states, so every invariants=off cell must stay
+  // BOUNDED and every invariants=on cell must reach PROVEN (the acceptance
+  // gate).
   // histo's induction already closes structurally, so all eight of its
   // cells must agree regardless — strengthening with entailed facts is
   // verdict-preserving.

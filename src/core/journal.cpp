@@ -344,11 +344,6 @@ void mixSecOptions(common::StableHasher& h, const sec::SecOptions& o) {
   h.mix(static_cast<unsigned>(o.solver.restartPolicy));
   h.mix(o.solver.restartBase);
   h.mix(o.solver.geometricGrowth);
-  h.mix(o.solver.inprocess);
-  h.mix(o.solver.inprocessVivify);
-  h.mix(o.solver.inprocessSubsume);
-  h.mix(o.solver.inprocessEliminate);
-  h.mix(o.solver.inprocessInterval);
   mixBudget(h, o.bmcBudget);
   mixBudget(h, o.inductionBudget);
 }

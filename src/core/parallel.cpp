@@ -215,10 +215,6 @@ std::vector<PortfolioMember> buildPortfolio(const sec::SecOptions& base,
       m.options.rewrite = !base.rewrite;
       name << (m.options.rewrite ? ":rewrite" : ":norewrite");
     }
-    if (opts.varyInprocess && (k & 16u) != 0) {
-      m.options.solver.inprocess = !base.solver.inprocess;
-      name << (m.options.solver.inprocess ? ":inprocess" : ":noinprocess");
-    }
     m.name = name.str();
     members.push_back(std::move(m));
   }
@@ -352,10 +348,6 @@ sec::SecResult checkBmcParallel(ParallelExecutor& exec,
     merged.stats.rewriteApplied += s.rewriteApplied;
     merged.stats.rewriteMemoHits += s.rewriteMemoHits;
     merged.stats.rewriteTimeMs += s.rewriteTimeMs;
-    merged.stats.satSubsumedClauses += s.satSubsumedClauses;
-    merged.stats.satVivifiedClauses += s.satVivifiedClauses;
-    merged.stats.satEliminatedVars += s.satEliminatedVars;
-    merged.stats.satInprocessRounds += s.satInprocessRounds;
     merged.stats.seconds += s.seconds;  // summed CPU cost, not wall clock
   };
   merged.verdict = sec::Verdict::kBoundedEquivalent;

@@ -116,9 +116,9 @@ class ParallelExecutor {
 /// How buildPortfolio diversifies SecOptions into racing members.  Member
 /// 0 is always the unmodified base; members 1.. cycle deterministically
 /// through {geometric restarts, phase saving off, fraig toggled, rewrite
-/// toggled, inprocessing toggled} x a per-member solver seed.  Everything
-/// derives from (base, this struct) — no RNG, no clock — so the same
-/// inputs always name the same portfolio.
+/// toggled} (bits 0-3 of the member index) x a per-member solver seed.
+/// Everything derives from (base, this struct) — no RNG, no clock — so the
+/// same inputs always name the same portfolio.
 struct PortfolioOptions {
   unsigned members = 3;  ///< total racers, including the base (1 = no race)
   bool varySeed = true;
@@ -132,10 +132,6 @@ struct PortfolioOptions {
   /// the rewrite never changes verdicts — so this trades its (small)
   /// up-front cost against the smaller cone on a per-member basis.
   bool varyRewrite = true;
-  /// Toggle CDCL inprocessing off on some members: vivification and BVE
-  /// pay off on long solves and cost a little on short ones, which is
-  /// exactly the uncertainty a portfolio exists to hedge.
-  bool varyInprocess = true;
   std::uint64_t seedBase = 0x5eedbeef;
 };
 

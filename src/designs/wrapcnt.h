@@ -5,15 +5,15 @@
 // with `count == N` (the synthesized comparator).  Over reachable states
 // the two are identical — the counter never exceeds N — but from an
 // arbitrary symbolic start state they diverge (count = N+2 holds on the
-// RTL side and wraps on the SLM side), so plain k-induction returns SAT
-// and SEC stays bounded.  The abstract interpreter proves count ∈ [0, N]
-// on both sides (N is harvested as a widening threshold, so the interval
-// converges exactly), and dfv::inv certifies ule(count, N) as inductive;
-// with that fact in the induction hypothesis the comparison shapes agree
-// and the induction closes.  This is the calibrated fixture for
-// SecOptions::invariants: bounded with strengthening off, proven with it
-// on (asserted in tests/sec_test.cpp and measured in bench_sec_ablation's
-// inv_matrix).
+// RTL side and wraps on the SLM side), so plain transaction induction
+// returns SAT and SEC stays bounded.  The abstract interpreter proves
+// count ∈ [0, N] on both sides (N is harvested as a widening threshold, so
+// the interval converges exactly), and dfv::inv certifies ule(count, N) as
+// inductive; with that fact in the induction hypothesis the comparison
+// shapes agree and the induction closes.  This is the calibrated fixture
+// for SecOptions::invariants: bounded with strengthening off, proven with
+// it on (asserted in tests/sec_test.cpp and measured in
+// bench_sec_ablation's inv_matrix).
 #pragma once
 
 #include <memory>

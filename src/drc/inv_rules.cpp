@@ -33,7 +33,7 @@ void checkInvariantRules(const ir::TransitionSystem& ts,
     std::ostringstream os;
     os << "holds at reset and is inductive (Houdini-certified, "
        << r.stats.rounds << " round" << (r.stats.rounds == 1 ? "" : "s")
-       << "): k-induction may assume it";
+       << "): transaction induction may assume it";
     report.add(Rule::kInvariantStrengthened, Severity::kInfo, Layer::kIr,
                where, os.str(), ir::printExpr(p));
   }

@@ -3,8 +3,9 @@
 // These are the DRC face of dfv::inv: the same mining + Houdini pass SEC
 // runs under SecOptions::invariants, surfaced as diagnostics before any
 // equivalence check.  kInvariantStrengthened (kInfo) names each certified
-// predicate — the facts k-induction will get for free, and a designer's
-// checklist of what the analyzers can already prove about a register.
+// predicate — the facts transaction induction will get for free, and a
+// designer's checklist of what the analyzers can already prove about a
+// register.
 // kInvariantCandidateStorm (kWarning) fires when mining produces more
 // candidates than the certifier's cap admits: the dropped remainder is
 // silent lost strengthening, and a storm usually means wide state with

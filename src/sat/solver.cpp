@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <ostream>
-#include <unordered_map>
 
 #include "fault/fault.h"
 
@@ -72,8 +71,6 @@ Var Solver::newVar() {
           : 1e-9 * static_cast<double>((r >> 1) & 0xffffffULL));
   seen_.push_back(0);
   heapPos_.push_back(-1);
-  eliminated_.push_back(false);
-  elimIndex_.push_back(-1);
   watches_.emplace_back();  // positive literal
   watches_.emplace_back();  // negative literal
   heapInsert(v);
@@ -92,15 +89,9 @@ Lit Solver::trueLit() {
 bool Solver::addClause(std::vector<Lit> lits) {
   DFV_CHECK_MSG(trailLimits_.empty(), "addClause above decision level 0");
   if (!okay_) return false;
-  // A new clause may mention a variable that bounded variable elimination
-  // removed in an earlier solve; un-eliminate it first (re-adding its
-  // clauses) so the elimination stays invisible to incremental callers.
-  for (Lit l : lits) {
+  for (Lit l : lits)
     DFV_CHECK_MSG(static_cast<std::size_t>(l.var()) < assigns_.size(),
                   "clause uses unallocated variable");
-    if (eliminated_[static_cast<std::size_t>(l.var())]) restoreVar(l.var());
-  }
-  if (!okay_) return false;
   // Simplify: sort, dedup, drop false lits, detect tautology / true lits.
   std::sort(lits.begin(), lits.end());
   std::vector<Lit> out;
@@ -347,7 +338,6 @@ Lit Solver::pickBranchLit() {
   while (true) {
     if (heap_.empty()) return Lit();
     const Var v = heapPop();
-    if (eliminated_[static_cast<std::size_t>(v)]) continue;
     if (value(v) == LBool::kUndef) {
       ++stats_.decisions;
       return Lit(v, phase_[static_cast<std::size_t>(v)] == LBool::kFalse);
@@ -430,14 +420,9 @@ Result Solver::solve(const std::vector<Lit>& assumptions,
       break;
   }
   if (!okay_) return Result::kUnsat;
-  for (Lit a : assumptions) {
+  for (Lit a : assumptions)
     DFV_CHECK_MSG(static_cast<std::size_t>(a.var()) < assigns_.size(),
                   "assumption uses unallocated variable");
-    // An assumed variable must carry its clauses: model extension would
-    // otherwise be free to contradict the assumed value.
-    if (eliminated_[static_cast<std::size_t>(a.var())]) restoreVar(a.var());
-  }
-  if (!okay_) return Result::kUnsat;
 
   // Budget accounting is relative to this call; cumulative stats_ provide
   // the baselines.  The wall clock is sampled only every few conflicts /
@@ -522,11 +507,6 @@ Result Solver::solve(const std::vector<Lit>& assumptions,
       conflictsThisRestart = 0;
       conflictBudget = restartLimit(restartCount);
       backtrackTo(0);
-      if (options_.inprocess && stats_.conflicts >= nextInprocess_) {
-        inprocessStep(assumptions, budgetExpired);
-        if (!okay_) return Result::kUnsat;
-        if (!budget.unlimited() && budgetExpired()) return Result::kUnknown;
-      }
       continue;
     }
     if (learnts_.size() >= maxLearnts) {
@@ -551,426 +531,13 @@ Result Solver::solve(const std::vector<Lit>& assumptions,
     }
     if (next == Lit()) next = pickBranchLit();
     if (next == Lit()) {
-      // All variables assigned: model found.  Eliminated variables are the
-      // only unassigned ones; extendModel() gives them satisfying values.
+      // All variables assigned: model found.
       model_.assign(assigns_.begin(), assigns_.end());
-      extendModel();
       backtrackTo(0);
       return Result::kSat;
     }
     trailLimits_.push_back(trail_.size());
     enqueue(next, nullptr);
-  }
-}
-
-// ----- inprocessing ---------------------------------------------------------
-//
-// Runs at decision level 0 between restarts (see solve()).  Three phases —
-// clause vivification, (self-)subsumption, bounded variable elimination —
-// each deterministic (fixed iteration orders, triggered purely by conflict
-// counts) and bounded per round by fixed work caps.  Every propagation and
-// conflict they perform lands in the same cumulative stats_ the search
-// charges, so Budget caps see inprocessing work and capped verdicts remain
-// machine-independent.  Root-level units are assignments, never clauses
-// (addClause enqueues them), so no phase here can resolve away the
-// equivalence units a fraig sweep asserts.
-
-namespace {
-constexpr std::size_t kVivifyPerRound = 128;   // clauses distilled per round
-constexpr std::size_t kVivifyMaxClause = 64;   // skip very long clauses
-constexpr std::size_t kSubsumePerRound = 512;  // subsumer clauses per round
-constexpr std::size_t kSubsumeOccCap = 400;    // skip huge occurrence lists
-constexpr int kElimVarsPerRound = 2048;        // candidate vars per round
-constexpr std::size_t kElimOccCap = 10;        // max occurrences per polarity
-constexpr std::size_t kElimMaxResolvent = 16;  // max kept resolvent length
-
-/// Variable-based 64-bit clause abstraction: c can subsume d only if
-/// (sig(c) & ~sig(d)) == 0.
-std::uint64_t clauseSig(const std::vector<Lit>& lits) {
-  std::uint64_t sig = 0;
-  for (Lit l : lits) sig |= 1ull << (l.var() & 63);
-  return sig;
-}
-}  // namespace
-
-void Solver::clearReasonsOf(Clause* c) {
-  for (Lit l : c->lits) {
-    const auto v = static_cast<std::size_t>(l.var());
-    if (reasons_[v] == c) reasons_[v] = nullptr;
-  }
-}
-
-void Solver::killClause(Clause* c) {
-  DFV_CHECK(!c->dead);
-  detachClause(c);
-  clearReasonsOf(c);
-  c->dead = true;
-}
-
-void Solver::sweepDeadClauses() {
-  auto sweep = [this](std::vector<Clause*>& list) {
-    std::size_t j = 0;
-    for (Clause* c : list) {
-      if (c->dead) {
-        delete c;
-        ++stats_.deletedClauses;
-      } else {
-        list[j++] = c;
-      }
-    }
-    list.resize(j);
-  };
-  sweep(clauses_);
-  sweep(learnts_);
-}
-
-void Solver::inprocessStep(const std::vector<Lit>& assumptions,
-                           const std::function<bool()>& expired) {
-  DFV_CHECK(trailLimits_.empty());
-  ++stats_.inprocessRounds;
-  nextInprocess_ = stats_.conflicts + options_.inprocessInterval;
-  // Root-level reasons may point at clauses a phase deletes; conflict
-  // analysis never follows level-0 reasons, so null them up front.
-  for (Lit l : trail_) reasons_[static_cast<std::size_t>(l.var())] = nullptr;
-  if (okay_ && options_.inprocessVivify && !expired()) vivifyRound(expired);
-  if (okay_ && options_.inprocessSubsume && !expired()) subsumeRound(expired);
-  if (okay_ && options_.inprocessEliminate && !expired())
-    eliminateRound(assumptions, expired);
-  sweepDeadClauses();
-}
-
-void Solver::vivifyRound(const std::function<bool()>& expired) {
-  std::size_t budgetLeft = std::min(kVivifyPerRound, clauses_.size());
-  while (budgetLeft > 0 && okay_ && !expired()) {
-    --budgetLeft;
-    if (clauses_.empty()) return;
-    if (vivifyHead_ >= clauses_.size()) vivifyHead_ = 0;
-    Clause* c = clauses_[vivifyHead_++];
-    if (c->dead || c->lits.size() < 2 || c->lits.size() > kVivifyMaxClause)
-      continue;
-    bool rootSat = false;
-    for (Lit l : c->lits)
-      if (value(l) == LBool::kTrue) {
-        rootSat = true;
-        break;
-      }
-    if (rootSat) {
-      killClause(c);  // satisfied at the root: gone for good
-      continue;
-    }
-    // Distillation: assume the negation of each literal in turn at one
-    // temporary decision level, with c itself detached so the derivation
-    // never uses the clause it is shortening.  A literal already true under
-    // the prefix (or a propagation conflict) proves the prefix implies the
-    // clause; a false literal is implied redundant and dropped.
-    detachClause(c);
-    const std::vector<Lit> original = c->lits;
-    std::vector<Lit> kept;
-    trailLimits_.push_back(trail_.size());
-    for (Lit l : original) {
-      const LBool lv = value(l);
-      if (lv == LBool::kTrue) {
-        kept.push_back(l);
-        break;
-      }
-      if (lv == LBool::kFalse) continue;
-      enqueue(~l, nullptr);
-      kept.push_back(l);
-      if (propagate() != nullptr) {
-        ++stats_.conflicts;
-        break;
-      }
-    }
-    backtrackTo(0);
-    if (kept.size() >= original.size()) {
-      attachClause(c);  // nothing learnt; restore as-is
-      continue;
-    }
-    ++stats_.vivifiedClauses;
-    if (kept.empty()) {
-      // Every literal was false at the root: the formula is unsatisfiable.
-      clearReasonsOf(c);
-      c->dead = true;
-      okay_ = false;
-      return;
-    }
-    if (kept.size() == 1) {
-      clearReasonsOf(c);
-      c->dead = true;
-      const Lit u = kept[0];
-      if (value(u) == LBool::kFalse) {
-        okay_ = false;
-      } else if (value(u) == LBool::kUndef) {
-        enqueue(u, nullptr);
-        okay_ = propagate() == nullptr;
-      }
-      continue;
-    }
-    c->lits = kept;
-    attachClause(c);
-  }
-}
-
-int Solver::subsumes(const Clause* c, const Clause* d, Lit& flip) const {
-  flip = Lit();
-  for (Lit lc : c->lits) {
-    bool found = false;
-    for (Lit ld : d->lits) {
-      if (ld == lc) {
-        found = true;
-        break;
-      }
-      if (ld == ~lc) {
-        if (flip != Lit()) return 0;  // two flipped literals: neither
-        flip = ld;
-        found = true;
-        break;
-      }
-    }
-    if (!found) return 0;
-  }
-  return flip == Lit() ? 1 : 2;
-}
-
-void Solver::strengthen(Clause* c, Lit l) {
-  detachClause(c);
-  clearReasonsOf(c);
-  c->lits.erase(std::find(c->lits.begin(), c->lits.end(), l));
-  ++stats_.vivifiedClauses;
-  DFV_CHECK(!c->lits.empty());
-  if (c->lits.size() == 1) {
-    c->dead = true;  // the survivor becomes a root assignment
-    const Lit u = c->lits[0];
-    if (value(u) == LBool::kFalse) {
-      okay_ = false;
-    } else if (value(u) == LBool::kUndef) {
-      enqueue(u, nullptr);
-      okay_ = propagate() == nullptr;
-    }
-    return;
-  }
-  attachClause(c);
-}
-
-void Solver::subsumeRound(const std::function<bool()>& expired) {
-  if (clauses_.empty()) return;
-  // Occurrence lists and signatures, rebuilt per round.  Problem clauses
-  // subsume; problem and learnt clauses alike can be subsumed/strengthened.
-  std::vector<std::vector<Clause*>> occ(assigns_.size());
-  std::unordered_map<Clause*, std::uint64_t> sig;
-  auto addOcc = [&](Clause* c) {
-    if (c->dead) return;
-    sig.emplace(c, clauseSig(c->lits));
-    for (Lit l : c->lits) occ[static_cast<std::size_t>(l.var())].push_back(c);
-  };
-  for (Clause* c : clauses_) addOcc(c);
-  for (Clause* c : learnts_) addOcc(c);
-
-  std::size_t budgetLeft = std::min(kSubsumePerRound, clauses_.size());
-  while (budgetLeft > 0 && okay_ && !expired()) {
-    --budgetLeft;
-    if (subsumeHead_ >= clauses_.size()) subsumeHead_ = 0;
-    Clause* c = clauses_[subsumeHead_++];
-    if (c->dead || c->lits.size() < 2) continue;
-    // Scan the shortest occurrence list among c's variables.  Signatures
-    // only lose bits as clauses shrink, so the stale map stays a sound
-    // (conservative) filter.
-    auto best = static_cast<std::size_t>(c->lits[0].var());
-    for (Lit l : c->lits) {
-      const auto v = static_cast<std::size_t>(l.var());
-      if (occ[v].size() < occ[best].size()) best = v;
-    }
-    if (occ[best].size() > kSubsumeOccCap) continue;
-    const std::uint64_t cs = sig[c];
-    for (Clause* d : occ[best]) {
-      if (d == c || d->dead || d->lits.size() < c->lits.size()) continue;
-      if ((cs & ~sig[d]) != 0) continue;
-      Lit flip;
-      const int r = subsumes(c, d, flip);
-      if (r == 1) {
-        killClause(d);
-        ++stats_.subsumedClauses;
-      } else if (r == 2) {
-        strengthen(d, flip);  // self-subsuming resolution
-        if (!okay_) return;
-      }
-    }
-  }
-}
-
-void Solver::eliminateRound(const std::vector<Lit>& assumptions,
-                            const std::function<bool()>& expired) {
-  if (assigns_.empty()) return;
-  // Variables in the current assumption set must keep their clauses: model
-  // extension would otherwise be free to contradict the assumed value.
-  std::vector<bool> frozen(assigns_.size(), false);
-  for (Lit a : assumptions) frozen[static_cast<std::size_t>(a.var())] = true;
-  // Signed occurrence lists over problem clauses, variable-based over
-  // learnts (so eliminating v can drop the learnts that mention it).
-  // Strengthened clauses leave stale entries; membership is re-checked.
-  std::vector<std::vector<Clause*>> occ(2 * assigns_.size());
-  for (Clause* c : clauses_) {
-    if (c->dead) continue;
-    for (Lit l : c->lits)
-      occ[static_cast<std::size_t>(l.code())].push_back(c);
-  }
-  std::vector<std::vector<Clause*>> occL(assigns_.size());
-  for (Clause* c : learnts_) {
-    if (c->dead) continue;
-    for (Lit l : c->lits)
-      occL[static_cast<std::size_t>(l.var())].push_back(c);
-  }
-  const auto contains = [](const Clause* c, Lit l) {
-    return std::find(c->lits.begin(), c->lits.end(), l) != c->lits.end();
-  };
-  const auto containsVar = [](const Clause* c, Var v) {
-    for (Lit l : c->lits)
-      if (l.var() == v) return true;
-    return false;
-  };
-  // Resolvent of p (contains pos) and q (contains ~pos) on pos.var(),
-  // simplified against root values.  False = tautological or satisfied.
-  std::vector<Lit> resolvent;
-  const auto makeResolvent = [&](const Clause* p, const Clause* q,
-                                 Lit pos) -> bool {
-    resolvent.clear();
-    for (Lit l : p->lits)
-      if (l != pos) resolvent.push_back(l);
-    for (Lit l : q->lits)
-      if (l != ~pos) resolvent.push_back(l);
-    std::sort(resolvent.begin(), resolvent.end());
-    std::size_t j = 0;
-    Lit prev = Lit();
-    for (Lit l : resolvent) {
-      if (l == prev) continue;
-      if (prev != Lit() && l == ~prev) return false;  // tautology
-      if (value(l) == LBool::kTrue) return false;     // satisfied at root
-      if (value(l) == LBool::kFalse) continue;        // root-false: drop
-      resolvent[j++] = l;
-      prev = l;
-    }
-    resolvent.resize(j);
-    return true;
-  };
-
-  const Var numVarsNow = static_cast<Var>(assigns_.size());
-  if (elimHead_ >= numVarsNow) elimHead_ = 0;
-  const int toScan = std::min(kElimVarsPerRound, static_cast<int>(numVarsNow));
-  for (int k = 0; k < toScan && okay_; ++k) {
-    if (expired()) return;
-    const Var v = elimHead_++;
-    if (elimHead_ >= numVarsNow) elimHead_ = 0;
-    const auto vi = static_cast<std::size_t>(v);
-    if (frozen[vi] || eliminated_[vi] || value(v) != LBool::kUndef) continue;
-    const Lit pos(v, false), neg(v, true);
-    std::vector<Clause*> posCls, negCls;
-    for (Clause* c : occ[static_cast<std::size_t>(pos.code())])
-      if (!c->dead && contains(c, pos)) posCls.push_back(c);
-    for (Clause* c : occ[static_cast<std::size_t>(neg.code())])
-      if (!c->dead && contains(c, neg)) negCls.push_back(c);
-    if (posCls.size() > kElimOccCap || negCls.size() > kElimOccCap) continue;
-    // Dry run: keep the elimination only if it does not grow the clause
-    // count (NiVER-style) and no kept resolvent is excessively long.
-    std::vector<std::vector<Lit>> kept;
-    const std::size_t limit = posCls.size() + negCls.size();
-    bool reject = false;
-    for (Clause* p : posCls) {
-      for (Clause* q : negCls) {
-        if (!makeResolvent(p, q, pos)) continue;
-        if (resolvent.empty()) {
-          // Resolution is sound independent of the elimination decision:
-          // an empty resolvent refutes the formula outright.
-          okay_ = false;
-          return;
-        }
-        if (resolvent.size() > kElimMaxResolvent || kept.size() >= limit) {
-          reject = true;
-          break;
-        }
-        kept.push_back(resolvent);
-      }
-      if (reject) break;
-    }
-    if (reject) continue;
-    // Commit: record and remove the clauses on v, drop learnts mentioning
-    // it, then add the resolvents.  Removal happens first so propagation
-    // from resolvent units can never assign the eliminated variable.
-    ElimRecord rec;
-    rec.v = v;
-    for (Clause* c : posCls) rec.clauses.push_back(c->lits);
-    for (Clause* c : negCls) rec.clauses.push_back(c->lits);
-    for (Clause* c : posCls) killClause(c);
-    for (Clause* c : negCls) killClause(c);
-    for (Clause* c : occL[vi])
-      if (!c->dead && containsVar(c, v)) killClause(c);
-    eliminated_[vi] = true;
-    elimIndex_[vi] = static_cast<int>(elimStack_.size());
-    elimStack_.push_back(std::move(rec));
-    ++stats_.eliminatedVars;
-    for (auto& lits : kept) {
-      const std::size_t before = clauses_.size();
-      if (!addClause(lits)) return;  // root conflict
-      if (clauses_.size() > before) {
-        // Keep the occurrence lists complete for later candidates: a var
-        // must never be eliminated blind to a clause that mentions it.
-        Clause* added = clauses_.back();
-        for (Lit l : added->lits)
-          occ[static_cast<std::size_t>(l.code())].push_back(added);
-      }
-    }
-  }
-}
-
-void Solver::restoreVar(Var v) {
-  const auto vi = static_cast<std::size_t>(v);
-  DFV_CHECK(eliminated_[vi]);
-  const int idx = elimIndex_[vi];
-  DFV_CHECK(idx >= 0 && static_cast<std::size_t>(idx) < elimStack_.size());
-  eliminated_[vi] = false;
-  elimIndex_[vi] = -1;
-  ElimRecord rec = std::move(elimStack_[static_cast<std::size_t>(idx)]);
-  elimStack_[static_cast<std::size_t>(idx)].v = -1;
-  elimStack_[static_cast<std::size_t>(idx)].clauses.clear();
-  if (!heapContains(v) && value(v) == LBool::kUndef) heapInsert(v);
-  // Re-adding may recursively restore other variables those clauses
-  // mention; recursion terminates because each step un-eliminates one.
-  for (auto& lits : rec.clauses) addClause(std::move(lits));
-}
-
-void Solver::extendModel() {
-  for (auto it = elimStack_.rbegin(); it != elimStack_.rend(); ++it) {
-    if (it->v < 0) continue;
-    const auto vi = static_cast<std::size_t>(it->v);
-    // Pick the polarity satisfying every stored clause not already
-    // satisfied by its other literals.  Processing in reverse elimination
-    // order guarantees those other literals are all valued by now, and the
-    // resolvents added at elimination time guarantee one polarity works.
-    bool needTrue = false;
-    bool needFalse = false;
-    for (const auto& cl : it->clauses) {
-      bool satOther = false;
-      bool hasPos = false;
-      for (Lit l : cl) {
-        if (l.var() == it->v) {
-          hasPos = hasPos || !l.negated();
-          continue;
-        }
-        const auto w = static_cast<std::size_t>(l.var());
-        if (w < model_.size() && model_[w] != LBool::kUndef &&
-            (model_[w] == LBool::kTrue) != l.negated()) {
-          satOther = true;
-          break;
-        }
-      }
-      if (satOther) continue;
-      (hasPos ? needTrue : needFalse) = true;
-    }
-    DFV_CHECK_MSG(!(needTrue && needFalse),
-                  "BVE model extension contradiction on variable " << it->v);
-    if (needTrue)
-      model_[vi] = LBool::kTrue;
-    else if (needFalse || model_[vi] == LBool::kUndef)
-      model_[vi] = LBool::kFalse;
   }
 }
 

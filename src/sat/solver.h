@@ -17,7 +17,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <vector>
 
@@ -129,23 +128,6 @@ struct SolverOptions {
   RestartPolicy restartPolicy = RestartPolicy::kLuby;
   std::uint32_t restartBase = 100;  ///< conflicts in the first interval
   double geometricGrowth = 1.5;     ///< kGeometric interval growth factor
-
-  /// Inter-restart inprocessing: clause vivification, subsumption with
-  /// self-subsuming resolution, and bounded variable elimination, run at
-  /// decision level 0 between restarts.  Off by default so a plain Solver
-  /// keeps its historical trajectory; the SEC engine enables it for miter
-  /// solves (SecOptions::solver).  All phases are deterministic (triggered
-  /// purely by conflict counts, fixed iteration orders) and charge the
-  /// propagations/conflicts they perform against the caller's Budget via
-  /// the same cumulative stats the search uses, so capped verdicts stay
-  /// machine-independent.  Root-level units — including the equivalence
-  /// units a fraig sweep asserts — are assignments, never clauses, so no
-  /// inprocessing phase can resolve them away.
-  bool inprocess = false;
-  bool inprocessVivify = true;     ///< clause distillation via propagation
-  bool inprocessSubsume = true;    ///< (self-)subsumption over the clause DB
-  bool inprocessEliminate = true;  ///< bounded variable elimination
-  std::uint32_t inprocessInterval = 4000;  ///< conflicts between rounds
 };
 
 /// Solver statistics (cumulative across solve() calls).
@@ -156,12 +138,6 @@ struct SolverStats {
   std::uint64_t restarts = 0;
   std::uint64_t learntClauses = 0;
   std::uint64_t deletedClauses = 0;
-  // Clause-database telemetry from inprocessing (all cumulative, so
-  // callers can difference them across solve() calls like the rest).
-  std::uint64_t subsumedClauses = 0;   ///< deleted by subsumption
-  std::uint64_t vivifiedClauses = 0;   ///< shortened (vivify/strengthen)
-  std::uint64_t eliminatedVars = 0;    ///< variables eliminated by BVE
-  std::uint64_t inprocessRounds = 0;   ///< inprocessing rounds run
 };
 
 /// CDCL SAT solver with assumption-based incremental interface.
@@ -253,7 +229,6 @@ class Solver {
     double activity = 0.0;
     std::uint32_t lbd = 0;
     bool learnt = false;
-    bool dead = false;  // detached by inprocessing; freed at end of round
   };
   struct Watcher {
     Clause* clause;
@@ -288,33 +263,6 @@ class Solver {
   void claDecayActivity();
   void reduceDb();
   std::uint32_t computeLbd(const std::vector<Lit>& lits);
-
-  // Inprocessing (see SolverOptions::inprocess) ---------------------------
-  // All of these run at decision level 0 only.  `expired` is the budget
-  // predicate of the enclosing solve; rounds poll it between clauses/vars
-  // so inprocessing work is bounded by the same caps as search.
-  void inprocessStep(const std::vector<Lit>& assumptions,
-                     const std::function<bool()>& expired);
-  void vivifyRound(const std::function<bool()>& expired);
-  void subsumeRound(const std::function<bool()>& expired);
-  void eliminateRound(const std::vector<Lit>& assumptions,
-                      const std::function<bool()>& expired);
-  /// 0 = neither; 1 = c subsumes d; 2 = self-subsuming resolution, with
-  /// `flip` set to the literal of d to remove.
-  int subsumes(const Clause* c, const Clause* d, Lit& flip) const;
-  /// Removes `l` from attached clause `c` (self-subsumption / distillation).
-  void strengthen(Clause* c, Lit l);
-  /// Detach + mark dead (freed by sweepDeadClauses at end of the round).
-  void killClause(Clause* c);
-  /// Null root-level reason pointers into `c` before it is detached/freed.
-  void clearReasonsOf(Clause* c);
-  void sweepDeadClauses();
-  /// Re-adds the clauses removed when `v` was eliminated (on addClause or
-  /// a later solve whose assumptions mention `v`).
-  void restoreVar(Var v);
-  /// After kSat: assigns eliminated variables so their removed clauses are
-  /// satisfied (reverse elimination order).
-  void extendModel();
 
   // Order heap (max-activity) --------------------------------------------
   void heapInsert(Var v);
@@ -356,19 +304,6 @@ class Solver {
   std::vector<std::uint8_t> seen_;
   std::vector<Lit> analyzeStack_;
   std::vector<Lit> analyzeToClear_;
-
-  // Inprocessing state
-  std::vector<bool> eliminated_;  // per var: removed by BVE
-  std::vector<int> elimIndex_;    // per var: index into elimStack_, or -1
-  struct ElimRecord {
-    Var v = -1;  // -1 once restored
-    std::vector<std::vector<Lit>> clauses;  // the removed clauses (mention v)
-  };
-  std::vector<ElimRecord> elimStack_;     // in elimination order
-  std::uint64_t nextInprocess_ = 0;       // stats_.conflicts threshold
-  std::size_t vivifyHead_ = 0;            // rolling cursors so successive
-  std::size_t subsumeHead_ = 0;           // rounds cover the whole database
-  Var elimHead_ = 0;
 
   Lit trueLit_ = Lit();  // lazily created constant-true literal
   bool okay_ = true;     // false once root-level conflict found

@@ -39,10 +39,6 @@ std::map<std::string, std::uint64_t> deterministicCounters(
       {"sat_decisions", s.satDecisions},
       {"sat_propagations", propagations},
       {"sat_learnts", learnts},
-      {"sat_subsumed", s.satSubsumedClauses},
-      {"sat_vivified", s.satVivifiedClauses},
-      {"sat_eliminated_vars", s.satEliminatedVars},
-      {"sat_inprocess_rounds", s.satInprocessRounds},
       {"fraig_sat_calls", s.fraigSatCalls},
       {"rewrite_applied", s.rewriteApplied},
       {"rewrite_saved_nodes", s.rewriteSavedNodes},
@@ -296,10 +292,6 @@ sat::Result solveIntoPhase(sat::Solver& solver,
   phase.restarts += after.restarts - before.restarts;
   phase.learntClauses += after.learntClauses - before.learntClauses;
   phase.deletedClauses += after.deletedClauses - before.deletedClauses;
-  phase.subsumedClauses += after.subsumedClauses - before.subsumedClauses;
-  phase.vivifiedClauses += after.vivifiedClauses - before.vivifiedClauses;
-  phase.eliminatedVars += after.eliminatedVars - before.eliminatedVars;
-  phase.inprocessRounds += after.inprocessRounds - before.inprocessRounds;
   if (r == sat::Result::kUnknown) phase.budgetExhausted = true;
   return r;
 }
@@ -447,10 +439,6 @@ class Miter {
     const sat::SolverStats& ss = solver_.stats();
     stats.satConflicts += ss.conflicts;
     stats.satDecisions += ss.decisions;
-    stats.satSubsumedClauses += ss.subsumedClauses;
-    stats.satVivifiedClauses += ss.vivifiedClauses;
-    stats.satEliminatedVars += ss.eliminatedVars;
-    stats.satInprocessRounds += ss.inprocessRounds;
     stats.fraigMergedNodes += fraigMerged_;
     stats.fraigSatCalls += fraigSatCalls_;
     stats.fraigTimeMs += fraigTimeMs_;

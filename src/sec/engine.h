@@ -92,12 +92,6 @@ struct PhaseStats {
   std::uint64_t rewriteApplied = 0;    ///< NPN-table rewrites committed
   std::uint64_t rewriteMemoHits = 0;   ///< deltas replayed from the memo
   double rewriteTimeMs = 0.0;
-  /// Clause-database inprocessing deltas for this phase's solves (all zero
-  /// when SecOptions::solver.inprocess is off).
-  std::uint64_t subsumedClauses = 0;
-  std::uint64_t vivifiedClauses = 0;
-  std::uint64_t eliminatedVars = 0;
-  std::uint64_t inprocessRounds = 0;
 };
 
 /// Cost and effect of the word-level abstract-interpretation preprocessing
@@ -171,11 +165,6 @@ struct SecStats {
   std::uint64_t rewriteApplied = 0;
   std::uint64_t rewriteMemoHits = 0;
   double rewriteTimeMs = 0.0;
-  /// Inprocessing totals across all phases.
-  std::uint64_t satSubsumedClauses = 0;
-  std::uint64_t satVivifiedClauses = 0;
-  std::uint64_t satEliminatedVars = 0;
-  std::uint64_t satInprocessRounds = 0;
   double seconds = 0.0;
   bool inductionAttempted = false;
   bool inductionClosed = false;
@@ -220,14 +209,12 @@ struct SecOptions {
   /// Attempt the inductive step to upgrade bounded -> proven.
   bool tryInduction = true;
   /// Per-instance SAT solver heuristics (seed, phase saving, restart
-  /// policy, inprocessing).  The portfolio racer (core::buildPortfolio)
-  /// diversifies these.  Both solvers this run constructs — the BMC
-  /// miter's and the induction miter's — use them.  SEC turns clause-DB
-  /// inprocessing on (the raw sat::Solver default is off): vivification,
-  /// subsumption and bounded variable elimination never change verdicts,
-  /// only the search trajectory, and their work is charged against the
-  /// solve's Budget so capped verdicts remain machine-independent.
-  sat::SolverOptions solver{.inprocess = true};
+  /// policy).  The portfolio racer (core::buildPortfolio) diversifies
+  /// these.  Both solvers this run constructs — the BMC miter's and the
+  /// induction miter's — use them.  The default is the plain sat::Solver
+  /// configuration every other caller uses; the heuristics change only the
+  /// search trajectory, never a verdict.
+  sat::SolverOptions solver{};
   /// Apply equality-shaped coupling invariants structurally (shared
   /// symbolic variables) instead of as CNF constraints.  On by default;
   /// exposed so bench_sec_ablation can quantify the optimization (see
@@ -289,17 +276,17 @@ struct SecOptions {
   /// Mine candidate invariants from the absint fixpoint and the ternary
   /// greatest fixpoint, certify a simultaneously-inductive subset with
   /// dfv::inv's Houdini loop, and conjoin the certified predicates to the
-  /// k-induction hypothesis (they are also asserted at BMC transaction
-  /// boundaries as free strengthening).  This is the ONLY channel through
-  /// which reachability-shaped facts reach the induction step: soundness
-  /// rests on the per-predicate SAT certificate, not on the analyzers.
-  /// Certification solves are charged against inductionBudget as a shared
-  /// pool — what certification spends, the induction solve no longer has —
-  /// so capped runs stay machine-independent.  BMC-only verdicts are
-  /// identical on or off (the assertions are entailed facts); induction can
-  /// only gain (bounded -> proven), never lose, a verdict.  The mining
-  /// analysis is private (invOptions.absintOptions), so certified sets are
-  /// independent of the SecOptions::absint toggle.
+  /// transaction-induction hypothesis (they are also asserted at BMC
+  /// transaction boundaries as free strengthening).  This is the ONLY
+  /// channel through which reachability-shaped facts reach the induction
+  /// step: soundness rests on the per-predicate SAT certificate, not on the
+  /// analyzers.  Certification solves are charged against inductionBudget
+  /// as a shared pool — what certification spends, the induction solve no
+  /// longer has — so capped runs stay machine-independent.  BMC-only
+  /// verdicts are identical on or off (the assertions are entailed facts);
+  /// induction can only gain (bounded -> proven), never lose, a verdict.
+  /// The mining analysis is private (invOptions.absintOptions), so
+  /// certified sets are independent of the SecOptions::absint toggle.
   bool invariants = true;
   /// Tuning for mining and certification (see inv::Options).
   inv::Options invOptions{};

@@ -385,6 +385,37 @@ TEST(SatIncremental, RestartAndReduceDbStressUnderRotatingAssumptions) {
   EXPECT_GT(s.stats().learntClauses, s.stats().deletedClauses);
 }
 
+TEST(SatIncremental, RootUnitChainRefutesLaterAssumptions) {
+  // Root-level units (the encoding fraig's equivalence proofs use) are
+  // trail assignments, not clauses: after a search that learns, restarts
+  // and reduces, a root unit plus its implication chain still contradicts
+  // later assumptions on any link of the chain.
+  std::mt19937 rng(31337);
+  Solver s;
+  constexpr int kN = 30;
+  std::vector<Var> v;
+  for (int i = 0; i < kN; ++i) v.push_back(s.newVar());
+  s.addClause(pos(v[0]));  // root unit
+  for (int i = 0; i + 1 < kN; ++i) s.addClause(neg(v[i]), pos(v[i + 1]));
+  // Satisfiable ballast on fresh variables (ratio 3.0, fixed seed) so the
+  // overall instance stays SAT while the search generates real conflicts.
+  std::vector<Var> w;
+  for (int i = 0; i < 80; ++i) w.push_back(s.newVar());
+  for (int c = 0; c < 240; ++c) {
+    std::vector<Lit> cl;
+    for (int k = 0; k < 3; ++k)
+      cl.emplace_back(w[rng() % w.size()], (rng() & 1) != 0);
+    s.addClause(cl);
+  }
+  const Result r = s.solve();
+  ASSERT_NE(r, Result::kUnknown);
+  if (r == Result::kSat) {
+    for (int i = 0; i < kN; ++i) EXPECT_TRUE(s.modelValue(v[i])) << i;
+  }
+  EXPECT_EQ(s.solve({neg(v[0])}), Result::kUnsat);
+  EXPECT_EQ(s.solve({neg(v[kN - 1])}), Result::kUnsat);
+}
+
 // ---------------------------------------------------------------------------
 // Differential sweep: random 3-SAT instances vs brute-force enumeration.
 // ---------------------------------------------------------------------------
@@ -648,167 +679,6 @@ TEST(SatOptions, BadRestartTuningIsAContractViolation) {
   shrink.restartPolicy = RestartPolicy::kGeometric;
   shrink.geometricGrowth = 0.5;
   EXPECT_THROW(Solver{shrink}, CheckError);
-}
-
-// ---------------------------------------------------------------------------
-// Inter-restart inprocessing: vivification, subsumption, bounded variable
-// elimination.  The contract: verdicts and models stay correct with it on,
-// runs are deterministic, and the clause-DB work is visible in the stats.
-// ---------------------------------------------------------------------------
-
-SolverOptions eagerInprocess() {
-  SolverOptions so;
-  so.inprocess = true;
-  so.inprocessInterval = 50;  // many rounds even on mid-size instances
-  return so;
-}
-
-TEST(SatInprocess, MatchesBruteForceOnRandomInstances) {
-  std::mt19937 rng(4242);
-  for (int n : {8, 10, 12}) {
-    for (int instance = 0; instance < 15; ++instance) {
-      std::vector<std::vector<Lit>> clauses;
-      for (int c = 0; c < static_cast<int>(n * 4.3); ++c) {
-        std::vector<Lit> cl;
-        for (int k = 0; k < 3; ++k)
-          cl.emplace_back(static_cast<Var>(rng() % static_cast<unsigned>(n)),
-                          (rng() & 1) != 0);
-        clauses.push_back(cl);
-      }
-      Solver s(eagerInprocess());
-      for (int v = 0; v < n; ++v) s.newVar();
-      bool ok = true;
-      for (auto& cl : clauses) ok = s.addClause(cl) && ok;
-      const bool expected = bruteForceSatUnder(n, clauses, {});
-      const Result r = ok ? s.solve() : Result::kUnsat;
-      ASSERT_EQ(r == Result::kSat, expected)
-          << "n=" << n << " instance=" << instance;
-      if (r == Result::kSat) {
-        // Models must cover eliminated variables too (extendModel), and
-        // satisfy every *original* clause even ones the DB dropped.
-        for (const auto& cl : clauses) {
-          bool some = false;
-          for (Lit l : cl) some = some || s.modelValue(l);
-          EXPECT_TRUE(some);
-        }
-      }
-    }
-  }
-}
-
-TEST(SatInprocess, HardInstanceRecordsWorkAndKeepsVerdict) {
-  Solver plain, inproc(eagerInprocess());
-  addPigeonhole(plain, 7);
-  addPigeonhole(inproc, 7);
-  EXPECT_EQ(plain.solve(), Result::kUnsat);
-  EXPECT_EQ(inproc.solve(), Result::kUnsat);
-  EXPECT_GT(inproc.stats().inprocessRounds, 0u);
-  // The plain solver never inprocesses; its counters must stay zero.
-  EXPECT_EQ(plain.stats().inprocessRounds, 0u);
-  EXPECT_EQ(plain.stats().subsumedClauses, 0u);
-  EXPECT_EQ(plain.stats().vivifiedClauses, 0u);
-  EXPECT_EQ(plain.stats().eliminatedVars, 0u);
-}
-
-TEST(SatInprocess, DeterministicAcrossIdenticalRuns) {
-  for (int round = 0; round < 2; ++round) {
-    Solver a(eagerInprocess()), b(eagerInprocess());
-    addPigeonhole(a, 6 + round);
-    addPigeonhole(b, 6 + round);
-    EXPECT_EQ(a.solve(), Result::kUnsat);
-    EXPECT_EQ(b.solve(), Result::kUnsat);
-    EXPECT_EQ(a.stats().conflicts, b.stats().conflicts);
-    EXPECT_EQ(a.stats().decisions, b.stats().decisions);
-    EXPECT_EQ(a.stats().propagations, b.stats().propagations);
-    EXPECT_EQ(a.stats().inprocessRounds, b.stats().inprocessRounds);
-    EXPECT_EQ(a.stats().subsumedClauses, b.stats().subsumedClauses);
-    EXPECT_EQ(a.stats().vivifiedClauses, b.stats().vivifiedClauses);
-    EXPECT_EQ(a.stats().eliminatedVars, b.stats().eliminatedVars);
-  }
-}
-
-TEST(SatInprocess, EliminationStaysInvisibleToIncrementalCallers) {
-  // Chained equivalences give BVE easy prey: x_i <-> x_{i+1} plus a tail
-  // of random ballast to generate conflicts.  After a first solve that
-  // eliminates variables, (a) assumptions on eliminated variables must
-  // transparently restore them, and (b) new clauses over them must too.
-  std::mt19937 rng(777);
-  Solver s(eagerInprocess());
-  constexpr int kN = 60;
-  std::vector<Var> v;
-  for (int i = 0; i < kN; ++i) v.push_back(s.newVar());
-  for (int i = 0; i + 1 < kN / 2; ++i) {
-    s.addClause(neg(v[i]), pos(v[i + 1]));
-    s.addClause(pos(v[i]), neg(v[i + 1]));
-  }
-  for (int c = 0; c < kN * 4; ++c) {
-    std::vector<Lit> cl;
-    for (int k = 0; k < 3; ++k)
-      cl.emplace_back(v[kN / 2 + static_cast<int>(rng() % (kN / 2))],
-                      (rng() & 1) != 0);
-    s.addClause(cl);
-  }
-  const Result first = s.solve();
-  ASSERT_NE(first, Result::kUnknown);
-  // Assume every chain variable in turn, both polarities: the chain forces
-  // all of them equal, so each assumption pair must give SAT with a model
-  // honoring the assumption — even for variables BVE removed.
-  for (int i = 0; i < kN / 2; ++i) {
-    if (first == Result::kUnsat) break;
-    ASSERT_EQ(s.solve({pos(v[i])}), Result::kSat) << "var " << i;
-    for (int j = 0; j < kN / 2; ++j) EXPECT_TRUE(s.modelValue(v[j]));
-    ASSERT_EQ(s.solve({neg(v[i])}), Result::kSat) << "var " << i;
-    for (int j = 0; j < kN / 2; ++j) EXPECT_FALSE(s.modelValue(v[j]));
-  }
-  // New clauses over possibly-eliminated variables: pin the chain true.
-  s.addClause(pos(v[0]));
-  if (s.solve() == Result::kSat) {
-    for (int j = 0; j < kN / 2; ++j) EXPECT_TRUE(s.modelValue(v[j]));
-  }
-}
-
-TEST(SatInprocess, RootUnitsSurviveElimination) {
-  // Root-level units (the encoding fraig's equivalence proofs use) are
-  // assignments, not clauses: inprocessing must never resolve them away,
-  // and they must still hold after heavy simplification.
-  std::mt19937 rng(31337);
-  Solver s(eagerInprocess());
-  constexpr int kN = 30;
-  std::vector<Var> v;
-  for (int i = 0; i < kN; ++i) v.push_back(s.newVar());
-  s.addClause(pos(v[0]));  // root unit
-  for (int i = 0; i + 1 < kN; ++i) s.addClause(neg(v[i]), pos(v[i + 1]));
-  // Satisfiable ballast on fresh variables (ratio 3.0, fixed seed) so the
-  // overall instance stays SAT while the search generates real conflicts.
-  std::vector<Var> w;
-  for (int i = 0; i < 80; ++i) w.push_back(s.newVar());
-  for (int c = 0; c < 240; ++c) {
-    std::vector<Lit> cl;
-    for (int k = 0; k < 3; ++k)
-      cl.emplace_back(w[rng() % w.size()], (rng() & 1) != 0);
-    s.addClause(cl);
-  }
-  const Result r = s.solve();
-  ASSERT_NE(r, Result::kUnknown);
-  if (r == Result::kSat) {
-    for (int i = 0; i < kN; ++i) EXPECT_TRUE(s.modelValue(v[i])) << i;
-  }
-  // The unit + implication chain contradict these assumptions no matter
-  // what inprocessing did to the clause DB.
-  EXPECT_EQ(s.solve({neg(v[0])}), Result::kUnsat);
-  EXPECT_EQ(s.solve({neg(v[kN - 1])}), Result::kUnsat);
-}
-
-TEST(SatInprocess, BudgetCapsSeeInprocessingWork) {
-  // Inprocessing charges its propagation-equivalents against the shared
-  // budget: a capped solve with inprocessing on still returns kUnknown
-  // (never a wrong verdict) and the solver stays usable.
-  Solver s(eagerInprocess());
-  addPigeonhole(s, 7);
-  Budget tiny;
-  tiny.maxConflicts = 20;
-  EXPECT_EQ(s.solve({}, tiny), Result::kUnknown);
-  EXPECT_EQ(s.solve(), Result::kUnsat);
 }
 
 }  // namespace

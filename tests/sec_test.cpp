@@ -629,27 +629,6 @@ TEST(SecRewrite, ComposesWithFraigAndAlone) {
   }
 }
 
-TEST(SecRewrite, InprocessingPreservesVerdictsAndRecordsWork) {
-  // CDCL inprocessing (on by default) must be invisible in verdicts; the
-  // run stats surface its clause-DB work when the solves are big enough
-  // to cross the conflict interval, and stay zero when disabled.
-  SecOptions on, off;
-  on.solver.inprocess = true;
-  on.solver.inprocessInterval = 1;  // force rounds even on small solves
-  off.solver.inprocess = false;
-  on.boundTransactions = off.boundTransactions = 2;
-  ir::Context ctxOn, ctxOff;
-  designs::HistoSecSetup a = designs::makeHistoSecProblem(ctxOn);
-  designs::HistoSecSetup b = designs::makeHistoSecProblem(ctxOff);
-  SecResult ron = checkEquivalence(*a.problem, on);
-  SecResult roff = checkEquivalence(*b.problem, off);
-  EXPECT_EQ(ron.verdict, roff.verdict);
-  EXPECT_EQ(roff.stats.satInprocessRounds, 0u);
-  EXPECT_EQ(roff.stats.satSubsumedClauses, 0u);
-  EXPECT_EQ(roff.stats.satVivifiedClauses, 0u);
-  EXPECT_EQ(roff.stats.satEliminatedVars, 0u);
-}
-
 // --- Abstract-interpretation preprocessing (SecOptions::absint) ----------
 //
 // The invariant mirrors the fraig one: absint simplification is
