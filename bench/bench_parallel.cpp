@@ -1,6 +1,6 @@
 // PAR — parallel plan execution and portfolio racing (DESIGN.md §12).
 //
-// Three tables:
+// Two tables:
 //   scaling    — one multi-block plan run serially and on a
 //                core::ParallelExecutor at 1/2/4/8 workers: wall time,
 //                blocks/sec, speedup vs serial.  Worker scaling is a
@@ -15,8 +15,6 @@
 //                diversification re-enables fraig concludes decisively —
 //                and the recorded winner replays bit-identically on one
 //                thread (the determinism contract, asserted here too).
-//   depth_split — checkBmcParallel vs the serial engine on a deep BMC run:
-//                verdict parity plus both wall times.
 
 #include <chrono>
 #include <cstdio>
@@ -229,36 +227,6 @@ int main(int argc, char** argv) {
         .field("seconds", raceSecs)
         .field("winner", w.name)
         .field("replay_identical", identical);
-  }
-
-  // ----- depth-split BMC ----------------------------------------------------
-  const unsigned depth = smoke ? 3 : 8;
-  std::printf("\n--- depth-split BMC: fir, %u transactions ---\n", depth);
-  sec::SecOptions deep;
-  deep.boundTransactions = depth;
-  {
-    ir::Context ctx;
-    auto s = designs::makeFirSecProblem(ctx, designs::FirBug::kNone);
-    t0 = Clock::now();
-    const sec::SecResult serial = sec::checkEquivalence(*s.problem, deep);
-    const double sSecs = secsSince(t0);
-    t0 = Clock::now();
-    const sec::SecResult par = core::checkBmcParallel(exec, *s.problem, deep);
-    const double pSecs = secsSince(t0);
-    std::printf("%-10s %-20s %10.3fs\n", "serial",
-                sec::verdictName(serial.verdict), sSecs);
-    std::printf("%-10s %-20s %10.3fs  parity=%s\n", "parallel",
-                sec::verdictName(par.verdict), pSecs,
-                par.verdict == serial.verdict ? "ok" : "MISMATCH");
-    report.beginRow("depth_split")
-        .field("mode", "serial")
-        .field("verdict", sec::verdictName(serial.verdict))
-        .field("seconds", sSecs);
-    report.beginRow("depth_split")
-        .field("mode", "parallel")
-        .field("verdict", sec::verdictName(par.verdict))
-        .field("seconds", pSecs)
-        .field("parity", par.verdict == serial.verdict);
   }
 
   return report.write() ? 0 : 1;

@@ -328,7 +328,6 @@ void mixBudget(common::StableHasher& h, const sat::Budget& b) {
 
 void mixSecOptions(common::StableHasher& h, const sec::SecOptions& o) {
   h.mix(o.boundTransactions);
-  h.mix(o.bmcStartTransaction);
   h.mix(o.tryInduction);
   h.mix(o.structuralAliasing);
   h.mix(o.fraig);

@@ -180,6 +180,7 @@ void ParallelExecutor::wait(TaskGroup& group) {
 
 std::vector<PortfolioMember> buildPortfolio(const sec::SecOptions& base,
                                             const PortfolioOptions& opts) {
+  constexpr std::uint64_t kSeedBase = 0x5eedbeef;
   DFV_CHECK_MSG(opts.members >= 1, "a portfolio needs at least one member");
   std::vector<PortfolioMember> members;
   members.reserve(opts.members);
@@ -190,20 +191,18 @@ std::vector<PortfolioMember> buildPortfolio(const sec::SecOptions& base,
     m.options = base;
     std::ostringstream name;
     name << "m" << i;
-    // Deterministic diversification: the low bits of (i-1) select which
-    // heuristics flip, so successive members cycle through the combinations
-    // in a fixed order; the seed varies on every member when enabled.
+    // Deterministic diversification: the seed varies on every member, and
+    // the low bits of (i-1) select which heuristics flip, so successive
+    // members cycle through the combinations in a fixed order.
     const unsigned k = i - 1;
-    if (opts.varySeed) {
-      m.options.solver.seed = opts.seedBase + i;
-      m.options.fraigOptions.seed = opts.seedBase + i;
-      name << ":seed" << i;
-    }
-    if (opts.varyRestartPolicy && (k & 1u) != 0) {
+    m.options.solver.seed = kSeedBase + i;
+    m.options.fraigOptions.seed = kSeedBase + i;
+    name << ":seed" << i;
+    if ((k & 1u) != 0) {
       m.options.solver.restartPolicy = sat::RestartPolicy::kGeometric;
       name << ":geom";
     }
-    if (opts.varyPhaseSaving && (k & 2u) != 0) {
+    if ((k & 2u) != 0) {
       m.options.solver.phaseSaving = false;
       name << ":nophase";
     }
@@ -211,7 +210,7 @@ std::vector<PortfolioMember> buildPortfolio(const sec::SecOptions& base,
       m.options.fraig = !base.fraig;
       name << (m.options.fraig ? ":fraig" : ":nofraig");
     }
-    if (opts.varyRewrite && (k & 8u) != 0) {
+    if ((k & 8u) != 0) {
       m.options.rewrite = !base.rewrite;
       name << (m.options.rewrite ? ":rewrite" : ":norewrite");
     }
@@ -267,121 +266,6 @@ PortfolioOutcome racePortfolio(
   exec.wait(group);
   outcome.winner = winner.load();
   return outcome;
-}
-
-// ----- Depth-split parallel BMC ----------------------------------------------
-
-sec::SecResult checkBmcParallel(ParallelExecutor& exec,
-                                const sec::SecProblem& problem,
-                                const sec::SecOptions& options) {
-  options.bmcBudget.validate();
-  options.inductionBudget.validate();
-  DFV_CHECK_MSG(options.bmcStartTransaction == 0,
-                "checkBmcParallel owns the depth split; leave "
-                "bmcStartTransaction at 0");
-  const unsigned bound = options.boundTransactions;
-  if (bound <= 1 && !options.tryInduction)
-    return sec::checkEquivalence(problem, options);  // nothing to split
-
-  // One cooperative cancel flag per depth task plus one for induction:
-  // depth t finishing non-clean cancels only STRICTLY DEEPER tasks (and
-  // induction), so the merge below — which scans depths in ascending order
-  // and stops at the first non-clean one — sees exactly the verdicts the
-  // serial engine would have produced up to its own stopping depth.
-  std::vector<std::atomic<bool>> cancels(bound + 1);
-  auto cancelAbove = [&](unsigned t) {
-    for (unsigned u = t + 1; u <= bound; ++u)
-      cancels[u].store(true, std::memory_order_release);
-  };
-
-  std::vector<sec::SecResult> depthResults(bound);
-  sec::SecResult inductionResult;
-  const fault::Injector* proto = fault::currentInjector();
-
-  ParallelExecutor::TaskGroup group;
-  for (unsigned t = 0; t < bound; ++t) {
-    exec.submit(group, [&, t] {
-      std::optional<fault::ScopedInjector> si;
-      if (proto != nullptr) si.emplace(*proto);
-      sec::SecOptions o = options;
-      o.boundTransactions = t + 1;
-      o.bmcStartTransaction = t;
-      o.tryInduction = false;
-      o.bmcBudget.cancel = &cancels[t];
-      o.fraigOptions.candidateBudget.cancel = &cancels[t];
-      depthResults[t] = sec::checkEquivalence(problem, o);
-      if (depthResults[t].verdict != sec::Verdict::kBoundedEquivalent)
-        cancelAbove(t);
-    });
-  }
-  const bool induction = options.tryInduction;
-  if (induction) {
-    exec.submit(group, [&] {
-      std::optional<fault::ScopedInjector> si;
-      if (proto != nullptr) si.emplace(*proto);
-      sec::SecOptions o = options;
-      o.boundTransactions = 0;  // induction only: the BMC loop never runs
-      o.tryInduction = true;
-      o.inductionBudget.cancel = &cancels[bound];
-      o.fraigOptions.candidateBudget.cancel = &cancels[bound];
-      inductionResult = sec::checkEquivalence(problem, o);
-    });
-  }
-  exec.wait(group);
-
-  // Merge in depth order.  Every shard re-derived slice/absint identically,
-  // so preprocessing telemetry comes from one representative shard; solver
-  // and graph costs sum across shards (the honest total price paid).
-  sec::SecResult merged;
-  const sec::SecResult& rep = bound > 0 ? depthResults[0] : inductionResult;
-  merged.stats.slice = rep.stats.slice;
-  merged.stats.absint = rep.stats.absint;
-  auto addCosts = [&merged](const sec::SecStats& s) {
-    merged.stats.aigNodes += s.aigNodes;
-    merged.stats.bmcAigNodes += s.bmcAigNodes;
-    merged.stats.satConflicts += s.satConflicts;
-    merged.stats.satDecisions += s.satDecisions;
-    merged.stats.fraigMergedNodes += s.fraigMergedNodes;
-    merged.stats.fraigSatCalls += s.fraigSatCalls;
-    merged.stats.fraigTimeMs += s.fraigTimeMs;
-    merged.stats.rewriteSavedNodes += s.rewriteSavedNodes;
-    merged.stats.rewriteApplied += s.rewriteApplied;
-    merged.stats.rewriteMemoHits += s.rewriteMemoHits;
-    merged.stats.rewriteTimeMs += s.rewriteTimeMs;
-    merged.stats.seconds += s.seconds;  // summed CPU cost, not wall clock
-  };
-  merged.verdict = sec::Verdict::kBoundedEquivalent;
-  for (unsigned t = 0; t < bound; ++t) {
-    const sec::SecResult& r = depthResults[t];
-    addCosts(r.stats);
-    for (const sec::PhaseStats& p : r.stats.bmcTransactions)
-      merged.stats.bmcTransactions.push_back(p);
-    merged.stats.transactionsChecked = t + 1;
-    if (r.verdict == sec::Verdict::kInconclusive) {
-      // This depth's own budget expired (a cancellation can only have come
-      // from a shallower non-clean depth, which we would have hit first).
-      merged.verdict = sec::Verdict::kInconclusive;
-      return merged;
-    }
-    if (r.verdict == sec::Verdict::kNotEquivalent) {
-      merged.verdict = sec::Verdict::kNotEquivalent;
-      merged.cex = r.cex;  // lowest failing depth == the serial engine's
-      return merged;
-    }
-  }
-  if (induction) {
-    addCosts(inductionResult.stats);
-    merged.stats.inductionAigNodes = inductionResult.stats.inductionAigNodes;
-    merged.stats.induction = inductionResult.stats.induction;
-    merged.stats.inductionAttempted = inductionResult.stats.inductionAttempted;
-    merged.stats.inductionClosed = inductionResult.stats.inductionClosed;
-    // Mining is gated on tryInduction, so only this task ran it: the depth
-    // shards carry zero InvStats by construction.
-    merged.stats.inv = inductionResult.stats.inv;
-    if (inductionResult.verdict == sec::Verdict::kProvenEquivalent)
-      merged.verdict = sec::Verdict::kProvenEquivalent;
-  }
-  return merged;
 }
 
 }  // namespace dfv::core

@@ -1,5 +1,5 @@
-// Parallel plan execution: a work-stealing thread pool, a solver-portfolio
-// racer, and a depth-split parallel BMC driver.
+// Parallel plan execution: a work-stealing thread pool and a solver-portfolio
+// racer.
 //
 // The paper's methodology pays off at system scale when many blocks are
 // verified against many scenarios; every layer below core is deliberately
@@ -14,17 +14,17 @@
 //     fixed-size pool.
 //   * Portfolio racing — buildPortfolio() derives diversified but fully
 //     deterministic SecOptions variants (solver seed, phase saving,
-//     restart policy, optionally fraig) and racePortfolio() runs them
-//     concurrently, takes the first decisive verdict, and cancels the
+//     restart policy, rewrite, optionally fraig) and racePortfolio() runs
+//     them concurrently, takes the first decisive verdict, and cancels the
 //     losers through sat::Budget::cancel — cooperative, never a thread
 //     kill, so every solver stays valid.  WHICH member wins may depend on
 //     scheduling; WHAT the winner computed never does: re-running the
 //     recorded winner's options on one thread reproduces its verdict and
 //     solver statistics bit-for-bit (asserted by tests/parallel_test.cpp).
-//   * checkBmcParallel — fans one SEC problem's BMC transactions out as
-//     independent depth tasks (SecOptions::bmcStartTransaction) plus an
-//     induction task, and merges verdicts in depth order so the outcome
-//     matches the serial engine's.
+//
+// One SEC check is never split across workers: the engine's single
+// incremental miter pays each BMC depth's cost once, so parallelism lives
+// at the block and portfolio level only.
 //
 // Fault injection composes: tasks that verify blocks or race members
 // install a per-task clone of the caller's injector (fault::ScopedInjector
@@ -43,7 +43,6 @@
 #include <vector>
 
 #include "sec/engine.h"
-#include "sec/transaction.h"
 
 namespace dfv::core {
 
@@ -114,25 +113,18 @@ class ParallelExecutor {
 };
 
 /// How buildPortfolio diversifies SecOptions into racing members.  Member
-/// 0 is always the unmodified base; members 1.. cycle deterministically
-/// through {geometric restarts, phase saving off, fraig toggled, rewrite
-/// toggled} (bits 0-3 of the member index) x a per-member solver seed.
-/// Everything derives from (base, this struct) — no RNG, no clock — so the
-/// same inputs always name the same portfolio.
+/// 0 is always the unmodified base; member i >= 1 gets solver and fraig seed
+/// 0x5eedbeef + i and cycles deterministically through {geometric
+/// restarts, phase saving off, fraig toggled (only with varyFraig), rewrite
+/// toggled} on bits 0-3 of i - 1.  Everything derives from (base, this
+/// struct) — no RNG, no clock — so the same inputs always name the same
+/// portfolio.
 struct PortfolioOptions {
   unsigned members = 3;  ///< total racers, including the base (1 = no race)
-  bool varySeed = true;
-  bool varyPhaseSaving = true;
-  bool varyRestartPolicy = true;
   /// Off by default: fraig-off members lose the repo's main rescue for
   /// hard miters (see CLAUDE.md), so only opt in where base fraig-on
   /// might itself be the pathological configuration.
   bool varyFraig = false;
-  /// Toggle DAG-aware rewriting off on some members.  Safe either way —
-  /// the rewrite never changes verdicts — so this trades its (small)
-  /// up-front cost against the smaller cone on a per-member basis.
-  bool varyRewrite = true;
-  std::uint64_t seedBase = 0x5eedbeef;
 };
 
 /// One racer: index in the portfolio, a stable human-readable name
@@ -181,18 +173,5 @@ struct PortfolioOutcome {
 PortfolioOutcome racePortfolio(
     ParallelExecutor& exec, const std::vector<PortfolioMember>& members,
     const std::function<sec::SecResult(const sec::SecOptions&)>& runner);
-
-/// Runs one SEC problem's BMC phase as independent per-transaction depth
-/// tasks (plus an induction task when options.tryInduction), merged in
-/// depth order so the verdict — and a counterexample's failing
-/// transaction — match the serial engine's.  Each depth task re-derives
-/// slice/absint and re-unrolls up to its depth (that duplicated unrolling
-/// is the price of the parallelism; stats.aigNodes sums all shards).
-/// When a depth finds a counterexample or exhausts its budget, deeper
-/// tasks and the induction task are cancelled cooperatively.
-/// `options.bmcStartTransaction` must be 0 (the driver owns the split).
-sec::SecResult checkBmcParallel(ParallelExecutor& exec,
-                                const sec::SecProblem& problem,
-                                const sec::SecOptions& options);
 
 }  // namespace dfv::core

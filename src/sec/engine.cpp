@@ -375,10 +375,6 @@ class Miter {
       phase.rewriteApplied += rs.rewritesApplied;
       phase.rewriteMemoHits += rs.memoHits;
       phase.rewriteTimeMs += ms;
-      rewriteSaved_ += rs.nodesBefore - rs.nodesAfter;
-      rewriteApplied_ += rs.rewritesApplied;
-      rewriteMemoHits_ += rs.memoHits;
-      rewriteTimeMs_ += ms;
       roots = rr.roots;
     }
     sat::Budget solveBudget = budget;
@@ -397,9 +393,6 @@ class Miter {
       phase.fraigTimeMs += fs.seconds * 1e3;
       phase.conflicts += fs.conflicts;
       phase.propagations += fs.propagations;
-      fraigMerged_ += fs.mergedNodes;
-      fraigSatCalls_ += fs.satCalls;
-      fraigTimeMs_ += fs.seconds * 1e3;
       roots = fr.roots;
       swept = !fs.budgetExhausted;
       solveBudget =
@@ -433,19 +426,12 @@ class Miter {
     return solver_.modelValueOr(enc_.satLit(l), def);
   }
 
-  /// Folds this miter's total solver + rewrite + fraig cost into the run
-  /// stats.
+  /// Folds this miter's solver totals into the run stats.  They include
+  /// the sweep's own decisions, which no phase entry counts.
   void foldInto(SecStats& stats) const {
     const sat::SolverStats& ss = solver_.stats();
     stats.satConflicts += ss.conflicts;
     stats.satDecisions += ss.decisions;
-    stats.fraigMergedNodes += fraigMerged_;
-    stats.fraigSatCalls += fraigSatCalls_;
-    stats.fraigTimeMs += fraigTimeMs_;
-    stats.rewriteSavedNodes += rewriteSaved_;
-    stats.rewriteApplied += rewriteApplied_;
-    stats.rewriteMemoHits += rewriteMemoHits_;
-    stats.rewriteTimeMs += rewriteTimeMs_;
   }
 
  private:
@@ -458,13 +444,6 @@ class Miter {
   std::optional<aig::Rewriter::Session> rewriter_;
   std::optional<aig::Fraig::Session> fraig_;
   std::vector<aig::Lit> pending_;  // facts asserted since the last solve
-  std::size_t fraigMerged_ = 0;
-  std::uint64_t fraigSatCalls_ = 0;
-  double fraigTimeMs_ = 0.0;
-  std::size_t rewriteSaved_ = 0;
-  std::uint64_t rewriteApplied_ = 0;
-  std::uint64_t rewriteMemoHits_ = 0;
-  double rewriteTimeMs_ = 0.0;
 };
 
 bv::BitVector extractWord(Miter& miter, const aig::Word& w) {
@@ -553,10 +532,10 @@ SecResult checkEquivalence(const SecProblem& problem,
   // to flip between "already exhausted" and "unlimited" depending on path).
   options.bmcBudget.validate();
   options.inductionBudget.validate();
-  DFV_CHECK_MSG(options.bmcStartTransaction == 0 ||
-                    options.bmcStartTransaction < options.boundTransactions,
-                "bmcStartTransaction " << options.bmcStartTransaction
-                                       << " leaves no transaction to solve");
+  // The BMC loop is also where the reset-state base case is checked and
+  // constraints are tested for vacuity, so induction alone proves nothing.
+  DFV_CHECK_MSG(options.boundTransactions > 0,
+                "boundTransactions must be at least 1");
   const auto startTime = std::chrono::steady_clock::now();
 
   SecResult result;
@@ -682,46 +661,49 @@ SecResult checkEquivalence(const SecProblem& problem,
   std::vector<std::vector<aig::Word>> txnVarWords;  // [txn][var]
 
   auto finishStats = [&] {
+    SecStats& st = result.stats;
     // Both graphs count: the induction step builds a second AIG (gi below)
-    // whose size result.stats.inductionAigNodes carries by then.
-    result.stats.bmcAigNodes = g.numNodes();
-    result.stats.aigNodes =
-        result.stats.bmcAigNodes + result.stats.inductionAigNodes;
-    miter.foldInto(result.stats);
-    result.stats.seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      startTime)
-            .count();
+    // whose size st.inductionAigNodes carries by then.
+    st.bmcAigNodes = g.numNodes();
+    st.aigNodes = st.bmcAigNodes + st.inductionAigNodes;
+    miter.foldInto(st);
+    // The rewrite and fraig totals are the sums of the phase entries.
+    auto addPhase = [&st](const PhaseStats& p) {
+      st.fraigMergedNodes += p.fraigMergedNodes;
+      st.fraigSatCalls += p.fraigSatCalls;
+      st.fraigTimeMs += p.fraigTimeMs;
+      st.rewriteSavedNodes += p.rewriteNodesBefore - p.rewriteNodesAfter;
+      st.rewriteApplied += p.rewriteApplied;
+      st.rewriteMemoHits += p.rewriteMemoHits;
+      st.rewriteTimeMs += p.rewriteTimeMs;
+    };
+    for (const PhaseStats& p : st.bmcTransactions) addPhase(p);
+    addPhase(st.induction);
+    st.seconds = std::chrono::duration<double>(
+                     std::chrono::steady_clock::now() - startTime)
+                     .count();
   };
 
   // ----- BMC over transactions from reset --------------------------------
   for (unsigned t = 0; t < options.boundTransactions; ++t) {
-    // Depth-split support (bmcStartTransaction): depths below the start are
-    // unrolled and their output equalities *asserted* instead of solved —
-    // another run owns finding counterexamples there.  Skipped depths hit
-    // no fault site and log no phase entry, so a depth task's telemetry is
-    // exactly its own solves.
-    const bool solveThisDepth = t >= options.bmcStartTransaction;
-    // Fault-injection site: one hit per solved BMC transaction.  kThrow
-    // models an engine crash mid-run; the solver-shaped policies behave
-    // exactly like a budget that expired before this transaction's first
-    // solve, so the verdict is the honest kInconclusive either way.
-    if (solveThisDepth) {
-      switch (fault::onSiteHit(fault::Site::kSecBmcPhase)) {
-        case fault::Policy::kThrowCheckError:
-          fault::throwInjected(fault::Site::kSecBmcPhase);
-        case fault::Policy::kSpuriousUnknown:
-        case fault::Policy::kExhaustBudget: {
-          PhaseStats cut;
-          cut.budgetExhausted = true;
-          result.stats.bmcTransactions.push_back(cut);
-          result.verdict = Verdict::kInconclusive;
-          finishStats();
-          return result;
-        }
-        default:
-          break;
+    // Fault-injection site: one hit per BMC transaction.  kThrow models an
+    // engine crash mid-run; the solver-shaped policies behave exactly like a
+    // budget that expired before this transaction's first solve, so the
+    // verdict is the honest kInconclusive either way.
+    switch (fault::onSiteHit(fault::Site::kSecBmcPhase)) {
+      case fault::Policy::kThrowCheckError:
+        fault::throwInjected(fault::Site::kSecBmcPhase);
+      case fault::Policy::kSpuriousUnknown:
+      case fault::Policy::kExhaustBudget: {
+        PhaseStats cut;
+        cut.budgetExhausted = true;
+        result.stats.bmcTransactions.push_back(cut);
+        result.verdict = Verdict::kInconclusive;
+        finishStats();
+        return result;
       }
+      default:
+        break;
     }
     // Fresh transaction variables for this transaction.
     std::vector<aig::Word> vars;
@@ -741,11 +723,10 @@ SecResult checkEquivalence(const SecProblem& problem,
         miter.assertTrue(frame.blast(c)[0]);
     }
     PhaseStats phase;
-    // Vacuity guard (first solved transaction only — constraints repeat):
-    // an unsatisfiable constraint set would make every check pass trivially,
+    // Vacuity guard (transaction 0 only — constraints repeat): an
+    // unsatisfiable constraint set would make every check pass trivially,
     // the formal counterpart of a testbench that generates no stimulus.
-    if (solveThisDepth && t == options.bmcStartTransaction &&
-        !problem.constraints().empty()) {
+    if (t == 0 && !problem.constraints().empty()) {
       const sat::Result vr =
           miter.solve(aig::kTrue, options.bmcBudget, phase);
       if (vr == sat::Result::kUnknown) {
@@ -794,13 +775,6 @@ SecResult checkEquivalence(const SecProblem& problem,
       const aig::Lit diff = aig::negate(frame.eqGate(so, ro));
       checkDiffs.push_back(diff);
       anyDiff = g.makeOr(anyDiff, diff);
-    }
-    if (!solveThisDepth) {
-      // Below the split point: assume equality at this depth and move on.
-      miter.assertTrue(aig::negate(anyDiff));
-      if (t == 0 && options.boundTransactions > 1)
-        g.reserve(g.numNodes() * options.boundTransactions);
-      continue;
     }
     result.stats.transactionsChecked = t + 1;
 

@@ -156,11 +156,12 @@ struct SecStats {
   std::size_t inductionAigNodes = 0;  ///< the induction graph (0 if unused)
   std::uint64_t satConflicts = 0;
   std::uint64_t satDecisions = 0;
-  /// Fraig totals across all phases (see the per-phase fields for splits).
+  /// Fraig totals: the sums of the per-phase fields over bmcTransactions
+  /// and induction.
   std::size_t fraigMergedNodes = 0;
   std::uint64_t fraigSatCalls = 0;
   double fraigTimeMs = 0.0;
-  /// Rewrite totals across all phases (see the per-phase fields for splits).
+  /// Rewrite totals, summed from the phases the same way.
   std::size_t rewriteSavedNodes = 0;  ///< sum of (before - after) per delta
   std::uint64_t rewriteApplied = 0;
   std::uint64_t rewriteMemoHits = 0;
@@ -195,17 +196,8 @@ struct SecResult {
 };
 
 struct SecOptions {
-  /// Number of transactions to unroll from reset.
+  /// Number of transactions to unroll from reset; at least 1.
   unsigned boundTransactions = 4;
-  /// First transaction depth the BMC phase actually *solves*.  Depths below
-  /// it are still unrolled, but their output equalities are asserted as
-  /// facts instead of checked — the depth-split contract behind
-  /// core::checkBmcParallel, where depth t's task solves only transaction t
-  /// and a lower-depth counterexample is the lower-depth task's job.  A
-  /// nonzero start is only sound when every depth below it is covered by
-  /// another run; standalone callers should leave it 0.  The vacuity check
-  /// runs with the first solved transaction.
-  unsigned bmcStartTransaction = 0;
   /// Attempt the inductive step to upgrade bounded -> proven.
   bool tryInduction = true;
   /// Per-instance SAT solver heuristics (seed, phase saving, restart

@@ -968,6 +968,33 @@ TEST(SecEngine, NegativeBudgetCapsAreRejectedOnEntry) {
             Verdict::kBoundedEquivalent);
 }
 
+TEST(SecEngine, ZeroBoundIsRejectedOnEntry) {
+  // The BMC loop checks the reset-state base case and the constraints'
+  // vacuity, so a run with no BMC transaction would prove nothing: a
+  // coefficient bug would pass as bounded-equivalent and contradictory
+  // constraints as proven-equivalent.  Both are rejected up front, with
+  // induction on or off.
+  for (const bool induction : {true, false}) {
+    SCOPED_TRACE(induction ? "induction on" : "induction off");
+    const SecOptions zero{.boundTransactions = 0, .tryInduction = induction};
+    {
+      ir::Context ctx;
+      designs::FirSecSetup s =
+          designs::makeFirSecProblem(ctx, designs::FirBug::kWrongCoefficient);
+      EXPECT_THROW(checkEquivalence(*s.problem, zero), CheckError);
+    }
+    {
+      ir::Context ctx;
+      designs::FirSecSetup s =
+          designs::makeFirSecProblem(ctx, designs::FirBug::kNone);
+      ir::NodeRef x = s.problem->txnVars()[0];
+      s.problem->addConstraint(ctx.ult(x, ctx.constantUint(x->width(), 1)));
+      s.problem->addConstraint(ctx.ugt(x, ctx.constantUint(x->width(), 2)));
+      EXPECT_THROW(checkEquivalence(*s.problem, zero), CheckError);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // SecInvariants: the certified-invariant strengthening channel
 // (SecOptions::invariants).  wrapcnt is the calibrated fixture: its two wrap
