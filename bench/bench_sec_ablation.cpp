@@ -242,115 +242,15 @@ int main(int argc, char** argv) {
               "be 0)\n\n",
               verdictMismatches);
 
-  // --- Part 1b: absint preprocessing on/off ---------------------------------
-  //
-  // Word-level abstract interpretation (SecOptions::absint) rewrites both
-  // sides before bit-blasting the BMC unrolling.  Verdicts must be identical
-  // on and off; the AIG delta is the payoff (or, when a one-sided rewrite
-  // trades away cross-side structural sharing, the cost — both are
-  // measurements, which is why this is an ablation).
-  {
-    std::vector<Case> aiCases = {
-        {"fir", 2, 1000000, 0,
-         [](ir::Context& ctx) {
-           return hold(std::make_shared<designs::FirSecSetup>(
-               designs::makeFirSecProblem(ctx, designs::FirBug::kNone)));
-         }},
-        {"conv_win", 1, 100000, 0,
-         [](ir::Context& ctx) {
-           return hold(std::make_shared<ConvWinSetup>(makeConvWinProblem(ctx)));
-         }},
-        {"gcd", 1, 100000, 0,
-         [](ir::Context& ctx) {
-           return hold(std::make_shared<designs::GcdSecSetup>(
-               designs::makeGcdSecProblem(ctx)));
-         }},
-        {"fpadd", 1, 100000, 0,
-         [](ir::Context& ctx) {
-           return hold(std::make_shared<designs::FpAddSecSetup>(
-               designs::makeFpAddSecProblem(ctx, fp::Format::minifloat(),
-                                            /*constrainToSafeBand=*/true)));
-         }},
-        {"truncsum", 2, 100000, 0,
-         [](ir::Context& ctx) {
-           return hold(std::make_shared<designs::TruncsumSecSetup>(
-               designs::makeTruncsumSecProblem(ctx)));
-         }},
-        {"histo", 6, 1000000, 0,
-         [](ir::Context& ctx) {
-           return hold(std::make_shared<designs::HistoSecSetup>(
-               designs::makeHistoSecProblem(ctx)));
-         }},
-    };
-    if (smoke) aiCases = {aiCases[4], aiCases[5]};  // the absint-built pair
-
-    std::printf("--- absint preprocessing on/off ---\n");
-    std::printf("%-12s %-6s %8s %10s %7s %7s %7s %6s  %s\n", "design",
-                "absint", "sec(s)", "aig(bmc)", "folded", "pruned", "narrow",
-                "bits", "verdict");
-    for (const Case& c : aiCases) {
-      sec::Verdict onVerdict = sec::Verdict::kInconclusive;
-      bool onCut = true;
-      for (const bool absint : {true, false}) {
-        ir::Context ctx;
-        auto problem = c.make(ctx);
-        sec::SecOptions o;
-        o.boundTransactions = c.bound;
-        o.absint = absint;
-        applyBudget(o, c, smoke);
-        const auto t0 = Clock::now();
-        const auto r = sec::checkEquivalence(*problem, o);
-        const double secs = secsSince(t0);
-        const auto& ai = r.stats.absint;
-        const bool cut = r.stats.induction.budgetExhausted ||
-                         sumPhases(r.stats, [](const sec::PhaseStats& p) {
-                           return static_cast<int>(p.budgetExhausted);
-                         }) > 0;
-        std::printf("%-12s %-6s %8.3f %10zu %7llu %7llu %7llu %6llu  %s\n",
-                    c.name, absint ? "on" : "off", secs, r.stats.bmcAigNodes,
-                    static_cast<unsigned long long>(ai.nodesFolded),
-                    static_cast<unsigned long long>(ai.muxesPruned),
-                    static_cast<unsigned long long>(ai.opsNarrowed),
-                    static_cast<unsigned long long>(ai.bitsNarrowed),
-                    sec::verdictName(r.verdict));
-        report.beginRow("absint_matrix")
-            .field("design", c.name)
-            .field("absint", absint)
-            .field("seconds", secs)
-            .field("bmcAigNodes", r.stats.bmcAigNodes)
-            .field("inductionAigNodes", r.stats.inductionAigNodes)
-            .field("nodesFolded", ai.nodesFolded)
-            .field("muxesPruned", ai.muxesPruned)
-            .field("opsNarrowed", ai.opsNarrowed)
-            .field("bitsNarrowed", ai.bitsNarrowed)
-            .field("tsNodesBefore", ai.tsNodesBefore)
-            .field("tsNodesAfter", ai.tsNodesAfter)
-            .field("absintSeconds", ai.seconds)
-            .field("budgetCut", cut)
-            .field("verdict", sec::verdictName(r.verdict));
-        if (absint) {
-          onVerdict = r.verdict;
-          onCut = cut;
-        } else if (!onCut && !cut && r.verdict != onVerdict) {
-          ++verdictMismatches;
-          std::printf("  !! VERDICT CHANGED by absint on %s\n", c.name);
-        }
-      }
-    }
-    std::printf("(facts are reachable-from-reset: applied to the BMC "
-                "unrolling only, never the\n induction step — identical "
-                "verdicts by construction, mismatches count above)\n\n");
-  }
-
-  // --- Part 1c: slice x absint x fraig matrix -------------------------------
+  // --- Part 1c: slice x fraig matrix ----------------------------------------
   //
   // Structural slicing (SecOptions::slice) is the only preprocessing layer
-  // whose facts are sound for induction (DESIGN.md §11), so unlike absint
-  // it is allowed to shrink inductionAigNodes.  The full 2^3 matrix checks
-  // that the three layers compose with identical verdicts in every cell,
-  // and the histo row must show the slice payoff: its RTL observability
-  // block is outside every checked cone, and severing it must cut the
-  // induction graph by more than 5% (counted as a regression otherwise).
+  // allowed to shrink inductionAigNodes: its facts are sound for induction
+  // (DESIGN.md §11).  The full 2^2 matrix checks that slicing and fraig
+  // compose with identical verdicts in every cell, and the histo row must
+  // show the slice payoff: its RTL observability block is outside every
+  // checked cone, and severing it must cut the induction graph by more
+  // than 5% (counted as a regression otherwise).
   unsigned sliceRegressions = 0;
   std::uint64_t severedTotal = 0, seqConstantsTotal = 0;
   {
@@ -368,75 +268,68 @@ int main(int argc, char** argv) {
     };
     if (smoke) slCases = {slCases[1]};  // the design built for slicing
 
-    std::printf("--- slice x absint x fraig matrix ---\n");
-    std::printf("%-12s %-6s %-6s %-6s %8s %10s %10s %7s %7s  %s\n", "design",
-                "slice", "absint", "fraig", "sec(s)", "aig(bmc)", "aig(ind)",
-                "severed", "seqcst", "verdict");
+    std::printf("--- slice x fraig matrix ---\n");
+    std::printf("%-12s %-6s %-6s %8s %10s %10s %7s %7s  %s\n", "design",
+                "slice", "fraig", "sec(s)", "aig(bmc)", "aig(ind)", "severed",
+                "seqcst", "verdict");
     for (const Case& c : slCases) {
       sec::Verdict ref = sec::Verdict::kInconclusive;
       bool refSet = false;
-      std::size_t indOn = 0, indOff = 0;  // at absint=on, fraig=on
+      std::size_t indOn = 0, indOff = 0;  // at fraig=on
       for (const bool slice : {true, false}) {
-        for (const bool absint : {true, false}) {
-          for (const bool fraig : {true, false}) {
-            ir::Context ctx;
-            auto problem = c.make(ctx);
-            sec::SecOptions o;
-            o.boundTransactions = c.bound;
-            o.slice = slice;
-            o.absint = absint;
-            o.fraig = fraig;
-            applyBudget(o, c, smoke);
-            const auto t0 = Clock::now();
-            const auto r = sec::checkEquivalence(*problem, o);
-            const double secs = secsSince(t0);
-            const bool cut = r.stats.induction.budgetExhausted ||
-                             sumPhases(r.stats, [](const sec::PhaseStats& p) {
-                               return static_cast<int>(p.budgetExhausted);
-                             }) > 0;
-            const auto& sl = r.stats.slice;
-            const std::uint64_t severed =
-                sl.slm.statesSevered + sl.rtl.statesSevered;
-            const std::uint64_t seqcst =
-                sl.slm.seqConstants + sl.rtl.seqConstants;
-            severedTotal += severed;
-            seqConstantsTotal += seqcst;
-            if (absint && fraig) (slice ? indOn : indOff) =
-                r.stats.inductionAigNodes;
-            std::printf(
-                "%-12s %-6s %-6s %-6s %8.3f %10zu %10zu %7llu %7llu  %s\n",
-                c.name, slice ? "on" : "off", absint ? "on" : "off",
-                fraig ? "on" : "off", secs, r.stats.bmcAigNodes,
-                r.stats.inductionAigNodes,
-                static_cast<unsigned long long>(severed),
-                static_cast<unsigned long long>(seqcst),
-                sec::verdictName(r.verdict));
-            report.beginRow("slice_matrix")
-                .field("design", c.name)
-                .field("slice", slice)
-                .field("absint", absint)
-                .field("fraig", fraig)
-                .field("seconds", secs)
-                .field("bmcAigNodes", r.stats.bmcAigNodes)
-                .field("inductionAigNodes", r.stats.inductionAigNodes)
-                .field("slice_states_severed", severed)
-                .field("slice_seq_constants", seqcst)
-                .field("sliceNodesBeforeRtl", sl.rtl.nodesBefore)
-                .field("sliceNodesAfterRtl", sl.rtl.nodesAfter)
-                .field("sliceSeconds", sl.seconds)
-                .field("budgetCut", cut)
-                .field("verdict", sec::verdictName(r.verdict));
-            // Every completed cell must agree with the first completed one:
-            // all three layers are verdict-preserving, alone or composed.
-            if (!cut) {
-              if (!refSet) {
-                ref = r.verdict;
-                refSet = true;
-              } else if (r.verdict != ref) {
-                ++verdictMismatches;
-                std::printf("  !! VERDICT CHANGED in slice matrix on %s\n",
-                            c.name);
-              }
+        for (const bool fraig : {true, false}) {
+          ir::Context ctx;
+          auto problem = c.make(ctx);
+          sec::SecOptions o;
+          o.boundTransactions = c.bound;
+          o.slice = slice;
+          o.fraig = fraig;
+          applyBudget(o, c, smoke);
+          const auto t0 = Clock::now();
+          const auto r = sec::checkEquivalence(*problem, o);
+          const double secs = secsSince(t0);
+          const bool cut = r.stats.induction.budgetExhausted ||
+                           sumPhases(r.stats, [](const sec::PhaseStats& p) {
+                             return static_cast<int>(p.budgetExhausted);
+                           }) > 0;
+          const auto& sl = r.stats.slice;
+          const std::uint64_t severed =
+              sl.slm.statesSevered + sl.rtl.statesSevered;
+          const std::uint64_t seqcst =
+              sl.slm.seqConstants + sl.rtl.seqConstants;
+          severedTotal += severed;
+          seqConstantsTotal += seqcst;
+          if (fraig) (slice ? indOn : indOff) = r.stats.inductionAigNodes;
+          std::printf("%-12s %-6s %-6s %8.3f %10zu %10zu %7llu %7llu  %s\n",
+                      c.name, slice ? "on" : "off", fraig ? "on" : "off", secs,
+                      r.stats.bmcAigNodes, r.stats.inductionAigNodes,
+                      static_cast<unsigned long long>(severed),
+                      static_cast<unsigned long long>(seqcst),
+                      sec::verdictName(r.verdict));
+          report.beginRow("slice_matrix")
+              .field("design", c.name)
+              .field("slice", slice)
+              .field("fraig", fraig)
+              .field("seconds", secs)
+              .field("bmcAigNodes", r.stats.bmcAigNodes)
+              .field("inductionAigNodes", r.stats.inductionAigNodes)
+              .field("slice_states_severed", severed)
+              .field("slice_seq_constants", seqcst)
+              .field("sliceNodesBeforeRtl", sl.rtl.nodesBefore)
+              .field("sliceNodesAfterRtl", sl.rtl.nodesAfter)
+              .field("sliceSeconds", sl.seconds)
+              .field("budgetCut", cut)
+              .field("verdict", sec::verdictName(r.verdict));
+          // Every completed cell must agree with the first completed one:
+          // both layers are verdict-preserving, alone or composed.
+          if (!cut) {
+            if (!refSet) {
+              ref = r.verdict;
+              refSet = true;
+            } else if (r.verdict != ref) {
+              ++verdictMismatches;
+              std::printf("  !! VERDICT CHANGED in slice matrix on %s\n",
+                          c.name);
             }
           }
         }
@@ -461,11 +354,11 @@ int main(int argc, char** argv) {
                 sliceRegressions);
   }
 
-  // --- Part 1d: rewrite x fraig x absint x slice matrix ---------------------
+  // --- Part 1d: rewrite x fraig x slice matrix ------------------------------
   //
   // DAG-aware AIG rewriting (SecOptions::rewrite) runs between bit-blast
-  // and CNF on every miter cone.  Unlike absint its output is unconditional
-  // — sound for BMC and induction alike — so the only questions are the
+  // and CNF on every miter cone.  Its output is unconditional — sound for
+  // BMC and induction alike — so the only questions are the
   // verdict parity (every completed cell must agree) and the payoff.  The
   // acceptance gate: on fir, with the other layers at their defaults, the
   // rewrite must cut the summed miter cone by more than 15% (fir's two
@@ -487,75 +380,71 @@ int main(int argc, char** argv) {
     };
     if (smoke) rwCases = {rwCases[0]};  // fir carries the acceptance gate
 
-    std::printf("--- rewrite x fraig x absint x slice matrix ---\n");
-    std::printf("%-12s %-7s %-6s %-6s %-6s %8s %9s %9s %8s %9s  %s\n",
-                "design", "rewrite", "fraig", "absint", "slice", "sec(s)",
-                "cone(pre)", "cone(post)", "applied", "conflicts", "verdict");
+    std::printf("--- rewrite x fraig x slice matrix ---\n");
+    std::printf("%-12s %-7s %-6s %-6s %8s %9s %9s %8s %9s  %s\n", "design",
+                "rewrite", "fraig", "slice", "sec(s)", "cone(pre)",
+                "cone(post)", "applied", "conflicts", "verdict");
     for (const Case& c : rwCases) {
       sec::Verdict ref = sec::Verdict::kInconclusive;
       bool refSet = false;
       std::size_t firPre = 0, firPost = 0;  // rewrite=on, rest at defaults
       for (const bool rewrite : {true, false}) {
         for (const bool fraig : {true, false}) {
-          for (const bool absint : {true, false}) {
-            for (const bool slice : {true, false}) {
-              ir::Context ctx;
-              auto problem = c.make(ctx);
-              sec::SecOptions o;
-              o.boundTransactions = c.bound;
-              o.rewrite = rewrite;
-              o.fraig = fraig;
-              o.absint = absint;
-              o.slice = slice;
-              applyBudget(o, c, smoke);
-              const auto t0 = Clock::now();
-              const auto r = sec::checkEquivalence(*problem, o);
-              const double secs = secsSince(t0);
-              const bool cut = r.stats.induction.budgetExhausted ||
-                               sumPhases(r.stats, [](const sec::PhaseStats& p) {
-                                 return static_cast<int>(p.budgetExhausted);
-                               }) > 0;
-              const auto pre = sumPhases(r.stats, [](const sec::PhaseStats& p) {
-                return p.rewriteNodesBefore;
-              });
-              const auto post = sumPhases(
-                  r.stats,
-                  [](const sec::PhaseStats& p) { return p.rewriteNodesAfter; });
-              if (rewrite && fraig && absint && slice) {
-                firPre = pre;
-                firPost = post;
-              }
-              std::printf(
-                  "%-12s %-7s %-6s %-6s %-6s %8.3f %9zu %9zu %8llu %9llu  %s\n",
-                  c.name, rewrite ? "on" : "off", fraig ? "on" : "off",
-                  absint ? "on" : "off", slice ? "on" : "off", secs, pre, post,
-                  static_cast<unsigned long long>(r.stats.rewriteApplied),
-                  static_cast<unsigned long long>(conflictsUsed(r.stats)),
-                  sec::verdictName(r.verdict));
-              report.beginRow("rewrite_matrix")
-                  .field("design", c.name)
-                  .field("rewrite", rewrite)
-                  .field("fraig", fraig)
-                  .field("absint", absint)
-                  .field("slice", slice)
-                  .field("seconds", secs)
-                  .field("rewriteNodesBefore", pre)
-                  .field("rewriteNodesAfter", post)
-                  .field("rewriteApplied", r.stats.rewriteApplied)
-                  .field("rewriteSavedNodes", r.stats.rewriteSavedNodes)
-                  .field("rewriteTimeMs", r.stats.rewriteTimeMs)
-                  .field("conflicts", conflictsUsed(r.stats))
-                  .field("budgetCut", cut)
-                  .field("verdict", sec::verdictName(r.verdict));
-              if (!cut) {
-                if (!refSet) {
-                  ref = r.verdict;
-                  refSet = true;
-                } else if (r.verdict != ref) {
-                  ++verdictMismatches;
-                  std::printf("  !! VERDICT CHANGED in rewrite matrix on %s\n",
-                              c.name);
-                }
+          for (const bool slice : {true, false}) {
+            ir::Context ctx;
+            auto problem = c.make(ctx);
+            sec::SecOptions o;
+            o.boundTransactions = c.bound;
+            o.rewrite = rewrite;
+            o.fraig = fraig;
+            o.slice = slice;
+            applyBudget(o, c, smoke);
+            const auto t0 = Clock::now();
+            const auto r = sec::checkEquivalence(*problem, o);
+            const double secs = secsSince(t0);
+            const bool cut = r.stats.induction.budgetExhausted ||
+                             sumPhases(r.stats, [](const sec::PhaseStats& p) {
+                               return static_cast<int>(p.budgetExhausted);
+                             }) > 0;
+            const auto pre = sumPhases(r.stats, [](const sec::PhaseStats& p) {
+              return p.rewriteNodesBefore;
+            });
+            const auto post = sumPhases(r.stats, [](const sec::PhaseStats& p) {
+              return p.rewriteNodesAfter;
+            });
+            if (rewrite && fraig && slice) {
+              firPre = pre;
+              firPost = post;
+            }
+            std::printf(
+                "%-12s %-7s %-6s %-6s %8.3f %9zu %9zu %8llu %9llu  %s\n",
+                c.name, rewrite ? "on" : "off", fraig ? "on" : "off",
+                slice ? "on" : "off", secs, pre, post,
+                static_cast<unsigned long long>(r.stats.rewriteApplied),
+                static_cast<unsigned long long>(conflictsUsed(r.stats)),
+                sec::verdictName(r.verdict));
+            report.beginRow("rewrite_matrix")
+                .field("design", c.name)
+                .field("rewrite", rewrite)
+                .field("fraig", fraig)
+                .field("slice", slice)
+                .field("seconds", secs)
+                .field("rewriteNodesBefore", pre)
+                .field("rewriteNodesAfter", post)
+                .field("rewriteApplied", r.stats.rewriteApplied)
+                .field("rewriteSavedNodes", r.stats.rewriteSavedNodes)
+                .field("rewriteTimeMs", r.stats.rewriteTimeMs)
+                .field("conflicts", conflictsUsed(r.stats))
+                .field("budgetCut", cut)
+                .field("verdict", sec::verdictName(r.verdict));
+            if (!cut) {
+              if (!refSet) {
+                ref = r.verdict;
+                refSet = true;
+              } else if (r.verdict != ref) {
+                ++verdictMismatches;
+                std::printf("  !! VERDICT CHANGED in rewrite matrix on %s\n",
+                            c.name);
               }
             }
           }
@@ -578,7 +467,7 @@ int main(int argc, char** argv) {
                 rewriteRegressions);
   }
 
-  // --- Part 1e: invariants x slice x absint matrix --------------------------
+  // --- Part 1e: invariants x slice matrix -----------------------------------
   //
   // Certified invariant strengthening (SecOptions::invariants) is the only
   // channel through which reachability-shaped facts may reach transaction
@@ -588,7 +477,7 @@ int main(int argc, char** argv) {
   // agree only on reachable states, so every invariants=off cell must stay
   // BOUNDED and every invariants=on cell must reach PROVEN (the acceptance
   // gate).
-  // histo's induction already closes structurally, so all eight of its
+  // histo's induction already closes structurally, so all four of its
   // cells must agree regardless — strengthening with entailed facts is
   // verdict-preserving.
   unsigned invRegressions = 0;
@@ -608,82 +497,77 @@ int main(int argc, char** argv) {
     };
     if (smoke) invCases = {invCases[0]};  // wrapcnt carries the gate
 
-    std::printf("--- invariants x slice x absint matrix ---\n");
-    std::printf("%-12s %-6s %-6s %-6s %8s %10s %6s %6s %7s  %s\n", "design",
-                "inv", "slice", "absint", "sec(s)", "aig(ind)", "cand",
-                "cert", "rounds", "verdict");
+    std::printf("--- invariants x slice matrix ---\n");
+    std::printf("%-12s %-6s %-6s %8s %10s %6s %6s %7s  %s\n", "design", "inv",
+                "slice", "sec(s)", "aig(ind)", "cand", "cert", "rounds",
+                "verdict");
     for (const Case& c : invCases) {
       const bool isWrapcnt = std::string(c.name) == "wrapcnt";
       sec::Verdict ref = sec::Verdict::kInconclusive;
       bool refSet = false;
       for (const bool invariants : {true, false}) {
         for (const bool slice : {true, false}) {
-          for (const bool absint : {true, false}) {
-            ir::Context ctx;
-            auto problem = c.make(ctx);
-            sec::SecOptions o;
-            o.boundTransactions = c.bound;
-            o.invariants = invariants;
-            o.slice = slice;
-            o.absint = absint;
-            applyBudget(o, c, smoke);
-            const auto t0 = Clock::now();
-            const auto r = sec::checkEquivalence(*problem, o);
-            const double secs = secsSince(t0);
-            const bool cut = r.stats.induction.budgetExhausted ||
-                             r.stats.inv.budgetExhausted ||
-                             sumPhases(r.stats, [](const sec::PhaseStats& p) {
-                               return static_cast<int>(p.budgetExhausted);
-                             }) > 0;
-            invCertifiedTotal += r.stats.inv.certified;
-            std::printf(
-                "%-12s %-6s %-6s %-6s %8.3f %10zu %6llu %6llu %7llu  %s\n",
-                c.name, invariants ? "on" : "off", slice ? "on" : "off",
-                absint ? "on" : "off", secs, r.stats.inductionAigNodes,
-                static_cast<unsigned long long>(r.stats.inv.candidates),
-                static_cast<unsigned long long>(r.stats.inv.certified),
-                static_cast<unsigned long long>(r.stats.inv.rounds),
-                sec::verdictName(r.verdict));
-            report.beginRow("inv_matrix")
-                .field("design", c.name)
-                .field("invariants", invariants)
-                .field("slice", slice)
-                .field("absint", absint)
-                .field("seconds", secs)
-                .field("inductionAigNodes", r.stats.inductionAigNodes)
-                .field("invCandidates", r.stats.inv.candidates)
-                .field("invCertified", r.stats.inv.certified)
-                .field("invRounds", r.stats.inv.rounds)
-                .field("invCertSeconds", r.stats.inv.certSeconds)
-                .field("budgetCut", cut)
-                .field("verdict", sec::verdictName(r.verdict));
-            if (cut) continue;
-            if (isWrapcnt) {
-              // The acceptance gate: strengthening — and only strengthening
-              // — flips wrapcnt from bounded to proven, in every cell.
-              const sec::Verdict want = invariants
-                                            ? sec::Verdict::kProvenEquivalent
-                                            : sec::Verdict::kBoundedEquivalent;
-              if (r.verdict != want) {
-                ++invRegressions;
-                std::printf("  !! INV GATE FAILED on wrapcnt (inv=%s): %s\n",
-                            invariants ? "on" : "off",
-                            sec::verdictName(r.verdict));
-              }
-              if (invariants && r.stats.inv.certified == 0) {
-                ++invRegressions;
-                std::printf("  !! INV GATE FAILED on wrapcnt: nothing "
-                            "certified\n");
-              }
-            } else {
-              if (!refSet) {
-                ref = r.verdict;
-                refSet = true;
-              } else if (r.verdict != ref) {
-                ++verdictMismatches;
-                std::printf("  !! VERDICT CHANGED in inv matrix on %s\n",
-                            c.name);
-              }
+          ir::Context ctx;
+          auto problem = c.make(ctx);
+          sec::SecOptions o;
+          o.boundTransactions = c.bound;
+          o.invariants = invariants;
+          o.slice = slice;
+          applyBudget(o, c, smoke);
+          const auto t0 = Clock::now();
+          const auto r = sec::checkEquivalence(*problem, o);
+          const double secs = secsSince(t0);
+          const bool cut = r.stats.induction.budgetExhausted ||
+                           r.stats.inv.budgetExhausted ||
+                           sumPhases(r.stats, [](const sec::PhaseStats& p) {
+                             return static_cast<int>(p.budgetExhausted);
+                           }) > 0;
+          invCertifiedTotal += r.stats.inv.certified;
+          std::printf("%-12s %-6s %-6s %8.3f %10zu %6llu %6llu %7llu  %s\n",
+                      c.name, invariants ? "on" : "off", slice ? "on" : "off",
+                      secs, r.stats.inductionAigNodes,
+                      static_cast<unsigned long long>(r.stats.inv.candidates),
+                      static_cast<unsigned long long>(r.stats.inv.certified),
+                      static_cast<unsigned long long>(r.stats.inv.rounds),
+                      sec::verdictName(r.verdict));
+          report.beginRow("inv_matrix")
+              .field("design", c.name)
+              .field("invariants", invariants)
+              .field("slice", slice)
+              .field("seconds", secs)
+              .field("inductionAigNodes", r.stats.inductionAigNodes)
+              .field("invCandidates", r.stats.inv.candidates)
+              .field("invCertified", r.stats.inv.certified)
+              .field("invRounds", r.stats.inv.rounds)
+              .field("invCertSeconds", r.stats.inv.certSeconds)
+              .field("budgetCut", cut)
+              .field("verdict", sec::verdictName(r.verdict));
+          if (cut) continue;
+          if (isWrapcnt) {
+            // The acceptance gate: strengthening — and only strengthening
+            // — flips wrapcnt from bounded to proven, in every cell.
+            const sec::Verdict want = invariants
+                                          ? sec::Verdict::kProvenEquivalent
+                                          : sec::Verdict::kBoundedEquivalent;
+            if (r.verdict != want) {
+              ++invRegressions;
+              std::printf("  !! INV GATE FAILED on wrapcnt (inv=%s): %s\n",
+                          invariants ? "on" : "off",
+                          sec::verdictName(r.verdict));
+            }
+            if (invariants && r.stats.inv.certified == 0) {
+              ++invRegressions;
+              std::printf("  !! INV GATE FAILED on wrapcnt: nothing "
+                          "certified\n");
+            }
+          } else {
+            if (!refSet) {
+              ref = r.verdict;
+              refSet = true;
+            } else if (r.verdict != ref) {
+              ++verdictMismatches;
+              std::printf("  !! VERDICT CHANGED in inv matrix on %s\n",
+                          c.name);
             }
           }
         }

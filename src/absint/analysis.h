@@ -12,8 +12,9 @@
 //
 // Facts are *reachability* facts: they hold on every concrete trace that
 // starts at reset, but NOT in an arbitrary symbolic state.  Consumers that
-// reason from symbolic starts (the SEC induction step) must not use them —
-// see absint/simplify.h and the CLAUDE.md invariant.
+// reason from symbolic starts (the SEC induction step) must not use them
+// uncertified: dfv::inv, which re-proves each candidate with SAT, is the
+// only bridge.
 //
 // Environment constraints are ignored (dropping assumptions only enlarges
 // the reachable set, so every fact stays sound).

@@ -74,12 +74,6 @@ bool Fact::contains(const BitVector& v) const {
   return iv_.lo.ule(v) && v.ule(iv_.hi);
 }
 
-unsigned Fact::provenLeadingZeros() const {
-  if (bottom_) return width();
-  return kb_.zeros.isAllOnes() ? width()
-                               : (~kb_.zeros).countLeadingZeros();
-}
-
 unsigned Fact::provenTrailingZeros() const {
   if (bottom_) return width();
   unsigned n = 0;

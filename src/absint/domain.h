@@ -6,8 +6,8 @@
 // structural rule can see.  This domain is the vocabulary for proving the
 // facts those hazards hinge on: "the top five bits of this accumulator are
 // always zero", "this saturating counter never exceeds 9".  dfv::absint sits
-// directly above dfv::ir and feeds two consumers: the SEC engine's
-// verdict-preserving simplification pass (absint/simplify.h) and the
+// directly above dfv::ir and feeds two consumers: dfv::inv's invariant
+// miner (whose candidates are SAT-certified before SEC may use them) and the
 // semantic design rules in dfv::drc.
 //
 // Soundness contract (property-tested exhaustively at small widths in
@@ -70,8 +70,6 @@ class Fact {
   unsigned knownBitCount() const {
     return bottom_ ? width() : kb_.zeros.popcount() + kb_.ones.popcount();
   }
-  /// Number of leading bits proven zero.
-  unsigned provenLeadingZeros() const;
   /// Number of trailing bits proven zero.
   unsigned provenTrailingZeros() const;
   /// True when bits [hi:lo] are all proven zero.

@@ -6,11 +6,13 @@
 #include <cctype>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/crc32.h"
 #include "common/hash.h"
 #include "fault/fault.h"
+#include "ir/print.h"
 
 namespace dfv::core {
 
@@ -331,13 +333,34 @@ void mixSecOptions(common::StableHasher& h, const sec::SecOptions& o) {
   h.mix(o.tryInduction);
   h.mix(o.structuralAliasing);
   h.mix(o.fraig);
+  h.mix(o.fraigOptions.seed);
+  h.mix(o.fraigOptions.simWords);
+  h.mix(o.fraigOptions.simRounds);
+  mixBudget(h, o.fraigOptions.candidateBudget);
   h.mix(o.rewrite);
-  h.mix(o.absint);
+  h.mix(o.rewriteOptions.balance);
+  h.mix(o.rewriteOptions.cuts);
+  h.mix(o.rewriteOptions.cutsPerNode);
+  h.mix(o.rewriteOptions.maxPasses);
   h.mix(o.slice);
+  h.mix(o.sliceOptions.coi);
+  h.mix(o.sliceOptions.seqConst);
   h.mix(o.invariants);
-  // Solver heuristics never change verdicts, but they DO shape the
-  // recorded telemetry (the replay fingerprint in attempt_log), and a
-  // resumed record claims to be what a live run would have reported.
+  const inv::Options& io = o.invOptions;
+  h.mix(io.mineAbsint);
+  h.mix(io.absintOptions.widenAfter);
+  h.mix(io.absintOptions.maxIterations);
+  h.mix(io.absintOptions.refineBudget);
+  h.mix(io.mineTernary);
+  h.mix(io.maxCandidates);
+  // Candidates by their full text, never by address: node pointers differ
+  // between processes for the same predicate.  A null entry (rejected by
+  // the run itself) hashes as the empty string.
+  h.mix(static_cast<std::uint64_t>(io.extraCandidates.size()));
+  for (ir::NodeRef p : io.extraCandidates)
+    h.mix(std::string_view(
+        p != nullptr ? ir::printExpr(p, std::numeric_limits<unsigned>::max())
+                     : std::string()));
   h.mix(o.solver.seed);
   h.mix(o.solver.phaseSaving);
   h.mix(static_cast<unsigned>(o.solver.restartPolicy));
@@ -367,8 +390,6 @@ std::uint64_t secBlockFingerprint(const std::string& block,
     h.mix(r.budgetScale);
     h.mix(r.fraig.has_value());
     h.mix(r.fraig.value_or(false));
-    h.mix(r.absint.has_value());
-    h.mix(r.absint.value_or(false));
     h.mix(r.invariants.has_value());
     h.mix(r.invariants.value_or(false));
   }

@@ -136,13 +136,15 @@ class Journal {
 // A fingerprint is a stable (process- and machine-independent) hash of
 // everything that shapes a block's recorded run: design identity (block
 // name + content digest) and the verification configuration, DRC gate
-// included.  Tuning sub-option structs (fraigOptions, rewriteOptions,
-// absintOptions, sliceOptions, invOptions) are deliberately excluded: the
-// repo's parity invariants assert they never change verdicts, only the path
-// taken — and the toggles, budgets and solver heuristics that DO shape the
-// recorded telemetry are all hashed.  A resumed record whose fingerprint
-// matches therefore reproduces what a live run of the same entry would
-// report.
+// included.  Every SecOptions field that can change a verdict or a recorded
+// counter is hashed: the toggles, budgets and solver heuristics, and every
+// scalar of the tuning structs (fraigOptions, rewriteOptions, sliceOptions,
+// invOptions with its absintOptions).  Tuning moves counters, and the
+// invariant miner's options can move a verdict (fewer candidates can leave
+// an induction open).  invOptions.extraCandidates enter by their printed
+// text, so equal predicates hash equally across processes.  A resumed
+// record whose fingerprint matches therefore reproduces what a live run of
+// the same entry would report.
 
 /// Fingerprint of a SEC block: name, digest, the verdict/telemetry-shaping
 /// SecOptions fields, the retry policy, the DRC gate, and the

@@ -57,7 +57,7 @@ AttemptRecord attemptRow(unsigned rung, const sec::SecOptions& o) {
 }
 
 /// Options for the attempt-th try (0 = base).  Rung toggles accumulate:
-/// each climbed rung may override fraig/absint, last write wins.
+/// each climbed rung may override fraig/invariants, last write wins.
 sec::SecOptions attemptOptions(const sec::SecOptions& base, unsigned attempt,
                                const RetryPolicy& policy) {
   sec::SecOptions opts = base;
@@ -74,7 +74,6 @@ sec::SecOptions attemptOptions(const sec::SecOptions& base, unsigned attempt,
     }
     cumulative *= rung.budgetScale;
     if (rung.fraig.has_value()) opts.fraig = *rung.fraig;
-    if (rung.absint.has_value()) opts.absint = *rung.absint;
     if (rung.invariants.has_value()) opts.invariants = *rung.invariants;
   }
   opts.bmcBudget = scaledBudget(base.bmcBudget, cumulative);

@@ -17,7 +17,7 @@
 //     faulted BlockResult; the plan keeps going;
 //   * a retry ladder — kInconclusive SEC verdicts are retried with
 //     geometrically escalated sat::Budget caps, optionally toggling
-//     fraig/absint per rung, every attempt logged in
+//     fraig/invariants per rung, every attempt logged in
 //     BlockResult::attemptLog;
 //   * graceful degradation — when the ladder tops out, an attached cosim
 //     fallback runs seeded random stimulus through both models and the
@@ -48,7 +48,7 @@ struct JournalLoaded;
 
 /// One escalation step of the retry ladder.  `budgetScale` multiplies the
 /// *previous* attempt's conflict/propagation/seconds caps (unlimited caps
-/// stay unlimited); `fraig`/`absint`/`invariants`, when set, override the
+/// stay unlimited); `fraig`/`invariants`, when set, override the
 /// corresponding SecOptions toggle from this rung on.  An `invariants`
 /// rung is the natural rescue between budget escalation and cosim
 /// degradation: when the inductive step keeps failing, certified
@@ -57,7 +57,6 @@ struct JournalLoaded;
 struct RetryRung {
   double budgetScale = 4.0;
   std::optional<bool> fraig;
-  std::optional<bool> absint;
   std::optional<bool> invariants;
 };
 

@@ -70,9 +70,8 @@ HistoSecSetup makeHistoSecProblem(ir::Context& ctx) {
   // unchecked dbg_* outputs, so the COI pass severs them — none of it may
   // appear in the BMC or induction graphs with SecOptions::slice on
   // (bench_sec_ablation measures the reduction; this is deliberately the
-  // shape dfv::slice exists for, the way the saturating bins were built to
-  // showcase dfv::absint).  Added after lowering so the rtl::Module used by
-  // simulation, Verilog emission and cosim stays untouched.
+  // shape dfv::slice exists for).  Added after lowering so the rtl::Module
+  // used by simulation, Verilog emission and cosim stays untouched.
   {
     ir::TransitionSystem& r = *setup.rtl;
     const unsigned w = kHistoCountWidth;

@@ -6,9 +6,8 @@
 // invariants make the induction structural (the CLAUDE.md aliasing
 // invariant), and the clamp gives the abstract interpreter real facts to
 // prove: every bin stays in [0, kHistoCap], so six of each counter's
-// sixteen bits are known zero and every increment narrows — the design
-// exists to measure that SEC simplification payoff (bench_sec_ablation's
-// absint column).
+// sixteen bits are known zero (the semantic DRC rules and dfv::inv's
+// candidate miner read these facts).
 #pragma once
 
 #include <memory>

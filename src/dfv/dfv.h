@@ -29,7 +29,6 @@
 #pragma once
 
 #include "absint/analysis.h"        // IWYU pragma: export
-#include "absint/simplify.h"        // IWYU pragma: export
 #include "aig/cnf.h"                // IWYU pragma: export
 #include "aig/fraig.h"              // IWYU pragma: export
 #include "aig/rewrite.h"            // IWYU pragma: export

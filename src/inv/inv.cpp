@@ -73,7 +73,11 @@ Result mineAndCertify(const ir::TransitionSystem& ts, const Options& opts,
     if (uniq.insert(p).second) cands.push_back(p);
   };
   if (opts.mineAbsint) {
+    const auto t0 = std::chrono::steady_clock::now();
     const absint::Analysis a = absint::Analysis::run(ts, opts.absintOptions);
+    st.absintSeconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
     for (ir::NodeRef p : a.statePredicates(ts)) addCand(p);
   }
   if (opts.mineTernary) {

@@ -44,10 +44,7 @@ struct Options {
   /// Mine interval-bound and known-bits candidates from the absint state
   /// fixpoint (absint::Analysis::statePredicates).
   bool mineAbsint = true;
-  /// Options for the mining analysis.  This analysis is private to the
-  /// miner — independent of any absint pass a consumer runs for BMC
-  /// simplification, so certified sets do not change when a consumer
-  /// toggles its own absint usage.
+  /// Options for the mining analysis (widening, refinement budget).
   absint::Options absintOptions{};
   /// Mine stuck-bit candidates from slice::sequentialTernary masks.
   bool mineTernary = true;
@@ -79,6 +76,9 @@ struct Stats {
   std::uint64_t certPropagations = 0;
   std::uint64_t certDecisions = 0;
   double certSeconds = 0.0;
+  /// Wall time of the mining analysis (absint::Analysis::run); zero when
+  /// mineAbsint is off.
+  double absintSeconds = 0.0;
   /// The budget pool ran dry (or a solve was cancelled): certified is
   /// empty, the caller must fall back to the uncertified path.
   bool budgetExhausted = false;
@@ -97,7 +97,8 @@ struct Result {
 /// runs under the pool's remainder, and exhaustion (or cancellation via
 /// budget.cancel) aborts certification with an empty certified set.
 /// Deterministic: equal (ts, opts) produce bit-identical certified sets and
-/// counters (certSeconds is wall-clock telemetry, like SecStats::seconds).
+/// counters (certSeconds and absintSeconds are wall-clock telemetry, like
+/// SecStats::seconds).
 Result mineAndCertify(const ir::TransitionSystem& ts, const Options& opts,
                       const sat::Budget& budget = {},
                       const sat::SolverOptions& solverOpts = {});

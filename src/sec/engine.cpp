@@ -6,7 +6,6 @@
 #include <sstream>
 #include <unordered_map>
 
-#include "absint/simplify.h"
 #include "fault/fault.h"
 #include "ir/eval.h"
 
@@ -103,9 +102,9 @@ struct FreeInput {
 };
 
 /// Symbolically unrolls one side of the problem, transaction by transaction.
-/// `ts` is the system to unroll — the problem's side, or an absint-
-/// simplified copy of it (same Context, so the problem's input/state leaves
-/// and output names are shared and all bindings stay valid).
+/// `ts` is the system to unroll — the problem's side, or a sliced copy of
+/// it (same Context, so the problem's input/state leaves and output names
+/// are shared and all bindings stay valid).
 class Unroller {
  public:
   Unroller(const SecProblem& problem, Side side,
@@ -546,14 +545,12 @@ SecResult checkEquivalence(const SecProblem& problem,
   const ir::TransitionSystem* rtlTs = &problem.side(Side::kRtl);
 
   // Structural slicing first: property-preserving w.r.t. the checked
-  // outputs, coupling invariants and constraints, and — unlike the absint
-  // rewrite below — sound from an arbitrary start state, so the induction
-  // step may (and does) reason over the sliced systems too.  The slices
-  // keep every input, state and output declared, so unrolling, aliasing
-  // and counterexample extraction index them exactly like the originals.
+  // outputs, coupling invariants and constraints, and sound from an
+  // arbitrary start state, so BMC and the induction step both unroll the
+  // sliced systems.  The slices keep every input, state and output
+  // declared, so unrolling, aliasing and counterexample extraction index
+  // them exactly like the originals.
   std::optional<ir::TransitionSystem> slmSliced, rtlSliced;
-  const ir::TransitionSystem* slmForInduction = slmTs;
-  const ir::TransitionSystem* rtlForInduction = rtlTs;
   if (options.slice) {
     const auto t0 = std::chrono::steady_clock::now();
     slice::Roots slmRoots, rtlRoots;
@@ -578,8 +575,8 @@ SecResult checkEquivalence(const SecProblem& problem,
                                              options.sliceOptions, &ss);
     rtlSliced = slice::sliceTransitionSystem(*rtlTs, rtlRoots,
                                              options.sliceOptions, &rs);
-    slmTs = slmForInduction = &*slmSliced;
-    rtlTs = rtlForInduction = &*rtlSliced;
+    slmTs = &*slmSliced;
+    rtlTs = &*rtlSliced;
     SliceStats& st = result.stats.slice;
     st.applied = true;
     fold(ss, st.slm);
@@ -590,15 +587,14 @@ SecResult checkEquivalence(const SecProblem& problem,
   }
 
   // Certified-invariant strengthening (SecOptions::invariants): mine and
-  // Houdini-certify per-state predicates on the systems the induction step
-  // will use (sliced-or-original; NEVER the absint copies below, which are
-  // reachability-simplified views for BMC only).  A certified predicate
-  // holds at reset, in every reachable state, and is closed under one
-  // free-input transition of its side, so it is sound to assume at the
-  // symbolic induction start and entailed (free) at every BMC transaction
-  // boundary.  Certification solves charge options.inductionBudget as a
-  // shared pool: the induction solve below runs under the drained
-  // remainder, so capped runs stay machine-independent facts.
+  // Houdini-certify per-state predicates on the systems both phases unroll
+  // (sliced-or-original).  A certified predicate holds at reset, in every
+  // reachable state, and is closed under one free-input transition of its
+  // side, so it is sound to assume at the symbolic induction start and
+  // entailed (free) at every BMC transaction boundary.  Certification
+  // solves charge options.inductionBudget as a shared pool: the induction
+  // solve below runs under the drained remainder, so capped runs stay
+  // machine-independent facts.
   std::vector<ir::NodeRef> slmCertified, rtlCertified;
   sat::Budget inductionBudget = options.inductionBudget;
   if (options.invariants && options.tryInduction) {
@@ -617,40 +613,14 @@ SecResult checkEquivalence(const SecProblem& problem,
       is.certConflicts += r.stats.certConflicts;
       is.certPropagations += r.stats.certPropagations;
       is.certSeconds += r.stats.certSeconds;
+      result.stats.absint.seconds += r.stats.absintSeconds;
       is.budgetExhausted = is.budgetExhausted || r.stats.budgetExhausted;
       inductionBudget =
           drainBudget(inductionBudget, r.stats.certConflicts,
                       r.stats.certPropagations, r.stats.certSeconds);
     };
-    runSide(*slmForInduction, slmCertified);
-    runSide(*rtlForInduction, rtlCertified);
-  }
-
-  // Word-level preprocessing: simplify both sides under reachable-from-reset
-  // facts and unroll BMC from the simplified copies.  Counterexample replay
-  // and the induction step below do not use these copies — the facts only
-  // hold on traces that start at reset.
-  std::optional<ir::TransitionSystem> slmSimplified, rtlSimplified;
-  if (options.absint) {
-    const auto t0 = std::chrono::steady_clock::now();
-    absint::SimplifyStats ss;
-    slmSimplified =
-        absint::analyzeAndSimplify(*slmTs, options.absintOptions, &ss);
-    rtlSimplified =
-        absint::analyzeAndSimplify(*rtlTs, options.absintOptions, &ss);
-    slmTs = &*slmSimplified;
-    rtlTs = &*rtlSimplified;
-    AbsintStats& as = result.stats.absint;
-    as.applied = true;
-    as.nodesFolded = ss.nodesFolded;
-    as.muxesPruned = ss.muxesPruned;
-    as.opsNarrowed = ss.opsNarrowed;
-    as.bitsNarrowed = ss.bitsNarrowed;
-    as.tsNodesBefore = ss.nodesBefore;
-    as.tsNodesAfter = ss.nodesAfter;
-    as.seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
+    runSide(*slmTs, slmCertified);
+    runSide(*rtlTs, rtlCertified);
   }
 
   Unroller slm(problem, Side::kSlm, *slmTs, g);
@@ -870,13 +840,12 @@ SecResult checkEquivalence(const SecProblem& problem,
     if (closed) {
       aig::Aig gi;
       Miter miterI(gi, options);
-      // Never the absint copies: absint facts are reachability facts and do
-      // not hold in the symbolic start states the induction step assumes.
-      // The *sliced* systems are fine — severed state is outside every
-      // checked cone on any trace, and sequential constants are inductive
-      // invariants, proven wherever the step's conclusion is applied.
-      Unroller slmI(problem, Side::kSlm, *slmForInduction, gi);
-      Unroller rtlI(problem, Side::kRtl, *rtlForInduction, gi);
+      // The same systems BMC unrolled.  Sliced ones are sound here: severed
+      // state is outside every checked cone on any trace, and sequential
+      // constants are inductive invariants, proven wherever the step's
+      // conclusion is applied.
+      Unroller slmI(problem, Side::kSlm, *slmTs, gi);
+      Unroller rtlI(problem, Side::kRtl, *rtlTs, gi);
       slmI.initSymbolic("ind.");
       // Invariants of the form eq(slm-state, rtl-state) are applied
       // *structurally*: the RTL leaf reuses the SLM leaf's symbolic words,

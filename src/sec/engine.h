@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "absint/analysis.h"
 #include "aig/bitblast.h"
 #include "aig/cnf.h"
 #include "aig/fraig.h"
@@ -94,18 +93,10 @@ struct PhaseStats {
   double rewriteTimeMs = 0.0;
 };
 
-/// Cost and effect of the word-level abstract-interpretation preprocessing
-/// (SecOptions::absint): both sides are analyzed and rewritten once, before
-/// the BMC unrolling is bit-blasted.
+/// Wall time of the word-level abstract interpretation SEC runs: the
+/// invariant miner's fixpoint (inv::Stats::absintSeconds), both sides.
 struct AbsintStats {
-  bool applied = false;            ///< analysis ran (SecOptions::absint on)
-  std::uint64_t nodesFolded = 0;   ///< IR nodes replaced by proven constants
-  std::uint64_t muxesPruned = 0;   ///< muxes with proven-constant selectors
-  std::uint64_t opsNarrowed = 0;   ///< add/sub/mul rewritten at lower width
-  std::uint64_t bitsNarrowed = 0;  ///< total width removed by narrowing
-  std::uint64_t tsNodesBefore = 0;  ///< IR cone nodes, both sides, before
-  std::uint64_t tsNodesAfter = 0;   ///< IR cone nodes, both sides, after
-  double seconds = 0.0;             ///< analysis + rewrite wall-clock
+  double seconds = 0.0;
 };
 
 /// Per-side effect of the structural slicing pass (SecOptions::slice).
@@ -118,8 +109,7 @@ struct SliceSideStats {
 
 /// Cost and effect of the induction-sound structural slicing preprocessing
 /// (SecOptions::slice): both sides are sliced once, before anything is
-/// unrolled, and — unlike absint — the result also feeds the induction
-/// systems.
+/// unrolled, and the result feeds the BMC and induction systems alike.
 struct SliceStats {
   bool applied = false;
   SliceSideStats slm{};
@@ -174,7 +164,7 @@ struct SecStats {
   std::vector<PhaseStats> bmcTransactions;
   /// The inductive-step solve (zeroed when induction never ran).
   PhaseStats induction{};
-  /// Word-level preprocessing telemetry (see SecOptions::absint).
+  /// Abstract-interpretation time (the invariant miner's fixpoint).
   AbsintStats absint{};
   /// Structural slicing telemetry (see SecOptions::slice).
   SliceStats slice{};
@@ -238,30 +228,16 @@ struct SecOptions {
   bool rewrite = true;
   /// Tuning for the rewrite pass (balancing, cut bound, pass count).
   aig::RewriteOptions rewriteOptions{};
-  /// Run the word-level abstract interpretation (dfv::absint) on both sides
-  /// and unroll the BMC phase from the simplified systems: nodes proven
-  /// constant fold away, muxes with proven selectors lose their dead arm,
-  /// and wrap-around arithmetic with proven-zero high bits narrows — all
-  /// before the bit-blaster sees the logic.  The rewrites are justified by
-  /// reachable-from-reset facts, which is exactly the BMC trace set, so
-  /// verdicts and counterexamples are identical with this on or off (tests
-  /// and bench_sec_ablation assert this).  The induction step reasons from
-  /// symbolic start states where those facts do not hold, so it always uses
-  /// the original systems.
-  bool absint = true;
-  /// Tuning for the analysis fixpoint (widening, refinement budget).
-  absint::Options absintOptions{};
   /// Slice both sides (dfv::slice) against the checked outputs, coupling
   /// invariants and constraints before anything is unrolled: state
   /// variables and logic outside every property cone are severed, and
   /// latches the ternary fixpoint proves stuck at their reset value are
   /// substituted by constants.  Both transforms are sound from an
   /// arbitrary start state (slicing is property-preserving; the stuck-at
-  /// facts are inductive invariants), so — unlike absint — they apply to
-  /// the BMC unrolling AND the induction systems.  This is the only
-  /// preprocessing layer allowed to shrink stats.inductionAigNodes;
-  /// verdicts are identical on or off (tests and bench_sec_ablation
-  /// assert this).
+  /// facts are inductive invariants), so they apply to the BMC unrolling
+  /// AND the induction systems.  This is the only preprocessing layer
+  /// allowed to shrink stats.inductionAigNodes; verdicts are identical on
+  /// or off (tests and bench_sec_ablation assert this).
   bool slice = true;
   /// Tuning for the slicing passes (COI severing, constant detection).
   slice::Options sliceOptions{};
@@ -277,8 +253,6 @@ struct SecOptions {
   /// longer has — so capped runs stay machine-independent.  BMC-only
   /// verdicts are identical on or off (the assertions are entailed facts);
   /// induction can only gain (bounded -> proven), never lose, a verdict.
-  /// The mining analysis is private (invOptions.absintOptions), so
-  /// certified sets are independent of the SecOptions::absint toggle.
   bool invariants = true;
   /// Tuning for mining and certification (see inv::Options).
   inv::Options invOptions{};

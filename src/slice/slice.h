@@ -124,8 +124,7 @@ struct SeqTernaryResult {
 SeqTernaryResult sequentialTernary(const ir::TransitionSystem& ts);
 
 /// Unique non-leaf IR nodes across every next-state, output and constraint
-/// cone — the slice analogue of absint's coneSize, counted identically
-/// before and after slicing.
+/// cone, counted identically before and after slicing.
 std::uint64_t coneNodeCount(const ir::TransitionSystem& ts);
 
 /// Produces a sliced copy of `ts` in the same Context.

@@ -590,7 +590,7 @@ TEST(DrcSemantic, TruncsumNarrowPairFlaggedStatically) {
   // The 8-bit register drops accumulator bits the analysis cannot prove
   // zero, and the resulting output hulls differ by two effective bits: the
   // checker must call the divergence before any SEC run (sec_test's
-  // SecAbsint.TruncsumNarrowPairRefutedEitherWay finds the matching
+  // SecEngine.TruncsumAndHistoVerdictsAtDefaultOptions finds the matching
   // counterexample dynamically).
   ir::Context ctx;
   const auto narrow = designs::makeTruncsumSecProblem(ctx, /*narrow=*/true);

@@ -33,6 +33,7 @@
 #include "core/parallel.h"
 #include "core/resilient.h"
 #include "designs/gcd.h"
+#include "designs/wrapcnt.h"
 #include "fault/fault.h"
 #include "ir/expr.h"
 
@@ -791,6 +792,80 @@ TEST(Resume, FingerprintIsSensitiveToTheProblemConfiguration) {
   EXPECT_NE(cosimBlockFingerprint("blk", 1, 1, DrcPolicy::kStrict, false),
             cfp);
   EXPECT_NE(cosimBlockFingerprint("blk", 1, 1, warn, true), cfp);
+}
+
+TEST(Resume, TuningOptionsEnterTheFingerprint) {
+  // wrapcnt at k = 3 closes induction only with the miner's absint
+  // candidates, so a record of a default run must not be admitted by a
+  // runner that mines less: it cold-starts and reports the live verdict.
+  auto wrapcnt = [](const sec::SecOptions& o) {
+    ir::Context ctx;
+    designs::WrapcntSecSetup s = designs::makeWrapcntSecProblem(ctx);
+    return sec::checkEquivalence(*s.problem, o);
+  };
+  sec::SecOptions mined;
+  mined.boundTransactions = 3;
+  sec::SecOptions unmined = mined;
+  unmined.invOptions.mineAbsint = false;
+  const std::string base = tempBase("tuning");
+  {
+    ResilientRunner first("soc", attemptsPolicy(1));
+    first.addSecBlock("wrapcnt", 1, mined, wrapcnt);
+    Journal j(base, "soc");
+    first.setJournal(&j);
+    const PlanReport r = first.runAll();
+    ASSERT_EQ(r.blocks.size(), 1u);
+    EXPECT_EQ(r.blocks[0].detail,
+              sec::verdictName(sec::Verdict::kProvenEquivalent));
+  }
+  ResilientRunner second("soc", attemptsPolicy(1));
+  second.addSecBlock("wrapcnt", 1, unmined, wrapcnt);
+  EXPECT_EQ(second.resumePlan(Journal::load(base)), 0u);
+  const PlanReport r = second.runAll();
+  ASSERT_EQ(r.blocks.size(), 1u);
+  EXPECT_FALSE(r.blocks[0].resumed);
+  EXPECT_EQ(r.blocks[0].detail,
+            sec::verdictName(sec::Verdict::kBoundedEquivalent));
+
+  // Fraig and slice tuning move histo's recorded counters (fraig_sat_calls,
+  // slice_seq_constants), so each must move its fingerprint too.
+  const RetryPolicy policy;
+  auto fp = [&](const sec::SecOptions& o) {
+    return secBlockFingerprint("histo", 7, o, policy, DrcPolicy::kWarn, false);
+  };
+  sec::SecOptions histo;
+  histo.boundTransactions = 4;
+  const std::uint64_t ref = fp(histo);
+  sec::SecOptions fraigTuned = histo;
+  fraigTuned.fraigOptions.seed = 12345;
+  fraigTuned.fraigOptions.simWords = 16;
+  EXPECT_NE(fp(fraigTuned), ref);
+  sec::SecOptions noSeqConst = histo;
+  noSeqConst.sliceOptions.seqConst = false;
+  EXPECT_NE(fp(noSeqConst), ref);
+  sec::SecOptions rewriteTuned = histo;
+  rewriteTuned.rewriteOptions.cutsPerNode = 4;
+  EXPECT_NE(fp(rewriteTuned), ref);
+  sec::SecOptions widened = histo;
+  widened.invOptions.absintOptions.widenAfter = 2;
+  EXPECT_NE(fp(widened), ref);
+  sec::SecOptions capped = histo;
+  capped.fraigOptions.candidateBudget.maxConflicts = 50;
+  EXPECT_NE(fp(capped), ref);
+
+  // Extra candidates enter by their text: the same predicate built in two
+  // contexts hashes equally, a different one does not.
+  auto withCandidate = [&](ir::Context& ctx, std::uint64_t bound) {
+    ir::TransitionSystem ts(ctx, "t");
+    ir::NodeRef c = ts.addState("c", 8, 0);
+    sec::SecOptions o = histo;
+    o.invOptions.extraCandidates = {ctx.ule(c, ctx.constantUint(8, bound))};
+    return fp(o);
+  };
+  ir::Context c1, c2, c3;
+  EXPECT_EQ(withCandidate(c1, 10), withCandidate(c2, 10));
+  EXPECT_NE(withCandidate(c3, 11), withCandidate(c1, 10));
+  EXPECT_NE(withCandidate(c1, 10), ref);
 }
 
 TEST(Resume, ReconfiguredRunnerColdStartsOnFingerprint) {

@@ -81,7 +81,7 @@ TEST(RetryLadder, ExplicitRungsApplyTogglesCumulatively) {
   r1.fraig = false;
   RetryRung r2;
   r2.budgetScale = 3.0;
-  r2.absint = false;
+  r2.invariants = false;
   policy.rungs = {r1, r2};
   ResilientRunner runner("soc", policy);
   std::vector<sec::SecOptions> seen;
@@ -94,12 +94,12 @@ TEST(RetryLadder, ExplicitRungsApplyTogglesCumulatively) {
   runner.runAll();
   ASSERT_EQ(seen.size(), 3u);
   EXPECT_TRUE(seen[0].fraig);
-  EXPECT_TRUE(seen[0].absint);
+  EXPECT_TRUE(seen[0].invariants);
   EXPECT_FALSE(seen[1].fraig);  // rung 1 turned fraig off
-  EXPECT_TRUE(seen[1].absint);
+  EXPECT_TRUE(seen[1].invariants);
   EXPECT_EQ(seen[1].bmcBudget.maxConflicts, 200u);
-  EXPECT_FALSE(seen[2].fraig);   // toggles accumulate down the ladder
-  EXPECT_FALSE(seen[2].absint);  // rung 2 turned absint off
+  EXPECT_FALSE(seen[2].fraig);       // toggles accumulate down the ladder
+  EXPECT_FALSE(seen[2].invariants);  // rung 2 turned invariants off
   EXPECT_EQ(seen[2].bmcBudget.maxConflicts, 600u);  // 100 * 2 * 3
 }
 

@@ -547,7 +547,7 @@ TEST(SliceSec, HistoVerdictIdenticalAndInductionGraphShrinks) {
   EXPECT_EQ(on.verdict, sec::Verdict::kProvenEquivalent);
   // The debug block is outside every checked cone: the acceptance bar is a
   // >5% induction-graph reduction, the first induction-side reduction in
-  // the repo (absint is banned there).
+  // the repo.
   EXPECT_LT(on.stats.inductionAigNodes * 20, off.stats.inductionAigNodes * 19);
   EXPECT_LE(on.stats.bmcAigNodes, off.stats.bmcAigNodes);
   // Telemetry: the capture registers are constants, the free-running
