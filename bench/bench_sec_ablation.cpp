@@ -583,19 +583,23 @@ int main(int argc, char** argv) {
   // --- Part 1f: bound sweep -------------------------------------------------
   //
   // The miter is one incremental pipeline: each BMC depth rewrites and
-  // sweeps only the nodes its frame added, on one persistent solver, so the
-  // per-depth delta is constant; the per-depth times show what still grows
-  // with the bound (sweep refutations complete models over every frame).  Each
+  // sweeps only the nodes its frame added, in a frame-local solver, and a
+  // delta equal to an earlier one (in BMC or induction) replays the check's
+  // frame cache, so the per-depth delta is constant and each distinct one is
+  // swept once; the per-depth rows show what still grows with the bound.  Each
   // design runs at k = 1, 2, 4, 8 with the layers on (the default) and off
   // (rewrite and fraig both off, under a conflict + propagation cap that
   // reports INCONCLUSIVE where it binds — gcd_breakif's off arm needs ~733k
   // conflicts at k = 1).  Gate: every completed off arm agrees with the on
   // arm on the verdict and on the failing transaction, and gcd_breakif's
-  // on arm at k = 4 replays at least one depth from the rewrite memo (its
+  // on arm at k = 4 replays at least one depth from the frame cache (its
   // depths add identical deltas; a change to the unroller's node order
-  // could otherwise turn the memo off silently).  The smoke run keeps only
-  // that gcd_breakif cell.
+  // could otherwise turn the cache off silently), and makes no fraig SAT
+  // call at depth >= 2 or in induction (every such delta repeats an earlier
+  // one, so a sweep there means a frame was swept twice).  The smoke run
+  // keeps only that gcd_breakif cell.
   unsigned memoRegressions = 0;
+  unsigned sweepRegressions = 0;
   {
     struct SweepCase {
       const char* name;
@@ -634,6 +638,7 @@ int main(int argc, char** argv) {
         smoke ? std::vector<unsigned>{1, 2} : std::vector<unsigned>{1, 2, 4, 8};
     constexpr unsigned kMemoBound = 4;
     std::uint64_t gcdMemoHits = 0;
+    std::uint64_t gcdLateSweepCalls = 0;  // depth >= 2 and induction
     const unsigned detailBound = bounds.back();
     const std::int64_t offConflicts = smoke ? 10000 : 100000;
     const std::int64_t offPropagations = smoke ? 2000000 : 20000000;
@@ -671,7 +676,12 @@ int main(int argc, char** argv) {
                     }) > 0;
         }
         const sec::SecResult& r = arms[1];
-        if (gcd && k == kMemoBound) gcdMemoHits = r.stats.rewriteMemoHits;
+        if (gcd && k == kMemoBound) {
+          gcdMemoHits = r.stats.rewriteMemoHits;
+          gcdLateSweepCalls = r.stats.induction.fraigSatCalls;
+          for (std::size_t t = 2; t < r.stats.bmcTransactions.size(); ++t)
+            gcdLateSweepCalls += r.stats.bmcTransactions[t].fraigSatCalls;
+        }
         const double rw = r.stats.rewriteTimeMs * 1e-3;
         const double fr = r.stats.fraigTimeMs * 1e-3;
         const double solve = sumPhases(
@@ -706,15 +716,20 @@ int main(int argc, char** argv) {
               .field("solveSeconds", p.seconds)
               .field("deltaNodes", p.rewriteNodesBefore)
               .field("sweptNodes", p.fraigNodesBefore)
-              .field("rewrite_memo_hits", p.rewriteMemoHits);
+              .field("rewrite_memo_hits", p.rewriteMemoHits)
+              .field("fraig_memo_hits", p.fraigMemoHits)
+              .field("fraig_sat_calls", p.fraigSatCalls);
           if (k != detailBound) return;
           char line[160];
           std::snprintf(line, sizeof line,
-                        "%-12s %5s %8.3f %8.3f %8.3f %10zu %10zu %5llu",
+                        "%-12s %5s %8.3f %8.3f %8.3f %10zu %10zu %5llu %10llu "
+                        "%6llu",
                         c.name, depth.c_str(), p.rewriteTimeMs * 1e-3,
                         p.fraigTimeMs * 1e-3, p.seconds, p.rewriteNodesBefore,
                         p.fraigNodesBefore,
-                        static_cast<unsigned long long>(p.rewriteMemoHits));
+                        static_cast<unsigned long long>(p.rewriteMemoHits),
+                        static_cast<unsigned long long>(p.fraigMemoHits),
+                        static_cast<unsigned long long>(p.fraigSatCalls));
           detail.emplace_back(line);
         };
         for (std::size_t t = 0; t < r.stats.bmcTransactions.size(); ++t)
@@ -737,15 +752,20 @@ int main(int argc, char** argv) {
     std::printf("\nper depth at k=%u, layers on (delta = AND nodes the "
                 "depth added to the miter):\n",
                 detailBound);
-    std::printf("%-12s %5s %8s %8s %8s %10s %10s %5s\n", "design", "depth",
-                "rw(s)", "fraig(s)", "solve(s)", "delta", "swept", "memo");
+    std::printf("%-12s %5s %8s %8s %8s %10s %10s %5s %10s %6s\n", "design",
+                "depth", "rw(s)", "fraig(s)", "solve(s)", "delta", "swept",
+                "memo", "fraig_memo", "calls");
     for (const std::string& line : detail) std::printf("%s\n", line.c_str());
     if (gcdMemoHits == 0) ++memoRegressions;
+    if (gcdLateSweepCalls > 0) ++sweepRegressions;
     std::printf("(verdict and failing-transaction parity are part of the "
-                "mismatch count above; memo = depths replayed from the\n"
-                " rewrite memo; gcd_breakif at k=%u replayed %llu, must be "
-                "> 0)\n\n",
-                kMemoBound, static_cast<unsigned long long>(gcdMemoHits));
+                "mismatch count above; memo / fraig_memo = rewrites /\n"
+                " sweeps replayed from the frame cache, calls = fraig SAT "
+                "calls; gcd_breakif at k=%u replayed %llu, must be > 0,\n"
+                " and made %llu fraig SAT calls at depth >= 2 and in "
+                "induction, must be 0)\n\n",
+                kMemoBound, static_cast<unsigned long long>(gcdMemoHits),
+                static_cast<unsigned long long>(gcdLateSweepCalls));
   }
 
   // --- Part 2: strash reserve + hash mixing ---------------------------------
@@ -901,6 +921,7 @@ int main(int argc, char** argv) {
       .field("sliceRegressions", sliceRegressions)
       .field("rewriteRegressions", rewriteRegressions)
       .field("memoRegressions", memoRegressions)
+      .field("sweepRegressions", sweepRegressions)
       .field("slice_states_severed", severedTotal)
       .field("slice_seq_constants", seqConstantsTotal)
       .field("invRegressions", invRegressions)
@@ -908,7 +929,8 @@ int main(int argc, char** argv) {
       .field("disagreements", disagreements);
   return report.write() && disagreements == 0 && verdictMismatches == 0 &&
                  sliceRegressions == 0 && rewriteRegressions == 0 &&
-                 invRegressions == 0 && memoRegressions == 0
+                 invRegressions == 0 && memoRegressions == 0 &&
+                 sweepRegressions == 0
              ? 0
              : 1;
 }

@@ -4,7 +4,6 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 
 namespace dfv::aig {
 
@@ -104,17 +103,6 @@ std::size_t coneAndCount(const Aig& g, const std::vector<Lit>& roots) {
   for (const std::uint32_t n : coneNodes(g, roots))
     if (g.isAndNode(n)) ++count;
   return count;
-}
-
-/// Exact structural equality: the same nodes, each of the same kind with the
-/// same fan-ins (so inputs sit at the same positions).
-bool sameStructure(const Aig& a, const Aig& b) {
-  if (a.numNodes() != b.numNodes()) return false;
-  for (std::uint32_t n = 1; n < a.numNodes(); ++n)
-    if (a.isInputNode(n) != b.isInputNode(n) || a.fanin0(n) != b.fanin0(n) ||
-        a.fanin1(n) != b.fanin1(n))
-      return false;
-  return true;
 }
 
 /// Recreates ALL inputs of `src` in `out` in id order (the same contract
@@ -677,124 +665,11 @@ Rewriter::Result rewriteCone(const Aig& src, const std::vector<Lit>& roots,
 
 }  // namespace
 
-Rewriter::Session::Session(RewriteOptions options, Aig& out)
-    : options_(options), out_(out) {
-  DFV_CHECK_MSG(out.numNodes() == 1 && out.numInputs() == 0,
-                "rewrite output graph must be empty");
-}
-
-const Rewriter::Result& Rewriter::Session::extend(
-    const Aig& src, const std::vector<Lit>& newRoots) {
-  std::vector<Lit>& map = res_.nodeMap;
-  DFV_CHECK_MSG(src.numNodes() >= map.size(),
-                "rewrite session source graph shrank");
-  map.resize(src.numNodes(), kUn);
-  map[0] = kFalse;
-  for (; inputsMapped_ < src.numInputs(); ++inputsMapped_) {
-    const std::uint32_t in = src.inputs()[inputsMapped_];
-    map[in] = out_.makeInput(src.inputNameOr(in));
-  }
-  res_.stats = {};
-  res_.roots.clear();
-
-  // The delta: unmapped AND nodes reachable from the new roots, plus the
-  // mapped nodes it reads (its frontier).
-  std::vector<bool> seen(src.numNodes(), false);
-  std::vector<std::uint32_t> delta;
-  std::vector<std::uint32_t> frontier;
-  std::vector<std::uint32_t> stack;
-  auto visit = [&](std::uint32_t n) {
-    if (seen[n]) return;
-    seen[n] = true;
-    if (map[n] != kUn)
-      frontier.push_back(n);
-    else
-      stack.push_back(n);
-  };
-  for (const Lit r : newRoots) visit(nodeOf(r));
-  while (!stack.empty()) {
-    const std::uint32_t n = stack.back();
-    stack.pop_back();
-    delta.push_back(n);
-    visit(nodeOf(src.fanin0(n)));
-    visit(nodeOf(src.fanin1(n)));
-  }
-
-  if (!delta.empty()) {
-    std::sort(delta.begin(), delta.end());
-    std::sort(frontier.begin(), frontier.end());
-    // Local copy of the delta in source id order, so the pipeline sees the
-    // same relative node order as a one-shot run.  Each distinct rebuilt
-    // node on the frontier becomes one pseudo-input; constants stay
-    // constants.
-    Aig d;
-    std::vector<Lit> local(src.numNodes(), kUn);
-    std::vector<Lit> pseudoTarget;  // per d input, in order: its out literal
-    std::unordered_map<std::uint32_t, Lit> pseudoOf;  // out node -> d input
-    std::size_t fi = 0;
-    std::size_t di = 0;
-    while (fi < frontier.size() || di < delta.size()) {
-      if (di == delta.size() ||
-          (fi < frontier.size() && frontier[fi] < delta[di])) {
-        const std::uint32_t f = frontier[fi++];
-        const Lit target = map[f];
-        const auto comp = static_cast<Lit>(isComplemented(target));
-        if (nodeOf(target) == 0) {
-          local[f] = target;
-          continue;
-        }
-        auto [it, fresh] = pseudoOf.try_emplace(nodeOf(target), kFalse);
-        if (fresh) {
-          it->second = d.makeInput();
-          pseudoTarget.push_back(target ^ comp);
-        }
-        local[f] = it->second ^ comp;
-      } else {
-        const std::uint32_t n = delta[di++];
-        local[n] = d.makeAnd(mapLit(local, src.fanin0(n)),
-                             mapLit(local, src.fanin1(n)));
-      }
-    }
-    std::vector<Lit> dRoots;
-    for (const Lit r : newRoots)
-      if (map[nodeOf(r)] == kUn) dRoots.push_back(mapLit(local, r));
-
-    // The memo: an exact match of the last delta replays its rewrite.
-    const bool hit = memo_ && memo_->roots == dRoots &&
-                     sameStructure(memo_->delta, d);
-    if (!hit) {
-      memo_.emplace();
-      memo_->delta = std::move(d);
-      memo_->roots = std::move(dRoots);
-      memo_->res =
-          rewriteCone(memo_->delta, memo_->roots, options_, memo_->out);
-    }
-    const Aig& dOut = memo_->out;
-    const Result& dres = memo_->res;
-    res_.stats = dres.stats;
-    res_.stats.memoHits = hit ? 1 : 0;
-
-    // Append the rewritten delta to the persistent graph.  dOut recreated
-    // d's inputs in order, so its k-th input is the k-th pseudo-input.
-    std::vector<Lit> toOut(dOut.numNodes(), kUn);
-    toOut[0] = kFalse;
-    for (std::size_t k = 0; k < dOut.numInputs(); ++k)
-      toOut[dOut.inputs()[k]] = pseudoTarget[k];
-    for (std::uint32_t n = 1; n < dOut.numNodes(); ++n)
-      if (dOut.isAndNode(n))
-        toOut[n] = out_.makeAnd(mapLit(toOut, dOut.fanin0(n)),
-                                mapLit(toOut, dOut.fanin1(n)));
-    for (const std::uint32_t n : delta)
-      if (dres.isMapped(local[n])) map[n] = mapLit(toOut, dres.map(local[n]));
-  }
-  for (const Lit r : newRoots) res_.roots.push_back(mapLit(map, r));
-  return res_;
-}
-
 Rewriter::Result Rewriter::run(const Aig& src, const std::vector<Lit>& roots,
                                Aig& out) const {
-  Session session(options_, out);
-  return session.extend(src, roots);
+  DFV_CHECK_MSG(out.numNodes() == 1 && out.numInputs() == 0,
+                "rewrite output graph must be empty");
+  return rewriteCone(src, roots, options_, out);
 }
 
 }  // namespace dfv::aig

@@ -24,7 +24,10 @@
 //      maxPasses), since each round exposes sharing for the next.
 //   4. Non-regression guard: if the rewritten cone is somehow larger than
 //      the original, the pass falls back to a plain copy, so callers
-//      never lose nodes by enabling it (per delta, in a Session).
+//      never lose nodes by enabling it.
+//
+// The SEC miter rewrites each distinct frame delta once and replays the
+// result for every later delta that equals it (aig/frame.h).
 //
 // The pass is deterministic (no RNG, no wall-clock decisions, no pointer-
 // or hash-order dependent choices) and *unconditional*: it never assumes
@@ -35,7 +38,6 @@
 
 #include <array>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "aig/aig.h"
@@ -54,7 +56,7 @@ struct RewriteOptions {
   std::uint32_t maxPasses = 4;
 };
 
-/// Counters from one Rewriter run (or one Session::extend).
+/// Counters from one Rewriter run.
 struct RewriteStats {
   std::size_t nodesBefore = 0;     ///< AND nodes in the cone (or delta)
   std::size_t nodesAfter = 0;      ///< AND nodes in the rebuilt cone
@@ -62,7 +64,6 @@ struct RewriteStats {
   std::size_t cutsEnumerated = 0;  ///< cuts kept across all nodes
   std::size_t rewritesApplied = 0; ///< nodes built from a non-structural cut
   bool fellBackToCopy = false;     ///< non-regression guard fired
-  std::size_t memoHits = 0;        ///< deltas replayed from the session memo
 };
 
 /// Structural rewriting over the cone of a set of root literals.
@@ -93,70 +94,11 @@ class Rewriter {
     std::vector<Lit> nodeMap;
   };
 
-  /// An incremental rewriting session over a growing source graph (a BMC
-  /// unrolling that gains one frame per depth).  Each extend() rewrites
-  /// only the *delta*: the cone of its new roots, cut off at source nodes
-  /// an earlier call already mapped.  Those frontier nodes enter the delta
-  /// as pseudo-inputs standing for their rebuilt literals, so fan-ins from
-  /// earlier frames resolve through the existing map, and the rewritten
-  /// delta is appended to the one persistent output graph (strashing into
-  /// whatever it shares with earlier deltas).  Cuts and balanced trees
-  /// therefore never span a delta boundary — the price of never touching a
-  /// node twice.  A source node whose function did not survive an earlier
-  /// delta (absorbed into a balanced tree) is simply rebuilt by the first
-  /// later delta that needs it.  The session is a pure function of (graph,
-  /// root sequence, options).
-  ///
-  /// Delta memo: BMC depths from 2 on usually add the same transition-
-  /// relation logic, so consecutive deltas are often equal node for node.
-  /// The session keeps the last rewritten delta (its local graph, its roots
-  /// and the rewrite of it).  When the next delta equals it exactly (every
-  /// node's kind and fan-ins, hence every input position, and the root
-  /// list; never a hash match alone), the stored rewrite is appended
-  /// through the new delta's pseudo-inputs instead of rewriting again.
-  /// Rewriting a delta is a pure function of (delta, roots, options), so
-  /// the output is bit-identical either way; the stats are the stored
-  /// rewrite's plus memoHits = 1.  One entry, so memory stays bounded by
-  /// the largest delta.
-  class Session {
-   public:
-    /// `out` must be empty (node 0 only) and outlive the session.
-    Session(RewriteOptions options, Aig& out);
-
-    /// Rewrites the delta for `newRoots` (literals of `src`, which must be
-    /// the same graph every call, only grown) into the output graph, after
-    /// recreating every source input not yet mapped, in id order.  Returns
-    /// the cumulative node map, this call's mapped roots, and this call's
-    /// stats (nodesBefore = AND nodes in the delta); the non-regression
-    /// guard applies per delta.
-    const Result& extend(const Aig& src, const std::vector<Lit>& newRoots);
-
-    /// The cumulative map after the last extend().
-    const Result& result() const { return res_; }
-
-   private:
-    /// The last rewritten delta: its local graph and roots, and the
-    /// rewrite of it into `out` (with the local-node -> out map in `res`).
-    struct Memo {
-      Aig delta;
-      std::vector<Lit> roots;
-      Aig out;
-      Result res;
-    };
-
-    RewriteOptions options_;
-    Aig& out_;
-    Result res_;
-    std::size_t inputsMapped_ = 0;  ///< prefix of src.inputs() recreated
-    std::optional<Memo> memo_;
-  };
-
   explicit Rewriter(RewriteOptions options = {}) : options_(options) {}
 
   /// Rewrites the cone of `roots` in `src` into the caller-owned graph
   /// `out` (which must be empty — node 0 only).  All inputs of `src` are
-  /// recreated in `out` in id order, exactly like Fraig.  Equivalent to one
-  /// extend() of a fresh Session.
+  /// recreated in `out` in id order, exactly like Fraig.
   Result run(const Aig& src, const std::vector<Lit>& roots, Aig& out) const;
 
  private:

@@ -31,6 +31,7 @@
 #include "absint/analysis.h"        // IWYU pragma: export
 #include "aig/cnf.h"                // IWYU pragma: export
 #include "aig/fraig.h"              // IWYU pragma: export
+#include "aig/frame.h"              // IWYU pragma: export
 #include "aig/rewrite.h"            // IWYU pragma: export
 #include "bitvec/bitvector.h"       // IWYU pragma: export
 #include "bitvec/hdl_int.h"         // IWYU pragma: export

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <unordered_map>
 
+#include "aig/frame.h"
 #include "fault/fault.h"
 #include "ir/eval.h"
 
@@ -39,6 +40,7 @@ std::map<std::string, std::uint64_t> deterministicCounters(
       {"sat_propagations", propagations},
       {"sat_learnts", learnts},
       {"fraig_sat_calls", s.fraigSatCalls},
+      {"fraig_memo_hits", s.fraigMemoHits},
       {"rewrite_applied", s.rewriteApplied},
       {"rewrite_saved_nodes", s.rewriteSavedNodes},
       {"rewrite_memo_hits", s.rewriteMemoHits},
@@ -313,37 +315,25 @@ sat::Budget drainBudget(sat::Budget b, std::uint64_t conflicts,
 
 /// The solver interface the engine drives: one incremental pipeline for the
 /// whole check.  The miter keeps one sat::Solver and one CnfEncoder over a
-/// persistent swept graph, a persistent rewritten graph, and the composed
-/// unrolling -> rewrite -> fraig node map.  Each solve() takes the facts
-/// asserted since the previous solve plus its query, rewrites only their
-/// not-yet-mapped cone — the nodes the unrolling gained since then
-/// (aig::Rewriter::Session; fan-ins from earlier frames resolve through the
-/// existing map) — sweeps only the new rewritten nodes
-/// (aig::Fraig::Session, whose signatures persist, so a new node can merge
-/// into an old representative), and clausifies only what is new on the
-/// same solver, keeping every learnt clause.  With rewrite and fraig off
-/// the maps are the identity and the encoder works on the unrolling graph
-/// directly.  Model extraction maps unrolling-graph literals through the
-/// rewrite map and then the sweep's, so counterexamples are exact.
+/// persistent output graph, and an aig::FrameCache::Session mapping the
+/// unrolling into it.  Each solve() takes the facts asserted since the
+/// previous solve plus its query, and hands only their not-yet-mapped cone
+/// — the nodes the unrolling gained since then — to the session, which
+/// rewrites and sweeps that delta in a frame-local solver, or replays the
+/// result from the check's cache when an equal delta was done before.  The
+/// miter then clausifies only what is new on its one solver, keeping every
+/// learnt clause.  With rewrite and fraig off the encoder works on the
+/// unrolling graph directly.  Model extraction maps unrolling-graph
+/// literals through the session's map, so counterexamples are exact.
 ///
-/// Merges must stay unconditional although the sweep's proofs share the
-/// solver with the main solves, so with fraig on every asserted fact
-/// (constraints, certified invariants, "outputs equal at depth t") enters
-/// as a clause guarded by one activation literal.  Main solves assume it;
-/// sweep proofs never do, so they cannot see a fact, and every clause
-/// learnt from one carries the guard.  With no sweep sharing the solver,
-/// facts are plain units.
+/// No sweep ever runs on the miter's solver, so facts (constraints,
+/// certified invariants, "outputs equal at depth t") are plain units.
 class Miter {
  public:
-  Miter(aig::Aig& g, const SecOptions& options)
-      : g_(g),
-        solver_(options.solver),
-        enc_(options.fraig ? fgAig_ : options.rewrite ? rwAig_ : g, solver_) {
-    if (options.rewrite) rewriter_.emplace(options.rewriteOptions, rwAig_);
-    if (options.fraig) {
-      fraig_.emplace(options.fraigOptions, fgAig_, enc_);
-      act_ = sat::Lit(solver_.newVar(), false);
-    }
+  /// `cache` is null exactly when rewrite and fraig are both off.
+  Miter(aig::Aig& g, const SecOptions& options, aig::FrameCache* cache)
+      : g_(g), solver_(options.solver), enc_(cache ? out_ : g, solver_) {
+    if (cache != nullptr) frames_.emplace(*cache, out_);
   }
 
   /// Asserts `l` for every later solve (clausified by the next solve).
@@ -359,90 +349,78 @@ class Miter {
     pending_.clear();
     const std::size_t numFacts = roots.size();
     if (query != aig::kTrue) roots.push_back(query);
-    // Structural rewrite first: it needs no SAT calls, so everything it
-    // removes is cone the sweep below never has to simulate or prove over.
-    if (rewriter_) {
-      const auto t0 = std::chrono::steady_clock::now();
-      const aig::Rewriter::Result& rr = rewriter_->extend(g_, roots);
-      const double ms =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count() *
-          1e3;
-      const aig::RewriteStats& rs = rr.stats;
-      phase.rewriteNodesBefore += rs.nodesBefore;
-      phase.rewriteNodesAfter += rs.nodesAfter;
-      phase.rewriteApplied += rs.rewritesApplied;
-      phase.rewriteMemoHits += rs.memoHits;
-      phase.rewriteTimeMs += ms;
-      roots = rr.roots;
-    }
     sat::Budget solveBudget = budget;
     bool swept = true;
-    if (fraig_) {
-      // A hint only: the sweep's proofs are free to try the guard either
-      // way, but starting from "facts off" keeps them out of the facts.
-      solver_.setPhase(act_->var(), false);
-      const aig::Fraig::Result& fr =
-          fraig_->extend(rewriter_ ? rwAig_ : g_, roots, budget);
-      const aig::FraigStats& fs = fr.stats;
-      phase.fraigNodesBefore += fs.nodesBefore;
-      phase.fraigNodesAfter += fs.nodesAfter;
-      phase.fraigMergedNodes += fs.mergedNodes;
-      phase.fraigSatCalls += fs.satCalls;
-      phase.fraigTimeMs += fs.seconds * 1e3;
-      phase.conflicts += fs.conflicts;
-      phase.propagations += fs.propagations;
+    if (frames_) {
+      const aig::FrameCache::Result& fr = frames_->extend(g_, roots, budget);
+      const aig::FramePipeline& pipe = frames_->pipeline();
+      const aig::RewriteStats& rs = fr.stats.rewrite;
+      const aig::FraigStats& fs = fr.stats.fraig;
+      // Delta extraction, lookup and append count as rewrite time, or as
+      // sweep time when rewriting is off.
+      const double ms = fr.stats.seconds * 1e3;
+      const double sweepMs = pipe.rewrite ? fs.seconds * 1e3 : ms;
+      if (pipe.rewrite) {
+        phase.rewriteNodesBefore += rs.nodesBefore;
+        phase.rewriteNodesAfter += rs.nodesAfter;
+        phase.rewriteApplied += rs.rewritesApplied;
+        phase.rewriteMemoHits += fr.stats.cacheHit ? 1 : 0;
+        phase.rewriteTimeMs += ms - sweepMs;
+      }
+      if (pipe.fraig) {
+        phase.fraigNodesBefore += fs.nodesBefore;
+        phase.fraigNodesAfter += fs.nodesAfter;
+        phase.fraigMergedNodes += fs.mergedNodes;
+        phase.fraigSatCalls += fs.satCalls;
+        phase.fraigMemoHits += fr.stats.cacheHit ? 1 : 0;
+        phase.fraigTimeMs += sweepMs;
+        phase.conflicts += fs.conflicts;
+        phase.propagations += fs.propagations;
+        sweepConflicts_ += fs.conflicts;
+        sweepDecisions_ += fs.decisions;
+        swept = !fs.budgetExhausted;
+        solveBudget =
+            drainBudget(budget, fs.conflicts, fs.propagations, fs.seconds);
+      }
       roots = fr.roots;
-      swept = !fs.budgetExhausted;
-      solveBudget =
-          drainBudget(budget, fs.conflicts, fs.propagations, fs.seconds);
     }
-    for (std::size_t i = 0; i < numFacts; ++i) {
-      std::vector<sat::Lit> clause{enc_.satLit(roots[i])};
-      if (act_) clause.push_back(~*act_);
-      solver_.addClause(std::move(clause));
-    }
+    for (std::size_t i = 0; i < numFacts; ++i)
+      solver_.addClause(enc_.satLit(roots[i]));
     if (!swept) {
       phase.budgetExhausted = true;
       return sat::Result::kUnknown;
     }
     std::vector<sat::Lit> assumptions;
-    if (act_) assumptions.push_back(*act_);
     if (query != aig::kTrue) assumptions.push_back(enc_.satLit(roots.back()));
     return solveIntoPhase(solver_, assumptions, solveBudget, phase);
   }
 
   /// After kSat: the model value of an unrolling-graph literal.
   bool modelOf(aig::Lit l, bool def) {
-    if (rewriter_) {
-      if (!rewriter_->result().isMapped(l)) return def;
-      l = rewriter_->result().map(l);
-    }
-    if (fraig_) {
-      if (!fraig_->result().isMapped(l)) return def;
-      l = fraig_->result().map(l);
+    if (frames_) {
+      if (!frames_->result().isMapped(l)) return def;
+      l = frames_->result().map(l);
     }
     return solver_.modelValueOr(enc_.satLit(l), def);
   }
 
-  /// Folds this miter's solver totals into the run stats.  They include
-  /// the sweep's own decisions, which no phase entry counts.
+  /// Folds this miter's solver totals, and its frame-local sweep solvers',
+  /// into the run stats.
   void foldInto(SecStats& stats) const {
     const sat::SolverStats& ss = solver_.stats();
-    stats.satConflicts += ss.conflicts;
-    stats.satDecisions += ss.decisions;
+    stats.satConflicts += ss.conflicts + sweepConflicts_;
+    stats.satDecisions += ss.decisions + sweepDecisions_;
   }
 
  private:
   aig::Aig& g_;
-  aig::Aig rwAig_;  // the rewritten graph (empty with rewrite off)
-  aig::Aig fgAig_;  // the swept graph the encoder sees (fraig on)
+  aig::Aig out_;  // the rewritten and swept graph (unused with both off)
   sat::Solver solver_;
   aig::CnfEncoder enc_;
-  std::optional<sat::Lit> act_;  // guards every fact while fraig is on
-  std::optional<aig::Rewriter::Session> rewriter_;
-  std::optional<aig::Fraig::Session> fraig_;
+  std::optional<aig::FrameCache::Session> frames_;
   std::vector<aig::Lit> pending_;  // facts asserted since the last solve
+  std::uint64_t sweepConflicts_ = 0;
+  std::uint64_t sweepDecisions_ = 0;
 };
 
 bv::BitVector extractWord(Miter& miter, const aig::Word& w) {
@@ -538,8 +516,19 @@ SecResult checkEquivalence(const SecProblem& problem,
   const auto startTime = std::chrono::steady_clock::now();
 
   SecResult result;
+  // One frame cache for the check, shared by the BMC and induction miters:
+  // induction is one more copy of the transition relation BMC unrolled.
+  std::optional<aig::FrameCache> frames;
+  if (options.rewrite || options.fraig) {
+    aig::FramePipeline pipe;
+    if (options.rewrite) pipe.rewrite = options.rewriteOptions;
+    if (options.fraig) pipe.fraig = options.fraigOptions;
+    pipe.solver = options.solver;
+    frames.emplace(std::move(pipe));
+  }
+  aig::FrameCache* cache = frames ? &*frames : nullptr;
   aig::Aig g;
-  Miter miter(g, options);
+  Miter miter(g, options, cache);
 
   const ir::TransitionSystem* slmTs = &problem.side(Side::kSlm);
   const ir::TransitionSystem* rtlTs = &problem.side(Side::kRtl);
@@ -641,6 +630,7 @@ SecResult checkEquivalence(const SecProblem& problem,
     auto addPhase = [&st](const PhaseStats& p) {
       st.fraigMergedNodes += p.fraigMergedNodes;
       st.fraigSatCalls += p.fraigSatCalls;
+      st.fraigMemoHits += p.fraigMemoHits;
       st.fraigTimeMs += p.fraigTimeMs;
       st.rewriteSavedNodes += p.rewriteNodesBefore - p.rewriteNodesAfter;
       st.rewriteApplied += p.rewriteApplied;
@@ -839,7 +829,7 @@ SecResult checkEquivalence(const SecProblem& problem,
     }
     if (closed) {
       aig::Aig gi;
-      Miter miterI(gi, options);
+      Miter miterI(gi, options, cache);
       // The same systems BMC unrolled.  Sliced ones are sound here: severed
       // state is outside every checked cone on any trace, and sequential
       // constants are inductive invariants, proven wherever the step's

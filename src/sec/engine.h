@@ -65,8 +65,10 @@ struct Counterexample {
 /// conflict and propagation counts also include the fraig sweep the phase
 /// ran first, since the phase budget pays for both.  The rewrite and fraig
 /// counters cover the phase's delta: the miter nodes its facts and query
-/// added since the previous phase.  Populated whether or not the phase hit
-/// its budget, so an interrupted run still reports how far it got.
+/// added since the previous phase.  A delta replayed from the check's frame
+/// cache (aig/frame.h) reports the stored node counts and no SAT work.
+/// Populated whether or not the phase hit its budget, so an interrupted run
+/// still reports how far it got.
 struct PhaseStats {
   double seconds = 0.0;
   std::uint64_t conflicts = 0;
@@ -83,13 +85,14 @@ struct PhaseStats {
   std::size_t fraigNodesAfter = 0;   ///< of those, left after merging
   std::size_t fraigMergedNodes = 0;
   std::uint64_t fraigSatCalls = 0;
+  std::uint64_t fraigMemoHits = 0;  ///< sweeps replayed from the frame cache
   double fraigTimeMs = 0.0;
   /// Structural-rewrite cost/effect for this phase's delta (all zero when
   /// SecOptions::rewrite is off).
   std::size_t rewriteNodesBefore = 0;  ///< and-nodes in the delta
   std::size_t rewriteNodesAfter = 0;   ///< and-nodes after rewriting
   std::uint64_t rewriteApplied = 0;    ///< NPN-table rewrites committed
-  std::uint64_t rewriteMemoHits = 0;   ///< deltas replayed from the memo
+  std::uint64_t rewriteMemoHits = 0;   ///< rewrites replayed from the cache
   double rewriteTimeMs = 0.0;
 };
 
@@ -150,6 +153,7 @@ struct SecStats {
   /// and induction.
   std::size_t fraigMergedNodes = 0;
   std::uint64_t fraigSatCalls = 0;
+  std::uint64_t fraigMemoHits = 0;
   double fraigTimeMs = 0.0;
   /// Rewrite totals, summed from the phases the same way.
   std::size_t rewriteSavedNodes = 0;  ///< sum of (before - after) per delta
@@ -192,10 +196,11 @@ struct SecOptions {
   bool tryInduction = true;
   /// Per-instance SAT solver heuristics (seed, phase saving, restart
   /// policy).  The portfolio racer (core::buildPortfolio) diversifies
-  /// these.  Both solvers this run constructs — the BMC miter's and the
-  /// induction miter's — use them.  The default is the plain sat::Solver
-  /// configuration every other caller uses; the heuristics change only the
-  /// search trajectory, never a verdict.
+  /// these.  Every solver this run constructs — the BMC miter's, the
+  /// induction miter's and each frame-local sweep's — uses them.  The
+  /// default is the plain sat::Solver configuration every other caller
+  /// uses; the heuristics change only the search trajectory, never a
+  /// verdict.
   sat::SolverOptions solver{};
   /// Apply equality-shaped coupling invariants structurally (shared
   /// symbolic variables) instead of as CNF constraints.  On by default;
@@ -203,11 +208,13 @@ struct SecOptions {
   /// DESIGN.md §7).  Verdicts are identical either way.
   bool structuralAliasing = true;
   /// SAT-sweep (fraig) the miter before every BMC and induction solve —
-  /// only the nodes that solve adds, on the miter's one persistent solver:
-  /// seeded random simulation proposes candidate equivalence classes,
-  /// incremental SAT proves or refutes them, and proven-equal nodes are
-  /// merged before the solver sees the formula (see aig/fraig.h and
-  /// DESIGN.md).  Sweep proofs are charged to the phase budget.  Composes
+  /// only the delta that solve adds, in a frame-local solver with the
+  /// delta's frontier free: seeded random simulation proposes candidate
+  /// equivalence classes, incremental SAT proves or refutes them, and
+  /// proven-equal nodes are merged before the main solver sees the formula
+  /// (see aig/fraig.h, aig/frame.h and DESIGN.md).  Each distinct delta is
+  /// swept once per check; a repeat, in BMC or induction, replays the
+  /// stored sweep.  Sweep proofs are charged to the phase budget.  Composes
   /// with structuralAliasing: aliasing makes the two sides share state
   /// variables, fraiging then proves and merges the internal points that
   /// became semantically equal.  Only unconditional equivalences are
@@ -216,8 +223,8 @@ struct SecOptions {
   /// Tuning for the fraig pass (seed, stimulus size, per-candidate budget).
   aig::FraigOptions fraigOptions{};
   /// DAG-aware structural rewrite (aig::Rewriter) of the miter before each
-  /// solve — only the per-depth delta, appended to one persistent
-  /// rewritten graph — between bit-blasting and CNF: AND-tree balancing
+  /// solve — only the per-depth delta, once per distinct delta, like the
+  /// sweep — between bit-blasting and CNF: AND-tree balancing
   /// plus 4-input-cut rewriting against the NPN optimal-structure table.  Like
   /// fraig the pass is unconditional — it never sees the problem
   /// constraints — so it is sound for BMC and induction alike, and it is

@@ -15,6 +15,7 @@
 #include "aig/bitblast.h"
 #include "aig/cnf.h"
 #include "aig/fraig.h"
+#include "aig/frame.h"
 #include "ir/eval.h"
 
 namespace dfv::aig {
@@ -529,7 +530,8 @@ TEST(Fraig, SharedSolverRemainsUsableAfterSweep) {
 }
 
 // ---------------------------------------------------------------------------
-// Fraig::Session: incremental sweeps over a growing graph.
+// FraigSession: one sweep per delta, each in a frame-local solver
+// (FrameCache::Session with only the sweep stage), and the one-call budget.
 // ---------------------------------------------------------------------------
 
 /// Grows `g` by `newInputs` inputs and `numOps` random gates over `pool`
@@ -559,19 +561,24 @@ std::vector<Lit> growRandomAig(Aig& g, std::mt19937_64& rng,
   return roots;
 }
 
+FramePipeline sweepOnly() {
+  FramePipeline p;
+  p.fraig = FraigOptions{};
+  return p;
+}
+
 TEST(FraigSession, DeltasPreserveSemanticsOfEveryRootSoFar) {
   std::mt19937_64 rng(0x5e55);
   for (int iter = 0; iter < 15; ++iter) {
     Aig g;
     Aig out;
-    sat::Solver solver;
-    CnfEncoder enc(out, solver);
-    Fraig::Session session({}, out, enc);
+    FrameCache cache(sweepOnly());
+    FrameCache::Session session(cache, out);
     std::vector<Lit> pool = {kFalse, kTrue};
     std::vector<Lit> roots;
     for (int step = 0; step < 3; ++step) {
       const auto fresh = growRandomAig(g, rng, pool, 2, 25, 3);
-      const Fraig::Result& res = session.extend(g, fresh);
+      const FrameCache::Result& res = session.extend(g, fresh);
       ASSERT_EQ(res.roots.size(), fresh.size());
       roots.insert(roots.end(), fresh.begin(), fresh.end());
       // The cumulative map stays exact for the roots of every earlier call.
@@ -587,82 +594,38 @@ TEST(FraigSession, DeltasPreserveSemanticsOfEveryRootSoFar) {
   }
 }
 
-TEST(FraigSession, NewNodeMergesIntoRepresentativeFromEarlierCall) {
-  Aig g;
-  const Lit a = g.makeInput("a");
-  const Lit b = g.makeInput("b");
-  const Lit x1 = g.makeXor(a, b);  // (a|b) & ~(a&b)
-  Aig out;
-  sat::Solver solver;
-  CnfEncoder enc(out, solver);
-  Fraig::Session session({}, out, enc);
-  session.extend(g, {x1});
-  // The same function, structurally distinct, built after the first sweep.
-  const Lit x2 = g.makeOr(g.makeAnd(a, negate(b)), g.makeAnd(negate(a), b));
-  const Fraig::Result& res = session.extend(g, {x2});
-  EXPECT_EQ(res.roots[0], session.result().map(x1));
-  EXPECT_GT(res.stats.provenEquiv, 0u);
-  // Only the second call's own nodes were swept.
-  EXPECT_EQ(res.stats.nodesBefore, 3u);
-}
-
 TEST(FraigSession, RunIsOneExtendOfAFreshSession) {
+  // Every input is a root, so the session's first delta holds every input
+  // in the source order and sweeps on the same stimulus as a direct run.
   std::mt19937_64 rng(0x0e5e);
   Aig g;
-  const auto roots = buildRandomAig(g, rng, 8, 120, 4);
+  auto roots = buildRandomAig(g, rng, 8, 120, 4);
+  for (const std::uint32_t in : g.inputs()) roots.push_back(in << 1);
   FraigRun run(g, roots);
   Aig out;
-  sat::Solver solver;
-  CnfEncoder enc(out, solver);
-  Fraig::Session session({}, out, enc);
-  const Fraig::Result& res = session.extend(g, roots);
-  EXPECT_EQ(res.roots, run.res.roots);
-  EXPECT_EQ(res.nodeMap, run.res.nodeMap);
-  EXPECT_EQ(res.stats.satCalls, run.res.stats.satCalls);
-  EXPECT_EQ(out.numNodes(), run.out.numNodes());
-}
-
-TEST(FraigSession, SweepProofsIgnoreGuardedFactsButNotUnits) {
-  // n = AND of twenty inputs is all-zero on random stimulus, so it lands in
-  // constant-false's class.  It is false only under the fact ~x19.  A fact
-  // behind an activation literal must not let the sweep merge n to false;
-  // the same fact as a plain unit would (which is why the SEC miter guards
-  // every fact it asserts).
-  for (const bool guarded : {true, false}) {
-    Aig g;
-    std::vector<Lit> xs;
-    for (int i = 0; i < 20; ++i) xs.push_back(g.makeInput());
-    Aig out;
-    sat::Solver solver;
-    CnfEncoder enc(out, solver);
-    Fraig::Session session({}, out, enc);
-    session.extend(g, {xs[19]});
-    const sat::Lit fact = enc.satLit(negate(session.result().map(xs[19])));
-    const sat::Lit act(solver.newVar(), false);
-    if (guarded)
-      solver.addClause(~act, fact);
-    else
-      solver.addClause(fact);
-    Lit n = kTrue;
-    for (const Lit x : xs) n = g.makeAnd(n, x);
-    const Fraig::Result& res = session.extend(g, {n});
-    if (!guarded) {
-      EXPECT_EQ(res.roots[0], kFalse);
-      continue;
-    }
-    EXPECT_NE(res.roots[0], kFalse);
-    EXPECT_GT(res.stats.refuted, 0u);
-    // The caller's own solves still see the fact when they assume the guard.
-    const sat::Lit q = enc.satLit(res.roots[0]);
-    EXPECT_EQ(solver.solve({act, q}), sat::Result::kUnsat);
-    EXPECT_EQ(solver.solve({q}), sat::Result::kSat);
+  FrameCache cache(sweepOnly());
+  FrameCache::Session session(cache, out);
+  const FrameCache::Result& res = session.extend(g, roots);
+  const FraigStats& fs = res.stats.fraig;
+  EXPECT_FALSE(res.stats.cacheHit);
+  EXPECT_EQ(fs.satCalls, run.res.stats.satCalls);
+  EXPECT_EQ(fs.mergedNodes, run.res.stats.mergedNodes);
+  EXPECT_EQ(fs.nodesBefore, run.res.stats.nodesBefore);
+  EXPECT_EQ(fs.nodesAfter, run.res.stats.nodesAfter);
+  for (std::uint64_t bits = 0; bits < (1ULL << g.numInputs()); ++bits) {
+    const auto runVals = evalUnderBits(run.out, bits);
+    const auto outVals = evalUnderBits(out, bits);
+    for (std::size_t r = 0; r < roots.size(); ++r)
+      ASSERT_EQ(Aig::litValue(runVals, run.res.roots[r]),
+                Aig::litValue(outVals, res.roots[r]))
+          << "root " << r << " bits " << bits;
   }
 }
 
 TEST(FraigSession, ExhaustedBudgetLeavesTheDeltaSoundAndUnmerged) {
   // a+b vs a-(-b): every output bit pair needs a proof.  A one-conflict
   // budget for the whole call runs out after the first proof at most; the
-  // rest of the delta is rebuilt unmerged and the call says so.
+  // rest of the cone is rebuilt unmerged and the call says so.
   ir::Context ctx;
   ir::NodeRef a = ctx.input("a", 6);
   ir::NodeRef b = ctx.input("b", 6);
@@ -680,9 +643,8 @@ TEST(FraigSession, ExhaustedBudgetLeavesTheDeltaSoundAndUnmerged) {
   Aig out;
   sat::Solver solver;
   CnfEncoder enc(out, solver);
-  Fraig::Session session({}, out, enc);
-  const Fraig::Result& res =
-      session.extend(g, roots, sat::Budget{/*maxConflicts=*/1, 0, 0.0});
+  const Fraig::Result res =
+      Fraig().run(g, roots, out, enc, sat::Budget{/*maxConflicts=*/1, 0, 0.0});
   EXPECT_TRUE(res.stats.budgetExhausted);
   EXPECT_LE(res.stats.conflicts, 1u);
   bool someUnmerged = false;

@@ -16,6 +16,7 @@
 
 #include "aig/aig.h"
 #include "aig/bitblast.h"
+#include "aig/frame.h"
 #include "aig/rewrite.h"
 #include "ir/eval.h"
 
@@ -394,75 +395,104 @@ TEST(Rewrite, ShrinksBlastedArithmetic) {
 }
 
 // ---------------------------------------------------------------------------
-// Rewriter::Session: incremental rewriting over a growing graph.
+// RewriteSession: incremental rewriting over a growing graph, one delta per
+// extend (FrameCache::Session), and the exact-compare frame cache.
 // ---------------------------------------------------------------------------
 
+FramePipeline rewriteOnly() {
+  FramePipeline p;
+  p.rewrite = RewriteOptions{};
+  return p;
+}
+
+FramePipeline rewriteAndSweep() {
+  FramePipeline p = rewriteOnly();
+  p.fraig = FraigOptions{};
+  return p;
+}
+
 TEST(RewriteSession, DeltasPreserveSemanticsOfEveryRootSoFar) {
-  std::mt19937_64 rng(0x5e55);
-  for (int iter = 0; iter < 15; ++iter) {
-    Aig g;
-    Aig out;
-    Rewriter::Session session({}, out);
-    std::vector<Lit> roots;
-    std::vector<Lit> pool = {kFalse, kTrue};
-    for (int step = 0; step < 3; ++step) {
-      // Each step adds inputs and gates that may read any earlier literal,
-      // so deltas reach back into what earlier calls already rewrote.
-      for (int i = 0; i < 2; ++i) pool.push_back(g.makeInput());
-      const std::size_t firstNew = pool.size();
-      for (int i = 0; i < 30; ++i) {
-        const Lit a = pool[rng() % pool.size()] ^ static_cast<Lit>(rng() & 1);
-        const Lit b = pool[rng() % pool.size()] ^ static_cast<Lit>(rng() & 1);
-        pool.push_back((rng() & 1) ? g.makeAnd(a, b) : g.makeXor(a, b));
-      }
-      std::vector<Lit> fresh;
-      for (int i = 0; i < 3; ++i)
-        fresh.push_back(pool[firstNew + rng() % (pool.size() - firstNew)]);
-      const Rewriter::Result& res = session.extend(g, fresh);
-      ASSERT_EQ(res.roots.size(), fresh.size());
-      EXPECT_LE(res.stats.nodesAfter, res.stats.nodesBefore);
-      roots.insert(roots.end(), fresh.begin(), fresh.end());
-      for (std::uint64_t bits = 0; bits < (1ULL << g.numInputs()); ++bits) {
-        const auto srcVals = evalUnderBits(g, bits);
-        const auto outVals = evalUnderBits(out, bits);
-        for (const Lit r : roots)
-          ASSERT_EQ(Aig::litValue(srcVals, r),
-                    Aig::litValue(outVals, session.result().map(r)))
-              << "iter " << iter << " step " << step << " bits " << bits;
+  for (const FramePipeline& pipe : {rewriteOnly(), rewriteAndSweep()}) {
+    std::mt19937_64 rng(0x5e55);
+    for (int iter = 0; iter < 15; ++iter) {
+      Aig g;
+      Aig out;
+      FrameCache cache(pipe);
+      FrameCache::Session session(cache, out);
+      std::vector<Lit> roots;
+      std::vector<Lit> pool = {kFalse, kTrue};
+      for (int step = 0; step < 3; ++step) {
+        // Each step adds inputs and gates that may read any earlier
+        // literal, so deltas reach back into what earlier calls already
+        // rewrote.
+        for (int i = 0; i < 2; ++i) pool.push_back(g.makeInput());
+        const std::size_t firstNew = pool.size();
+        for (int i = 0; i < 30; ++i) {
+          const Lit a =
+              pool[rng() % pool.size()] ^ static_cast<Lit>(rng() & 1);
+          const Lit b =
+              pool[rng() % pool.size()] ^ static_cast<Lit>(rng() & 1);
+          pool.push_back((rng() & 1) ? g.makeAnd(a, b) : g.makeXor(a, b));
+        }
+        std::vector<Lit> fresh;
+        for (int i = 0; i < 3; ++i)
+          fresh.push_back(pool[firstNew + rng() % (pool.size() - firstNew)]);
+        const FrameCache::Result& res = session.extend(g, fresh);
+        ASSERT_EQ(res.roots.size(), fresh.size());
+        EXPECT_LE(res.stats.rewrite.nodesAfter, res.stats.rewrite.nodesBefore);
+        roots.insert(roots.end(), fresh.begin(), fresh.end());
+        for (std::uint64_t bits = 0; bits < (1ULL << g.numInputs()); ++bits) {
+          const auto srcVals = evalUnderBits(g, bits);
+          const auto outVals = evalUnderBits(out, bits);
+          for (const Lit r : roots)
+            ASSERT_EQ(Aig::litValue(srcVals, r),
+                      Aig::litValue(outVals, session.result().map(r)))
+                << "iter " << iter << " step " << step << " bits " << bits;
+        }
       }
     }
   }
 }
 
-TEST(RewriteSession, IdenticalFramesCostIdenticalDeltas) {
-  // A BMC-shaped unrolling: frame t reads frame t-1's state word and a
-  // fresh input word.  Every frame is the same shape, so every extend
-  // rewrites the same number of nodes — the session's cost is linear in
-  // the number of frames, not quadratic.
+/// A BMC-shaped unrolling: frame t reads frame t-1's state word and a
+/// fresh input word.  Returns each frame's roots (observation, next state).
+/// The observation adds s and x two ways, a pair only the sweep can merge.
+std::vector<std::vector<Lit>> unrollFrames(Aig& g, int numFrames) {
   ir::Context ctx;
   ir::NodeRef sv = ctx.input("s", 8);
   ir::NodeRef xv = ctx.input("x", 8);
   ir::NodeRef next = ctx.add(ctx.mul(sv, ctx.constantUint(8, 3)), xv);
-  ir::NodeRef obs = ctx.add(ctx.bitXor(sv, xv), ctx.constantUint(8, 1));
-  Aig g;
-  Aig out;
-  Rewriter::Session session({}, out);
+  ir::NodeRef obs = ctx.bitXor(ctx.add(sv, xv), ctx.sub(sv, ctx.neg(xv)));
   Word state;
   {
     BitBlaster b(g);
     state = b.freshWord(8, "s0");
   }
-  std::vector<RewriteStats> perFrame;
-  for (int t = 0; t < 5; ++t) {
+  std::vector<std::vector<Lit>> frames;
+  for (int t = 0; t < numFrames; ++t) {
     BitBlaster b(g);
     b.bindScalar(sv, state);
     b.bindScalar(xv, b.freshWord(8, "x" + std::to_string(t)));
     const Word o = b.blast(obs);
     state = b.blast(next);
-    std::vector<Lit> roots(o.begin(), o.end());
-    roots.insert(roots.end(), state.begin(), state.end());
-    perFrame.push_back(session.extend(g, roots).stats);
+    frames.emplace_back(o.begin(), o.end());
+    frames.back().insert(frames.back().end(), state.begin(), state.end());
   }
+  return frames;
+}
+
+TEST(RewriteSession, IdenticalFramesCostIdenticalDeltas) {
+  // Every frame is the same shape, so every extend rewrites the same
+  // number of nodes — the session's cost is linear in the number of
+  // frames, not quadratic.
+  Aig g;
+  const auto frames = unrollFrames(g, 5);
+  Aig out;
+  FrameCache cache(rewriteOnly());
+  FrameCache::Session session(cache, out);
+  std::vector<RewriteStats> perFrame;
+  for (const auto& f : frames)
+    perFrame.push_back(session.extend(g, f).stats.rewrite);
   ASSERT_GT(perFrame[0].nodesBefore, 0u);
   for (const RewriteStats& st : perFrame) {
     EXPECT_EQ(st.nodesBefore, perFrame[0].nodesBefore);
@@ -470,11 +500,11 @@ TEST(RewriteSession, IdenticalFramesCostIdenticalDeltas) {
   }
 }
 
-/// Rebuilds the delta Session::extend will see for `roots` (the not-yet-
-/// mapped cone, with each distinct rebuilt frontier node as one input, in
-/// source id order) as a standalone graph `h`.  Returns the mapped roots in
+/// Rebuilds the delta FrameCache::Session::extend will see for `roots` (the
+/// not-yet-mapped cone, with each distinct mapped frontier node as one
+/// input, in source id order) as a standalone graph `h`.  Returns the mapped roots in
 /// `h`; `targets` gets each input's literal in the session's output graph.
-std::vector<Lit> standaloneDelta(const Aig& src, const Rewriter::Result& m,
+std::vector<Lit> standaloneDelta(const Aig& src, const FrameCache::Result& m,
                                  const std::vector<Lit>& roots, Aig& h,
                                  std::vector<Lit>& targets) {
   std::vector<bool> seen(src.numNodes(), false);
@@ -517,59 +547,50 @@ std::vector<Lit> standaloneDelta(const Aig& src, const Rewriter::Result& m,
   return out;
 }
 
-bool sameCounters(const RewriteStats& a, const RewriteStats& b) {
-  return a.nodesBefore == b.nodesBefore && a.nodesAfter == b.nodesAfter &&
-         a.balancedTrees == b.balancedTrees &&
-         a.cutsEnumerated == b.cutsEnumerated &&
-         a.rewritesApplied == b.rewritesApplied &&
-         a.fellBackToCopy == b.fellBackToCopy;
+bool sameCounters(const FrameStats& a, const FrameStats& b) {
+  const RewriteStats& ra = a.rewrite;
+  const RewriteStats& rb = b.rewrite;
+  return ra.nodesBefore == rb.nodesBefore && ra.nodesAfter == rb.nodesAfter &&
+         ra.balancedTrees == rb.balancedTrees &&
+         ra.cutsEnumerated == rb.cutsEnumerated &&
+         ra.rewritesApplied == rb.rewritesApplied &&
+         ra.fellBackToCopy == rb.fellBackToCopy &&
+         a.fraig.nodesBefore == b.fraig.nodesBefore &&
+         a.fraig.nodesAfter == b.fraig.nodesAfter &&
+         a.fraig.mergedNodes == b.fraig.mergedNodes;
 }
 
 TEST(RewriteSession, IdenticalFrameReplaysTheMemoExactly) {
-  // Frame t reads frame t-1's state word and a fresh input word.  Frames 1
-  // and 2 see the same delta, so frame 2 is a memo hit, and what it appends
-  // must be exactly what a fresh session's rewrite of that delta builds.
-  ir::Context ctx;
-  ir::NodeRef sv = ctx.input("s", 8);
-  ir::NodeRef xv = ctx.input("x", 8);
-  ir::NodeRef next = ctx.add(ctx.mul(sv, ctx.constantUint(8, 3)), xv);
-  ir::NodeRef obs = ctx.add(ctx.bitXor(sv, xv), ctx.constantUint(8, 1));
+  // Frames 1 and 2 see the same delta, so frame 2 replays the cache, and
+  // what it appends must be exactly what a fresh rewrite-and-sweep of that
+  // delta builds: the same nodes, the same roots, the same merge counts.
   Aig g;
-  Word state;
-  std::vector<std::vector<Lit>> frames;
-  {
-    BitBlaster b(g);
-    state = b.freshWord(8, "s0");
-  }
-  for (int t = 0; t < 3; ++t) {
-    BitBlaster b(g);
-    b.bindScalar(sv, state);
-    b.bindScalar(xv, b.freshWord(8, "x" + std::to_string(t)));
-    const Word o = b.blast(obs);
-    state = b.blast(next);
-    frames.emplace_back(o.begin(), o.end());
-    frames.back().insert(frames.back().end(), state.begin(), state.end());
-  }
-
+  const auto frames = unrollFrames(g, 3);
   Aig out;
-  Rewriter::Session session({}, out);
-  const RewriteStats s0 = session.extend(g, frames[0]).stats;
-  const RewriteStats s1 = session.extend(g, frames[1]).stats;
-  EXPECT_EQ(s0.memoHits, 0u);
+  FrameCache cache(rewriteAndSweep());
+  FrameCache::Session session(cache, out);
+  const FrameStats s0 = session.extend(g, frames[0]).stats;
+  const FrameStats s1 = session.extend(g, frames[1]).stats;
+  EXPECT_FALSE(s0.cacheHit);
 
-  // The reference: frame 2's delta as a fresh session's first delta.
+  // The reference: frame 2's delta as a fresh cache's first delta.
   Aig h;
   std::vector<Lit> targets;
   const std::vector<Lit> hRoots =
       standaloneDelta(g, session.result(), frames[2], h, targets);
   Aig hOut;
-  Rewriter::Session fresh({}, hOut);
-  const Rewriter::Result& ref = fresh.extend(h, hRoots);
-  EXPECT_EQ(ref.stats.memoHits, 0u);
+  FrameCache freshCache(rewriteAndSweep());
+  FrameCache::Session fresh(freshCache, hOut);
+  const FrameCache::Result& ref = fresh.extend(h, hRoots);
+  EXPECT_FALSE(ref.stats.cacheHit);
+  EXPECT_GT(ref.stats.fraig.mergedNodes, 0u);
 
   const std::size_t before = out.numNodes();
-  const Rewriter::Result& hit = session.extend(g, frames[2]);
-  EXPECT_EQ(hit.stats.memoHits, 1u);
+  const std::size_t entries = cache.size();
+  const FrameCache::Result& hit = session.extend(g, frames[2]);
+  EXPECT_TRUE(hit.stats.cacheHit);
+  EXPECT_EQ(cache.size(), entries);
+  EXPECT_EQ(hit.stats.fraig.satCalls, 0u);
   EXPECT_TRUE(sameCounters(hit.stats, ref.stats));
   EXPECT_TRUE(sameCounters(hit.stats, s1));
 
@@ -624,16 +645,20 @@ std::vector<Lit> fixedCone(Aig& g, int variant) {
 }
 
 TEST(RewriteSession, MemoMissesOnAnyStructuralDifference) {
+  // Each variant has as many nodes and roots as the first cone; only an
+  // exact node-for-node, root-for-root match may replay it.
   for (int variant = 0; variant <= 3; ++variant) {
     Aig g;
     const std::vector<Lit> first = fixedCone(g, 0);
     const std::vector<Lit> second = fixedCone(g, variant);
     Aig out;
-    Rewriter::Session session({}, out);
-    const RewriteStats s0 = session.extend(g, first).stats;
-    const RewriteStats s1 = session.extend(g, second).stats;
-    EXPECT_EQ(s0.memoHits, 0u);
-    EXPECT_EQ(s1.memoHits, variant == 0 ? 1u : 0u) << "variant " << variant;
+    FrameCache cache(rewriteAndSweep());
+    FrameCache::Session session(cache, out);
+    const FrameStats s0 = session.extend(g, first).stats;
+    const FrameStats s1 = session.extend(g, second).stats;
+    EXPECT_FALSE(s0.cacheHit);
+    EXPECT_EQ(s1.cacheHit, variant == 0) << "variant " << variant;
+    EXPECT_EQ(cache.size(), variant == 0 ? 1u : 2u) << "variant " << variant;
     if (variant == 0) {
       EXPECT_TRUE(sameCounters(s0, s1));
     }

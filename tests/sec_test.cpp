@@ -716,10 +716,10 @@ TEST(SecMiter, SweepNeverMergesUnderAssertedFacts) {
   // Depth 1's only new cone is the AND tree over the depth-0 word.  Random
   // stimulus never sets all 24 bits, so the tree sits in constant-false's
   // class; with the depth-0 constraint visible, the proof would succeed and
-  // the miter root would collapse to false.  Facts are guarded by the
-  // activation literal the sweep never assumes, so the proof is refuted and
-  // the tree stays in the swept graph (the main solve, which does assume
-  // the guard, still proves the depth clean).
+  // the miter root would collapse to false.  The sweep runs in a
+  // frame-local solver that holds no facts, so the proof is refuted and
+  // the tree stays in the swept graph (the main solve, which holds the
+  // facts, still proves the depth clean).
   LatchedAllOnesFixture f;
   SecOptions o{.boundTransactions = 2, .tryInduction = false};
   o.invariants = false;
@@ -752,26 +752,40 @@ TEST(SecMiter, SweepWorkIsChargedToThePhaseBudget) {
   EXPECT_GT(phase.fraigSatCalls, 0u);
 }
 
+/// conv_win: the sharpen kernel's SLM against its RTL window, one pixel
+/// per transaction.
+struct ConvWinFixture {
+  ir::Context ctx;
+  slmc::Elaboration slm;
+  ir::TransitionSystem rtl;
+  std::unique_ptr<SecProblem> problem;
+
+  ConvWinFixture()
+      : slm(slmc::elaborate(
+            designs::makeConvWindowSlm(designs::ConvKernel::sharpen()), ctx,
+            "s.")),
+        rtl(rtl::lowerToTransitionSystem(
+            designs::makeConvWindowRtl(designs::ConvKernel::sharpen()), ctx,
+            "r.")) {
+    DFV_CHECK(slm.ok);
+    problem = std::make_unique<SecProblem>(ctx, *slm.ts, 1, rtl, 1);
+    for (unsigned i = 0; i < 9; ++i) {
+      const std::string n = "p" + std::to_string(i);
+      ir::NodeRef v = problem->declareTxnVar(n, 8);
+      problem->bindInput(Side::kSlm, "s." + n, 0, v);
+      problem->bindInput(Side::kRtl, "r." + n, 0, v);
+    }
+    problem->checkOutputs("ret", 0, "pix", 0);
+  }
+};
+
 TEST(SecMiter, IdenticalFramesRewriteIdenticalDeltas) {
   // conv_win's transactions unroll to same-shaped frames, so each BMC
   // depth rewrites and sweeps the same number of new nodes: the miter's
   // preprocessing is linear in the bound, not quadratic.
-  ir::Context ctx;
-  const auto kernel = designs::ConvKernel::sharpen();
-  auto e = slmc::elaborate(designs::makeConvWindowSlm(kernel), ctx, "s.");
-  ASSERT_TRUE(e.ok);
-  const ir::TransitionSystem rtl = rtl::lowerToTransitionSystem(
-      designs::makeConvWindowRtl(kernel), ctx, "r.");
-  SecProblem p(ctx, *e.ts, 1, rtl, 1);
-  for (unsigned i = 0; i < 9; ++i) {
-    const std::string n = "p" + std::to_string(i);
-    ir::NodeRef v = p.declareTxnVar(n, 8);
-    p.bindInput(Side::kSlm, "s." + n, 0, v);
-    p.bindInput(Side::kRtl, "r." + n, 0, v);
-  }
-  p.checkOutputs("ret", 0, "pix", 0);
+  ConvWinFixture f;
   SecOptions o{.boundTransactions = 4, .tryInduction = false};
-  SecResult r = checkEquivalence(p, o);
+  SecResult r = checkEquivalence(*f.problem, o);
   EXPECT_EQ(r.verdict, Verdict::kBoundedEquivalent);
   ASSERT_EQ(r.stats.bmcTransactions.size(), 4u);
   const PhaseStats& first = r.stats.bmcTransactions[0];
@@ -780,6 +794,52 @@ TEST(SecMiter, IdenticalFramesRewriteIdenticalDeltas) {
     EXPECT_EQ(ph.rewriteNodesBefore, first.rewriteNodesBefore);
     EXPECT_EQ(ph.fraigNodesBefore, first.fraigNodesBefore);
   }
+}
+
+TEST(SecMiter, FrameCacheSweepsEachDistinctFrameOnce) {
+  // From depth 2 on every BMC delta equals an earlier one, and the
+  // induction step is one more copy of the same frame: all of them replay
+  // the check's frame cache with no sweep SAT call, and report the stored
+  // merge count.
+  ConvWinFixture f;
+  SecOptions o{.boundTransactions = 4, .tryInduction = true};
+  SecResult r = checkEquivalence(*f.problem, o);
+  EXPECT_EQ(r.verdict, Verdict::kProvenEquivalent);
+  ASSERT_EQ(r.stats.bmcTransactions.size(), 4u);
+  ASSERT_TRUE(r.stats.inductionAttempted);
+  std::vector<PhaseStats> phases = r.stats.bmcTransactions;
+  phases.push_back(r.stats.induction);
+  EXPECT_GT(phases[0].fraigSatCalls, 0u);
+  EXPECT_GT(phases[0].fraigMergedNodes, 0u);
+  for (std::size_t i = 0; i < phases.size(); ++i) {
+    EXPECT_EQ(phases[i].fraigMergedNodes, phases[0].fraigMergedNodes)
+        << "phase " << i;
+    if (i < 2) continue;
+    EXPECT_EQ(phases[i].fraigSatCalls, 0u) << "phase " << i;
+    EXPECT_EQ(phases[i].fraigMemoHits, 1u) << "phase " << i;
+  }
+  EXPECT_GE(r.stats.fraigMemoHits, 3u);
+  EXPECT_GE(deterministicCounters(r.stats).at("fraig_memo_hits"), 3u);
+  // Every hit is one replay of both stages.
+  EXPECT_EQ(r.stats.rewriteMemoHits, r.stats.fraigMemoHits);
+}
+
+TEST(SecMiter, ExhaustedInductionSweepStillAssertsItsFacts) {
+  // With aliasing off, fir's 7 coupling invariants are pending CNF facts
+  // of the induction miter.  A one-conflict induction budget cuts the
+  // induction sweep short; its unstored result must still map every fact
+  // for clausification, and the bounded verdict must stand.
+  ir::Context ctx;
+  designs::FirSecSetup s =
+      designs::makeFirSecProblem(ctx, designs::FirBug::kNone);
+  SecOptions o{.boundTransactions = 2, .tryInduction = true};
+  o.structuralAliasing = false;
+  o.inductionBudget.maxConflicts = 1;
+  SecResult r = checkEquivalence(*s.problem, o);
+  EXPECT_EQ(r.verdict, Verdict::kBoundedEquivalent);
+  EXPECT_TRUE(r.stats.inductionAttempted);
+  EXPECT_FALSE(r.stats.inductionClosed);
+  EXPECT_TRUE(r.stats.induction.budgetExhausted);
 }
 
 // --- Absint facts through the invariant miner ----------------------------
