@@ -9,10 +9,14 @@
 //   RTL simulation    — the levelized cycle-accurate netlist simulator.
 // Reports items/second per level and the SLM/RTL speedup factors.  The
 // shape to reproduce: untimed lands in (or near) the paper's 10x–1000x
-// band; adding timing detail erodes the advantage.
+// band; adding timing detail erodes the advantage.  A BitVector microbench
+// (ops/second for +, * and concat+extract at 8, 64 and 128 bits) shows the
+// cost of the value type every RTL net and IR slot carries.
 
 #include <chrono>
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "bench_util.h"
 #include "bitvec/hdl_int.h"
@@ -161,6 +165,37 @@ std::uint64_t convRtl(const workload::Image& img,
   return sink;
 }
 
+// --- BitVector microbench --------------------------------------------------
+
+struct BvOp {
+  const char* name;
+  bv::BitVector (*apply)(const bv::BitVector&, const bv::BitVector&);
+};
+
+const BvOp kBvOps[] = {
+    {"add",
+     [](const bv::BitVector& a, const bv::BitVector& b) { return a + b; }},
+    {"mul",
+     [](const bv::BitVector& a, const bv::BitVector& b) { return a * b; }},
+    {"concat+extract",
+     [](const bv::BitVector& a, const bv::BitVector& b) {
+       const unsigned w = a.width();
+       return bv::BitVector::concat(a, b).extract(w + w / 2 - 1, w / 2);
+     }},
+};
+
+/// ops/second of `op` over a ring of pre-built random operands.
+double bvOpsPerSec(const BvOp& op, unsigned width, std::size_t ops,
+                   std::uint64_t& sink) {
+  workload::Rng rng(width);
+  std::vector<bv::BitVector> xs;
+  for (int i = 0; i < 256; ++i) xs.push_back(workload::randomBits(rng, width));
+  const auto t0 = Clock::now();
+  for (std::size_t i = 0; i < ops; ++i)
+    sink += op.apply(xs[i % 256], xs[(i * 7 + 1) % 256]).toUint64();
+  return static_cast<double>(ops) / secsSince(t0);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -225,6 +260,27 @@ int main(int argc, char** argv) {
     sink += convRtl(imgSmall, kernel);
     rows[2] = {"RTL simulation", imgSmall.pixels.size(), secsSince(t0)};
     printRows("conv3x3 (items = pixels)", rows, 3);
+  }
+
+  {  // BitVector microbench
+    const std::size_t kOps = smoke ? 20'000 : 4'000'000;
+    const unsigned widths[] = {8, 64, 128};
+    std::printf("BitVector (ops/sec):\n  %-16s", "op");
+    for (unsigned w : widths)
+      std::printf(" %12s", ("w=" + std::to_string(w)).c_str());
+    std::printf("\n");
+    for (const BvOp& op : kBvOps) {
+      std::printf("  %-16s", op.name);
+      for (unsigned w : widths) {
+        const double rate = bvOpsPerSec(op, w, kOps, sink);
+        std::printf(" %12.0f", rate);
+        gReport->beginRow("bitvector")
+            .field("op", op.name)
+            .field("width", w)
+            .field("opsPerSec", rate);
+      }
+      std::printf("\n");
+    }
   }
   return !report.write() || sink == 0xdead ? 1 : 0;  // defeat optimizer
 }

@@ -2,17 +2,36 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 #include <ostream>
 
 namespace dfv::bv {
 
 namespace {
 constexpr std::uint64_t kAll = ~std::uint64_t{0};
+
+/// The low `w` bits set, 1 <= w <= 64.
+constexpr std::uint64_t maskOf(unsigned w) { return kAll >> (64 - w); }
+
+/// `v`'s low `w` bits sign-extended to 64, 1 <= w <= 64.
+constexpr std::int64_t signedOf(std::uint64_t v, unsigned w) {
+  const unsigned s = 64 - w;
+  return static_cast<std::int64_t>(v << s) >> s;
+}
+
+/// The 64 bits of `limbs` (n limbs) starting at bit `pos`; zeros past the end.
+std::uint64_t bitsAt(const std::uint64_t* limbs, unsigned n, unsigned pos) {
+  const unsigned w = pos / 64, b = pos % 64;
+  if (w >= n) return 0;
+  std::uint64_t v = limbs[w] >> b;
+  if (b != 0 && w + 1 < n) v |= limbs[w + 1] << (64 - b);
+  return v;
+}
 }  // namespace
 
 void BitVector::normalize() {
   const unsigned rem = width_ % 64;
-  if (rem != 0) words_.back() &= kAll >> (64 - rem);
+  if (rem != 0) limbs()[numWords() - 1] &= kAll >> (64 - rem);
 }
 
 void BitVector::checkSameWidth(const BitVector& a, const BitVector& b) {
@@ -20,25 +39,56 @@ void BitVector::checkSameWidth(const BitVector& a, const BitVector& b) {
                                                          << b.width_);
 }
 
+std::uint64_t* BitVector::copyLimbs(const BitVector& o) {
+  auto* p = new std::uint64_t[o.numWords()];
+  std::memcpy(p, o.heap_, o.numWords() * sizeof(std::uint64_t));
+  return p;
+}
+
+bool BitVector::equalLimbs(const BitVector& a, const BitVector& b) {
+  return std::equal(a.heap_, a.heap_ + a.numWords(), b.heap_);
+}
+
+void BitVector::assignSlow(const BitVector& o) {
+  // Reuse the heap limbs when the limb count matches (wide nets re-assigned
+  // every cycle keep their buffer).
+  if (!isInline() && !o.isInline() && numWords() == o.numWords()) {
+    width_ = o.width_;
+    std::memcpy(heap_, o.heap_, numWords() * sizeof(std::uint64_t));
+    return;
+  }
+  if (!isInline()) delete[] heap_;
+  width_ = o.width_;
+  if (o.isInline())
+    word_ = o.word_;
+  else
+    heap_ = copyLimbs(o);
+}
+
+bool BitVector::isZeroSlow() const {
+  return std::all_of(heap_, heap_ + numWords(),
+                     [](std::uint64_t w) { return w == 0; });
+}
+
 BitVector BitVector::fromUint(unsigned width, std::uint64_t v) {
   BitVector r(width);
-  r.words_[0] = v;
+  r.limbs()[0] = v;
   r.normalize();
   return r;
 }
 
 BitVector BitVector::fromInt(unsigned width, std::int64_t v) {
   BitVector r(width);
-  const auto uv = static_cast<std::uint64_t>(v);
+  std::uint64_t* l = r.limbs();
   for (unsigned w = 0; w < r.numWords(); ++w)
-    r.words_[w] = (w == 0) ? uv : (v < 0 ? kAll : 0);
+    l[w] = (w == 0) ? static_cast<std::uint64_t>(v) : (v < 0 ? kAll : 0);
   r.normalize();
   return r;
 }
 
 BitVector BitVector::allOnes(unsigned width) {
   BitVector r(width);
-  for (auto& w : r.words_) w = kAll;
+  std::fill_n(r.limbs(), r.numWords(), kAll);
   r.normalize();
   return r;
 }
@@ -91,50 +141,62 @@ BitVector BitVector::fromString(std::string_view text) {
   return r;
 }
 
-bool BitVector::isZero() const {
-  return std::all_of(words_.begin(), words_.end(),
-                     [](std::uint64_t w) { return w == 0; });
-}
-
 bool BitVector::isAllOnes() const {
+  const std::uint64_t* l = limbs();
+  const unsigned nw = numWords();
+  for (unsigned i = 0; i + 1 < nw; ++i)
+    if (l[i] != kAll) return false;
   const unsigned rem = width_ % 64;
-  for (unsigned i = 0; i + 1 < numWords(); ++i)
-    if (words_[i] != kAll) return false;
-  const std::uint64_t topMask = rem == 0 ? kAll : (kAll >> (64 - rem));
-  return words_.back() == topMask;
+  return l[nw - 1] == (rem == 0 ? kAll : maskOf(rem));
 }
 
 std::int64_t BitVector::toInt64() const {
   DFV_CHECK_MSG(width_ <= 64, "toInt64 on width " << width_);
-  std::uint64_t v = words_[0];
-  if (width_ < 64 && msb()) v |= kAll << width_;
-  return static_cast<std::int64_t>(v);
+  return signedOf(word_, width_);
 }
 
 unsigned BitVector::popcount() const {
+  const std::uint64_t* l = limbs();
   unsigned n = 0;
-  for (auto w : words_) n += static_cast<unsigned>(std::popcount(w));
+  for (unsigned i = 0; i < numWords(); ++i)
+    n += static_cast<unsigned>(std::popcount(l[i]));
   return n;
 }
 
 unsigned BitVector::countLeadingZeros() const {
-  for (unsigned i = width_; i-- > 0;)
-    if (bit(i)) return width_ - 1 - i;
+  const std::uint64_t* l = limbs();
+  for (unsigned i = numWords(); i-- > 0;)
+    if (l[i] != 0)
+      return width_ - 64 * (i + 1) +
+             static_cast<unsigned>(std::countl_zero(l[i]));
   return width_;
 }
 
 BitVector BitVector::zext(unsigned newWidth) const {
   DFV_CHECK_MSG(newWidth >= width_, "zext to narrower width");
   BitVector r(newWidth);
-  std::copy(words_.begin(), words_.end(), r.words_.begin());
+  std::copy_n(limbs(), numWords(), r.limbs());
   return r;
 }
 
 BitVector BitVector::sext(unsigned newWidth) const {
   DFV_CHECK_MSG(newWidth >= width_, "sext to narrower width");
-  if (!msb()) return zext(newWidth);
-  BitVector r = zext(newWidth);
-  for (unsigned i = width_; i < newWidth; ++i) r.setBit(i, true);
+  BitVector r(newWidth);
+  if (newWidth <= 64) {
+    r.word_ = static_cast<std::uint64_t>(signedOf(word_, width_)) &
+              maskOf(newWidth);
+    return r;
+  }
+  std::uint64_t* l = r.limbs();
+  std::copy_n(limbs(), numWords(), l);
+  if (msb()) {
+    // Fill from bit width_ up: the rest of the top source limb, then whole
+    // limbs.
+    const unsigned top = numWords() - 1, rem = width_ % 64;
+    if (rem != 0) l[top] |= kAll << rem;
+    std::fill(l + top + 1, l + r.numWords(), kAll);
+    r.normalize();
+  }
   return r;
 }
 
@@ -142,7 +204,7 @@ BitVector BitVector::trunc(unsigned newWidth) const {
   DFV_CHECK_MSG(newWidth <= width_ && newWidth >= 1,
                 "trunc " << width_ << " -> " << newWidth);
   BitVector r(newWidth);
-  std::copy(words_.begin(), words_.begin() + r.numWords(), r.words_.begin());
+  std::copy_n(limbs(), r.numWords(), r.limbs());
   r.normalize();
   return r;
 }
@@ -155,18 +217,41 @@ BitVector BitVector::resize(unsigned newWidth, bool asSigned) const {
 BitVector BitVector::extract(unsigned hi, unsigned lo) const {
   DFV_CHECK_MSG(hi < width_ && lo <= hi,
                 "extract [" << hi << ':' << lo << "] of width " << width_);
-  return lshr(lo).trunc(hi - lo + 1);
+  BitVector r(hi - lo + 1);
+  if (isInline()) {
+    r.word_ = (word_ >> lo) & maskOf(r.width_);
+    return r;
+  }
+  std::uint64_t* l = r.limbs();
+  for (unsigned i = 0; i < r.numWords(); ++i)
+    l[i] = bitsAt(heap_, numWords(), lo + 64 * i);
+  r.normalize();
+  return r;
 }
 
 BitVector BitVector::concat(const BitVector& hi, const BitVector& lo) {
-  BitVector r = lo.zext(lo.width_ + hi.width_);
-  const BitVector hiShifted = hi.zext(lo.width_ + hi.width_).shl(lo.width_);
-  return r | hiShifted;
+  BitVector r(lo.width_ + hi.width_);
+  if (r.isInline()) {
+    r.word_ = (hi.word_ << lo.width_) | lo.word_;
+    return r;
+  }
+  std::uint64_t* l = r.limbs();
+  std::copy_n(lo.limbs(), lo.numWords(), l);
+  // Place hi's limbs at bit offset lo.width_.
+  const unsigned w0 = lo.width_ / 64, b = lo.width_ % 64;
+  const std::uint64_t* h = hi.limbs();
+  for (unsigned j = 0; j < hi.numWords(); ++j) {
+    l[w0 + j] |= h[j] << b;
+    if (b != 0 && w0 + j + 1 < r.numWords()) l[w0 + j + 1] |= h[j] >> (64 - b);
+  }
+  return r;
 }
 
 BitVector BitVector::operator~() const {
   BitVector r(width_);
-  for (unsigned i = 0; i < numWords(); ++i) r.words_[i] = ~words_[i];
+  const std::uint64_t* a = limbs();
+  std::uint64_t* l = r.limbs();
+  for (unsigned i = 0; i < numWords(); ++i) l[i] = ~a[i];
   r.normalize();
   return r;
 }
@@ -174,83 +259,101 @@ BitVector BitVector::operator~() const {
 BitVector operator&(const BitVector& a, const BitVector& b) {
   BitVector::checkSameWidth(a, b);
   BitVector r(a.width_);
-  for (unsigned i = 0; i < r.numWords(); ++i)
-    r.words_[i] = a.words_[i] & b.words_[i];
+  const std::uint64_t *x = a.limbs(), *y = b.limbs();
+  std::uint64_t* l = r.limbs();
+  for (unsigned i = 0; i < r.numWords(); ++i) l[i] = x[i] & y[i];
   return r;
 }
 
 BitVector operator|(const BitVector& a, const BitVector& b) {
   BitVector::checkSameWidth(a, b);
   BitVector r(a.width_);
-  for (unsigned i = 0; i < r.numWords(); ++i)
-    r.words_[i] = a.words_[i] | b.words_[i];
+  const std::uint64_t *x = a.limbs(), *y = b.limbs();
+  std::uint64_t* l = r.limbs();
+  for (unsigned i = 0; i < r.numWords(); ++i) l[i] = x[i] | y[i];
   return r;
 }
 
 BitVector operator^(const BitVector& a, const BitVector& b) {
   BitVector::checkSameWidth(a, b);
   BitVector r(a.width_);
-  for (unsigned i = 0; i < r.numWords(); ++i)
-    r.words_[i] = a.words_[i] ^ b.words_[i];
+  const std::uint64_t *x = a.limbs(), *y = b.limbs();
+  std::uint64_t* l = r.limbs();
+  for (unsigned i = 0; i < r.numWords(); ++i) l[i] = x[i] ^ y[i];
   return r;
 }
+
+namespace {
+/// r = x + y + carry over n limbs (r may alias x or y).
+void addLimbs(std::uint64_t* r, const std::uint64_t* x, const std::uint64_t* y,
+              unsigned n, std::uint64_t carry, bool invertY) {
+  for (unsigned i = 0; i < n; ++i) {
+    const std::uint64_t yi = invertY ? ~y[i] : y[i];
+    const std::uint64_t s1 = x[i] + carry;
+    const std::uint64_t c1 = s1 < carry ? 1u : 0u;
+    const std::uint64_t s2 = s1 + yi;
+    const std::uint64_t c2 = s2 < s1 ? 1u : 0u;
+    r[i] = s2;
+    carry = c1 | c2;
+  }
+}
+}  // namespace
 
 BitVector operator+(const BitVector& a, const BitVector& b) {
   BitVector::checkSameWidth(a, b);
   BitVector r(a.width_);
-  std::uint64_t carry = 0;
-  for (unsigned i = 0; i < r.numWords(); ++i) {
-    const std::uint64_t s1 = a.words_[i] + carry;
-    const std::uint64_t c1 = s1 < carry ? 1u : 0u;
-    const std::uint64_t s2 = s1 + b.words_[i];
-    const std::uint64_t c2 = s2 < s1 ? 1u : 0u;
-    r.words_[i] = s2;
-    carry = c1 | c2;
+  if (r.isInline()) {
+    r.word_ = (a.word_ + b.word_) & maskOf(r.width_);
+    return r;
   }
+  addLimbs(r.heap_, a.heap_, b.heap_, r.numWords(), 0, false);
   r.normalize();
   return r;
 }
 
 BitVector operator-(const BitVector& a, const BitVector& b) {
-  return a + b.neg();
+  BitVector::checkSameWidth(a, b);
+  BitVector r(a.width_);
+  if (r.isInline()) {
+    r.word_ = (a.word_ - b.word_) & maskOf(r.width_);
+    return r;
+  }
+  addLimbs(r.heap_, a.heap_, b.heap_, r.numWords(), 1, true);  // a + ~b + 1
+  r.normalize();
+  return r;
 }
 
-BitVector BitVector::neg() const { return ~*this + BitVector::fromUint(width_, 1); }
+BitVector BitVector::neg() const {
+  BitVector r(width_);
+  if (isInline()) {
+    r.word_ = (0 - word_) & maskOf(width_);
+    return r;
+  }
+  // 0 + ~a + 1 over the (all-zero) result limbs.
+  addLimbs(r.heap_, r.heap_, heap_, numWords(), 1, true);
+  r.normalize();
+  return r;
+}
 
 BitVector operator*(const BitVector& a, const BitVector& b) {
   BitVector::checkSameWidth(a, b);
-  // Schoolbook multiply over 32-bit half-limbs, truncated to operand width.
-  const unsigned nw = a.numWords();
-  std::vector<std::uint64_t> acc(nw, 0);
-  auto addWordAt = [&](unsigned wordIdx, std::uint64_t v) {
-    while (wordIdx < nw && v != 0) {
-      acc[wordIdx] += v;
-      v = acc[wordIdx] < v ? 1u : 0u;  // carry out
-      ++wordIdx;
-    }
-  };
+  BitVector r(a.width_);
+  if (r.isInline()) {
+    r.word_ = (a.word_ * b.word_) & maskOf(r.width_);
+    return r;
+  }
+  // Schoolbook multiply over 64-bit limbs, truncated to operand width.
+  const unsigned nw = r.numWords();
   for (unsigned i = 0; i < nw; ++i) {
+    unsigned __int128 carry = 0;
     for (unsigned j = 0; i + j < nw; ++j) {
-      const std::uint64_t x0 = a.words_[i] & 0xffffffffu;
-      const std::uint64_t x1 = a.words_[i] >> 32;
-      const std::uint64_t y0 = b.words_[j] & 0xffffffffu;
-      const std::uint64_t y1 = b.words_[j] >> 32;
-      const std::uint64_t p00 = x0 * y0;
-      const std::uint64_t p01 = x0 * y1;
-      const std::uint64_t p10 = x1 * y0;
-      const std::uint64_t p11 = x1 * y1;
-      addWordAt(i + j, p00);
-      addWordAt(i + j, (p01 & 0xffffffffu) << 32);
-      addWordAt(i + j, (p10 & 0xffffffffu) << 32);
-      if (i + j + 1 < nw) {
-        addWordAt(i + j + 1, p01 >> 32);
-        addWordAt(i + j + 1, p10 >> 32);
-        addWordAt(i + j + 1, p11);
-      }
+      const unsigned __int128 t =
+          static_cast<unsigned __int128>(a.heap_[i]) * b.heap_[j] +
+          r.heap_[i + j] + carry;
+      r.heap_[i + j] = static_cast<std::uint64_t>(t);
+      carry = t >> 64;
     }
   }
-  BitVector r(a.width_);
-  r.words_ = std::move(acc);
   r.normalize();
   return r;
 }
@@ -272,6 +375,8 @@ BitVector BitVector::smulFull(const BitVector& b) const {
 
 BitVector BitVector::udiv(const BitVector& b) const {
   checkSameWidth(*this, b);
+  if (isInline())
+    return fromUint(width_, b.word_ == 0 ? kAll : word_ / b.word_);
   if (b.isZero()) return allOnes(width_);
   // Restoring long division, bit-serial MSB-first.
   BitVector q(width_);
@@ -289,6 +394,8 @@ BitVector BitVector::udiv(const BitVector& b) const {
 
 BitVector BitVector::urem(const BitVector& b) const {
   checkSameWidth(*this, b);
+  if (isInline())
+    return fromUint(width_, b.word_ == 0 ? word_ : word_ % b.word_);
   if (b.isZero()) return *this;
   return *this - udiv(b) * b;
 }
@@ -296,6 +403,14 @@ BitVector BitVector::urem(const BitVector& b) const {
 BitVector BitVector::sdiv(const BitVector& b) const {
   checkSameWidth(*this, b);
   const bool na = msb(), nb = b.msb();
+  if (isInline()) {
+    // Magnitudes as unsigned, so INT_MIN / -1 wraps instead of trapping.
+    const std::uint64_t m = maskOf(width_);
+    const std::uint64_t ua = na ? (0 - word_) & m : word_;
+    const std::uint64_t ub = nb ? (0 - b.word_) & m : b.word_;
+    const std::uint64_t uq = ub == 0 ? m : ua / ub;
+    return fromUint(width_, na != nb ? 0 - uq : uq);
+  }
   const BitVector ua = na ? neg() : *this;
   const BitVector ub = nb ? b.neg() : b;
   const BitVector uq = ua.udiv(ub);
@@ -305,6 +420,13 @@ BitVector BitVector::sdiv(const BitVector& b) const {
 BitVector BitVector::srem(const BitVector& b) const {
   checkSameWidth(*this, b);
   const bool na = msb();
+  if (isInline()) {
+    const std::uint64_t m = maskOf(width_);
+    const std::uint64_t ua = na ? (0 - word_) & m : word_;
+    const std::uint64_t ub = b.msb() ? (0 - b.word_) & m : b.word_;
+    const std::uint64_t ur = ub == 0 ? ua : ua % ub;
+    return fromUint(width_, na ? 0 - ur : ur);
+  }
   const BitVector ua = na ? neg() : *this;
   const BitVector ub = b.msb() ? b.neg() : b;
   const BitVector ur = ua.urem(ub);
@@ -314,15 +436,16 @@ BitVector BitVector::srem(const BitVector& b) const {
 BitVector BitVector::shl(unsigned amount) const {
   BitVector r(width_);
   if (amount >= width_) return r;
+  if (isInline()) {
+    r.word_ = (word_ << amount) & maskOf(width_);
+    return r;
+  }
   const unsigned wordShift = amount / 64, bitShift = amount % 64;
-  for (unsigned i = numWords(); i-- > 0;) {
-    std::uint64_t v = 0;
-    if (i >= wordShift) {
-      v = words_[i - wordShift] << bitShift;
-      if (bitShift != 0 && i > wordShift)
-        v |= words_[i - wordShift - 1] >> (64 - bitShift);
-    }
-    r.words_[i] = v;
+  for (unsigned i = numWords(); i-- > wordShift;) {
+    std::uint64_t v = heap_[i - wordShift] << bitShift;
+    if (bitShift != 0 && i > wordShift)
+      v |= heap_[i - wordShift - 1] >> (64 - bitShift);
+    r.heap_[i] = v;
   }
   r.normalize();
   return r;
@@ -331,17 +454,12 @@ BitVector BitVector::shl(unsigned amount) const {
 BitVector BitVector::lshr(unsigned amount) const {
   BitVector r(width_);
   if (amount >= width_) return r;
-  const unsigned wordShift = amount / 64, bitShift = amount % 64;
-  const unsigned nw = numWords();
-  for (unsigned i = 0; i < nw; ++i) {
-    std::uint64_t v = 0;
-    if (i + wordShift < nw) {
-      v = words_[i + wordShift] >> bitShift;
-      if (bitShift != 0 && i + wordShift + 1 < nw)
-        v |= words_[i + wordShift + 1] << (64 - bitShift);
-    }
-    r.words_[i] = v;
+  if (isInline()) {
+    r.word_ = word_ >> amount;
+    return r;
   }
+  for (unsigned i = 0; i < numWords(); ++i)
+    r.heap_[i] = bitsAt(heap_, numWords(), amount + 64 * i);
   return r;
 }
 
@@ -349,6 +467,9 @@ BitVector BitVector::ashr(unsigned amount) const {
   const bool sign = msb();
   if (amount >= width_)
     return sign ? allOnes(width_) : BitVector(width_);
+  if (isInline())
+    return fromUint(width_, static_cast<std::uint64_t>(
+                                signedOf(word_, width_) >> amount));
   BitVector r = lshr(amount);
   if (sign)
     for (unsigned i = width_ - amount; i < width_; ++i) r.setBit(i, true);
@@ -377,9 +498,9 @@ BitVector BitVector::ashr(const BitVector& amount) const {
 
 bool BitVector::ult(const BitVector& b) const {
   checkSameWidth(*this, b);
-  for (unsigned i = numWords(); i-- > 0;) {
-    if (words_[i] != b.words_[i]) return words_[i] < b.words_[i];
-  }
+  const std::uint64_t *x = limbs(), *y = b.limbs();
+  for (unsigned i = numWords(); i-- > 0;)
+    if (x[i] != y[i]) return x[i] < y[i];
   return false;
 }
 
@@ -459,7 +580,8 @@ std::size_t BitVector::hash() const {
     }
   };
   mix(width_);
-  for (auto w : words_) mix(w);
+  const std::uint64_t* l = limbs();
+  for (unsigned i = 0; i < numWords(); ++i) mix(l[i]);
   return h;
 }
 

@@ -17,16 +17,17 @@
 //    ones, urem -> dividend) so every operation is total and deterministic;
 //    Verilog would produce X, which a two-valued model cannot represent.
 //
-// The canonical representation keeps all bits above `width` zero at all
-// times; every mutating path re-normalizes.
+// Representation: 16 bytes — the width plus one inline limb for widths up
+// to 64, or a pointer to ceil(width/64) heap limbs above that — so the
+// values RTL nets, IR slots and transactions carry (nearly all <= 64 bits)
+// never allocate.  The canonical form keeps all bits above `width` zero at
+// all times; every mutating path re-normalizes.
 #pragma once
 
-#include <compare>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/check.h"
 
@@ -36,12 +37,53 @@ namespace dfv::bv {
 class BitVector {
  public:
   /// Constructs a 1-bit zero.  (A zero-width vector is not representable.)
-  BitVector() : width_(1), words_(1, 0) {}
+  BitVector() : width_(1), word_(0) {}
 
   /// Constructs a `width`-bit zero value.
-  explicit BitVector(unsigned width) : width_(width) {
+  explicit BitVector(unsigned width) : width_(width), word_(0) {
     DFV_CHECK_MSG(width >= 1, "BitVector width must be >= 1");
-    words_.assign(numWords(), 0);
+    if (!isInline()) heap_ = new std::uint64_t[numWords()]();
+  }
+
+  BitVector(const BitVector& o) : width_(o.width_) {
+    if (o.isInline())
+      word_ = o.word_;
+    else
+      heap_ = copyLimbs(o);
+  }
+  /// A moved-from value is a 1-bit zero.
+  BitVector(BitVector&& o) noexcept : width_(o.width_) {
+    if (o.isInline())
+      word_ = o.word_;
+    else
+      heap_ = o.heap_;
+    o.width_ = 1;
+    o.word_ = 0;
+  }
+  BitVector& operator=(const BitVector& o) {
+    if (this == &o) return *this;
+    if (isInline() && o.isInline()) {
+      width_ = o.width_;
+      word_ = o.word_;
+      return *this;
+    }
+    assignSlow(o);
+    return *this;
+  }
+  BitVector& operator=(BitVector&& o) noexcept {
+    if (this == &o) return *this;
+    if (!isInline()) delete[] heap_;
+    width_ = o.width_;
+    if (o.isInline())
+      word_ = o.word_;
+    else
+      heap_ = o.heap_;
+    o.width_ = 1;
+    o.word_ = 0;
+    return *this;
+  }
+  ~BitVector() {
+    if (!isInline()) delete[] heap_;
   }
 
   /// Builds a `width`-bit value from the low `width` bits of `v`.
@@ -62,7 +104,7 @@ class BitVector {
   /// Reads bit `i` (0 = LSB).
   bool bit(unsigned i) const {
     DFV_CHECK_MSG(i < width_, "bit index " << i << " out of width " << width_);
-    return (words_[i / 64] >> (i % 64)) & 1u;
+    return (limbs()[i / 64] >> (i % 64)) & 1u;
   }
 
   /// Writes bit `i` (0 = LSB).
@@ -70,22 +112,22 @@ class BitVector {
     DFV_CHECK_MSG(i < width_, "bit index " << i << " out of width " << width_);
     const std::uint64_t mask = std::uint64_t{1} << (i % 64);
     if (v)
-      words_[i / 64] |= mask;
+      limbs()[i / 64] |= mask;
     else
-      words_[i / 64] &= ~mask;
+      limbs()[i / 64] &= ~mask;
   }
 
   /// The sign bit (MSB).
   bool msb() const { return bit(width_ - 1); }
 
   /// True iff every bit is zero.
-  bool isZero() const;
+  bool isZero() const { return isInline() ? word_ == 0 : isZeroSlow(); }
 
   /// True iff every bit is one.
   bool isAllOnes() const;
 
   /// Low 64 bits, zero-extended.
-  std::uint64_t toUint64() const { return words_[0]; }
+  std::uint64_t toUint64() const { return limbs()[0]; }
 
   /// Value as a signed 64-bit integer; requires width() <= 64 so the value is
   /// exactly representable.
@@ -147,7 +189,8 @@ class BitVector {
   // ----- comparisons ---------------------------------------------------
   /// Structural equality: equal width AND equal bits.
   friend bool operator==(const BitVector& a, const BitVector& b) {
-    return a.width_ == b.width_ && a.words_ == b.words_;
+    if (a.width_ != b.width_) return false;
+    return a.isInline() ? a.word_ == b.word_ : equalLimbs(a, b);
   }
   friend bool operator!=(const BitVector& a, const BitVector& b) {
     return !(a == b);
@@ -172,14 +215,26 @@ class BitVector {
   std::size_t hash() const;
 
  private:
+  bool isInline() const { return width_ <= 64; }
   unsigned numWords() const { return (width_ + 63) / 64; }
-  /// Zeroes bits above width_ in the top word (canonical form).
+  std::uint64_t* limbs() { return isInline() ? &word_ : heap_; }
+  const std::uint64_t* limbs() const { return isInline() ? &word_ : heap_; }
+  /// Zeroes bits above width_ in the top limb (canonical form).
   void normalize();
   static void checkSameWidth(const BitVector& a, const BitVector& b);
+  static std::uint64_t* copyLimbs(const BitVector& o);
+  static bool equalLimbs(const BitVector& a, const BitVector& b);
+  void assignSlow(const BitVector& o);
+  bool isZeroSlow() const;
 
   unsigned width_;
-  std::vector<std::uint64_t> words_;  // little-endian limbs; high bits zero
+  union {
+    std::uint64_t word_;   // width_ <= 64: the value
+    std::uint64_t* heap_;  // width_ > 64: little-endian limbs
+  };
 };
+
+static_assert(sizeof(BitVector) == 16, "BitVector must stay 16 bytes");
 
 std::ostream& operator<<(std::ostream& os, const BitVector& v);
 

@@ -448,22 +448,12 @@ PlanReport ResilientRunner::run(bool incremental) {
 
 namespace {
 
-bv::BitVector randomBits(workload::Rng& rng, unsigned width) {
-  bv::BitVector v(width);
-  std::uint64_t word = 0;
-  for (unsigned i = 0; i < width; ++i) {
-    if (i % 64 == 0) word = rng.next();
-    v.setBit(i, ((word >> (i % 64)) & 1) != 0);
-  }
-  return v;
-}
-
 ir::Value randomValue(workload::Rng& rng, const ir::Type& t) {
-  if (!t.isArray()) return ir::Value(randomBits(rng, t.width));
+  if (!t.isArray()) return ir::Value(workload::randomBits(rng, t.width));
   std::vector<bv::BitVector> elems;
   elems.reserve(t.depth);
   for (unsigned i = 0; i < t.depth; ++i)
-    elems.push_back(randomBits(rng, t.width));
+    elems.push_back(workload::randomBits(rng, t.width));
   return ir::Value::makeArray(std::move(elems));
 }
 

@@ -26,13 +26,15 @@ class RtlBlockInSlm : public slm::Module {
                 slm::Fifo<bv::BitVector>& output)
       : slm::Module(kernel, std::move(name)),
         sim_(rtlModule),
-        ports_(std::move(ports)),
+        inData_(sim_.inputPort(ports.inData)),
+        inValid_(sim_.inputPort(ports.inValid)),
+        outData_(sim_.outputPort(ports.outData)),
+        outValid_(sim_.outputPort(ports.outValid)),
         clock_(clock),
         input_(input),
-        output_(output) {
-    const rtl::NetId in = sim_.module().findInput(ports_.inData);
-    DFV_CHECK_MSG(in != rtl::kNoNet, "no input '" << ports_.inData << "'");
-    dataWidth_ = sim_.module().netWidth(in);
+        output_(output),
+        dataWidth_(sim_.module().netWidth(inData_)) {
+    if (!ports.stall.empty()) stall_ = sim_.inputPort(ports.stall);
     kernel.spawn(cycleLoop(), this->name() + ".cycle");
   }
 
@@ -45,16 +47,16 @@ class RtlBlockInSlm : public slm::Module {
       auto item = input_.tryGet();
       if (item.has_value()) {
         DFV_CHECK_MSG(item->width() == dataWidth_, "stream width mismatch");
-        sim_.setInput(ports_.inData, *item);
-        sim_.setInputUint(ports_.inValid, 1);
+        sim_.setInput(inData_, *item);
+        sim_.setInputUint(inValid_, 1);
       } else {
-        sim_.setInput(ports_.inData, bv::BitVector(dataWidth_));
-        sim_.setInputUint(ports_.inValid, 0);
+        sim_.setInputUint(inData_, 0);
+        sim_.setInputUint(inValid_, 0);
       }
-      if (!ports_.stall.empty()) sim_.setInputUint(ports_.stall, 0);
+      if (stall_ != rtl::kNoNet) sim_.setInputUint(stall_, 0);
       sim_.evalCombinational();
-      if (!sim_.outputValue(ports_.outValid).isZero()) {
-        const bool pushed = output_.tryPut(sim_.outputValue(ports_.outData));
+      if (!sim_.netValue(outValid_).isZero()) {
+        const bool pushed = output_.tryPut(sim_.netValue(outData_));
         DFV_CHECK_MSG(pushed, "output fifo overflow in '" << name()
                                                           << "' (size the "
                                                              "fifo for the "
@@ -66,11 +68,12 @@ class RtlBlockInSlm : public slm::Module {
   }
 
   rtl::Simulator sim_;
-  StreamPorts ports_;
+  rtl::NetId inData_, inValid_, outData_, outValid_;
+  rtl::NetId stall_ = rtl::kNoNet;
   slm::Clock& clock_;
   slm::Fifo<bv::BitVector>& input_;
   slm::Fifo<bv::BitVector>& output_;
-  unsigned dataWidth_ = 0;
+  unsigned dataWidth_;
   std::uint64_t cycles_ = 0;
 };
 

@@ -18,19 +18,13 @@ StallPolicy randomStalls(std::uint32_t numerator, std::uint32_t denominator,
 }
 
 WrappedRtl::WrappedRtl(const rtl::Module& module, StreamPorts ports)
-    : sim_(module), ports_(std::move(ports)) {
-  const rtl::NetId in = sim_.module().findInput(ports_.inData);
-  DFV_CHECK_MSG(in != rtl::kNoNet, "no input port '" << ports_.inData << "'");
-  dataWidth_ = sim_.module().netWidth(in);
-  DFV_CHECK_MSG(sim_.module().findInput(ports_.inValid) != rtl::kNoNet,
-                "no input port '" << ports_.inValid << "'");
-  DFV_CHECK_MSG(sim_.module().findOutput(ports_.outData) != rtl::kNoNet,
-                "no output port '" << ports_.outData << "'");
-  DFV_CHECK_MSG(sim_.module().findOutput(ports_.outValid) != rtl::kNoNet,
-                "no output port '" << ports_.outValid << "'");
-  if (!ports_.stall.empty())
-    DFV_CHECK_MSG(sim_.module().findInput(ports_.stall) != rtl::kNoNet,
-                  "no stall port '" << ports_.stall << "'");
+    : sim_(module),
+      inData_(sim_.inputPort(ports.inData)),
+      inValid_(sim_.inputPort(ports.inValid)),
+      outData_(sim_.outputPort(ports.outData)),
+      outValid_(sim_.outputPort(ports.outValid)),
+      dataWidth_(sim_.module().netWidth(inData_)) {
+  if (!ports.stall.empty()) stall_ = sim_.inputPort(ports.stall);
 }
 
 std::vector<StreamItem> WrappedRtl::run(
@@ -47,21 +41,20 @@ std::vector<StreamItem> WrappedRtl::run(
     if (feeding) {
       DFV_CHECK_MSG(stimulus[next].width() == dataWidth_,
                     "stimulus width mismatch at item " << next);
-      sim_.setInput(ports_.inData, stimulus[next]);
-      sim_.setInputUint(ports_.inValid, 1);
+      sim_.setInput(inData_, stimulus[next]);
+      sim_.setInputUint(inValid_, 1);
       ++next;
     } else {
-      sim_.setInput(ports_.inData, bv::BitVector(dataWidth_));
-      sim_.setInputUint(ports_.inValid, 0);
+      sim_.setInputUint(inData_, 0);
+      sim_.setInputUint(inValid_, 0);
     }
-    if (!ports_.stall.empty())
-      sim_.setInputUint(ports_.stall, stalled ? 1 : 0);
+    if (stall_ != rtl::kNoNet) sim_.setInputUint(stall_, stalled ? 1 : 0);
     sim_.evalCombinational();
     // A stalled cycle freezes the whole interface: the DUT holds its
     // pipeline and the downstream side does not sample (otherwise a held
     // out_valid would be observed repeatedly).
-    if (!stalled && !sim_.outputValue(ports_.outValid).isZero())
-      outputs.push_back(StreamItem{cycle, sim_.outputValue(ports_.outData)});
+    if (!stalled && !sim_.netValue(outValid_).isZero())
+      outputs.push_back(StreamItem{cycle, sim_.netValue(outData_)});
     sim_.clockEdge();
     if (next >= stimulus.size()) --idleBudget;
     ++cycle;

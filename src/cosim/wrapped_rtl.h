@@ -67,7 +67,8 @@ class WrappedRtl {
 
  private:
   rtl::Simulator sim_;
-  StreamPorts ports_;
+  rtl::NetId inData_, inValid_, outData_, outValid_;
+  rtl::NetId stall_ = rtl::kNoNet;  ///< kNoNet when the DUT has no stall input
   unsigned dataWidth_;
   std::uint64_t cyclesRun_ = 0;
 };

@@ -118,6 +118,13 @@ rtl::Module makeCacheRtl() {
 
 MemRunResult runCache(const std::vector<workload::MemRequest>& trace) {
   rtl::Simulator sim(makeCacheRtl());
+  const rtl::NetId reqValid = sim.inputPort("req_valid");
+  const rtl::NetId reqWrite = sim.inputPort("req_write");
+  const rtl::NetId reqAddr = sim.inputPort("req_addr");
+  const rtl::NetId reqWdata = sim.inputPort("req_wdata");
+  const rtl::NetId reqReady = sim.outputPort("req_ready");
+  const rtl::NetId respValid = sim.outputPort("resp_valid");
+  const rtl::NetId respData = sim.outputPort("resp_data");
   MemRunResult result;
   std::size_t next = 0;
   std::vector<std::uint64_t> issueCycles;
@@ -126,25 +133,25 @@ MemRunResult runCache(const std::vector<workload::MemRequest>& trace) {
   while (result.responses.size() < trace.size()) {
     DFV_CHECK_MSG(cycle < guard, "cache run did not converge");
     sim.evalCombinational();
-    const bool ready = !sim.outputValue("req_ready").isZero();
+    const bool ready = !sim.netValue(reqReady).isZero();
     // Issue combinationally in the same cycle the DUT is ready.
     if (ready && next < trace.size()) {
-      sim.setInputUint("req_valid", 1);
-      sim.setInputUint("req_write", trace[next].write ? 1 : 0);
-      sim.setInputUint("req_addr", trace[next].addr);
-      sim.setInputUint("req_wdata", trace[next].data);
+      sim.setInputUint(reqValid, 1);
+      sim.setInputUint(reqWrite, trace[next].write ? 1 : 0);
+      sim.setInputUint(reqAddr, trace[next].addr);
+      sim.setInputUint(reqWdata, trace[next].data);
       issueCycles.push_back(cycle);
       ++next;
     } else {
-      sim.setInputUint("req_valid", 0);
-      sim.setInputUint("req_write", 0);
-      sim.setInputUint("req_addr", 0);
-      sim.setInputUint("req_wdata", 0);
+      sim.setInputUint(reqValid, 0);
+      sim.setInputUint(reqWrite, 0);
+      sim.setInputUint(reqAddr, 0);
+      sim.setInputUint(reqWdata, 0);
     }
     sim.evalCombinational();
-    if (!sim.outputValue("resp_valid").isZero()) {
-      result.responses.push_back(static_cast<std::uint8_t>(
-          sim.outputValue("resp_data").toUint64()));
+    if (!sim.netValue(respValid).isZero()) {
+      result.responses.push_back(
+          static_cast<std::uint8_t>(sim.netValue(respData).toUint64()));
       const std::size_t respIdx = result.responses.size() - 1;
       const std::uint64_t latency = cycle - issueCycles[respIdx];
       result.latencies.push_back(latency);

@@ -3,6 +3,8 @@
 #include <optional>
 #include <vector>
 
+#include "ir/eval.h"
+
 namespace dfv::drc {
 
 namespace {
@@ -11,48 +13,6 @@ using rtl::Cell;
 using rtl::Module;
 using rtl::NetId;
 using rtl::kNoNet;
-
-/// Folds one cell whose inputs are all known constants (two-valued,
-/// SMT-LIB-totalized — the same semantics as rtl::Simulator).
-std::optional<bv::BitVector> foldCell(const Cell& c,
-                                      const std::vector<const bv::BitVector*>&
-                                          in) {
-  using bv::BitVector;
-  auto b2v = [](bool b) { return BitVector::fromUint(1, b); };
-  switch (c.op) {
-    case ir::Op::kConst: return c.constVal;
-    case ir::Op::kAdd: return *in[0] + *in[1];
-    case ir::Op::kSub: return *in[0] - *in[1];
-    case ir::Op::kMul: return *in[0] * *in[1];
-    case ir::Op::kUDiv: return in[0]->udiv(*in[1]);
-    case ir::Op::kURem: return in[0]->urem(*in[1]);
-    case ir::Op::kSDiv: return in[0]->sdiv(*in[1]);
-    case ir::Op::kSRem: return in[0]->srem(*in[1]);
-    case ir::Op::kNeg: return in[0]->neg();
-    case ir::Op::kAnd: return *in[0] & *in[1];
-    case ir::Op::kOr: return *in[0] | *in[1];
-    case ir::Op::kXor: return *in[0] ^ *in[1];
-    case ir::Op::kNot: return ~*in[0];
-    case ir::Op::kShl: return in[0]->shl(*in[1]);
-    case ir::Op::kLShr: return in[0]->lshr(*in[1]);
-    case ir::Op::kAShr: return in[0]->ashr(*in[1]);
-    case ir::Op::kEq: return b2v(*in[0] == *in[1]);
-    case ir::Op::kNe: return b2v(*in[0] != *in[1]);
-    case ir::Op::kULt: return b2v(in[0]->ult(*in[1]));
-    case ir::Op::kULe: return b2v(in[0]->ule(*in[1]));
-    case ir::Op::kSLt: return b2v(in[0]->slt(*in[1]));
-    case ir::Op::kSLe: return b2v(in[0]->sle(*in[1]));
-    case ir::Op::kMux: return in[0]->isZero() ? *in[2] : *in[1];
-    case ir::Op::kConcat: return bv::BitVector::concat(*in[0], *in[1]);
-    case ir::Op::kExtract: return in[0]->extract(c.attr0, c.attr1);
-    case ir::Op::kZExt: return in[0]->zext(c.attr0);
-    case ir::Op::kSExt: return in[0]->sext(c.attr0);
-    case ir::Op::kRedAnd: return b2v(in[0]->reduceAnd());
-    case ir::Op::kRedOr: return b2v(in[0]->reduceOr());
-    case ir::Op::kRedXor: return b2v(in[0]->reduceXor());
-    default: return std::nullopt;
-  }
-}
 
 class NetlistChecker {
  public:
@@ -326,29 +286,8 @@ class NetlistChecker {
   /// selector is provably constant and output ports that fold to constants.
   void constantPropagate() {
     const auto& cells = m_.cells();
-    std::vector<std::size_t> driverCell(m_.netCount(), SIZE_MAX);
-    for (std::size_t i = 0; i < cells.size(); ++i)
-      driverCell[cells[i].output] = i;
-    std::vector<unsigned> pending(cells.size(), 0);
-    std::vector<std::vector<std::size_t>> consumers(cells.size());
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      for (NetId in : cells[i].inputs) {
-        const std::size_t drv = driverCell[in];
-        if (drv != SIZE_MAX) {
-          ++pending[i];
-          consumers[drv].push_back(i);
-        }
-      }
-    }
-    std::vector<std::size_t> order;
-    for (std::size_t i = 0; i < cells.size(); ++i)
-      if (pending[i] == 0) order.push_back(i);
-    for (std::size_t head = 0; head < order.size(); ++head)
-      for (std::size_t next : consumers[order[head]])
-        if (--pending[next] == 0) order.push_back(next);
-
     std::vector<std::optional<bv::BitVector>> known(m_.netCount());
-    for (std::size_t idx : order) {
+    for (std::size_t idx : rtl::levelize(m_)) {
       const Cell& c = cells[idx];
       std::vector<const bv::BitVector*> ins;
       bool allKnown = true;
@@ -371,8 +310,12 @@ class NetlistChecker {
         if (known[arm].has_value()) known[c.output] = known[arm];
         continue;
       }
+      // Folded with ir::applyOp, the semantics rtl::Simulator runs.
       if (!allKnown) continue;
-      known[c.output] = foldCell(c, ins);
+      if (c.op == ir::Op::kConst)
+        known[c.output] = c.constVal;
+      else if (ir::isScalarOp(c.op))
+        known[c.output] = ir::applyOp(c.op, ins.data(), c.attr0, c.attr1);
     }
     for (const auto& p : m_.outputs()) {
       if (known[p.net].has_value())

@@ -12,92 +12,156 @@ bool Value::matches(const Type& t) const {
   return !isArray && scalar.width() == t.width;
 }
 
-const Value& Evaluator::eval(NodeRef node) {
-  auto cached = cache_.find(node);
-  if (cached != cache_.end()) return cached->second;
+bool isScalarOp(Op op) {
+  switch (op) {
+    case Op::kConst: case Op::kInput: case Op::kState:
+    case Op::kArrayRead: case Op::kArrayWrite:
+      return false;
+    default:
+      return true;
+  }
+}
 
+bv::BitVector applyOp(Op op, const bv::BitVector* const* in, unsigned attr0,
+                      unsigned attr1) {
   using bv::BitVector;
-  Value result;
-  auto b2v = [](bool b) { return Value(BitVector::fromUint(1, b)); };
+  auto b2v = [](bool b) { return BitVector::fromUint(1, b); };
+  const BitVector& a = *in[0];
+  switch (op) {
+    case Op::kAdd: return a + *in[1];
+    case Op::kSub: return a - *in[1];
+    case Op::kMul: return a * *in[1];
+    case Op::kUDiv: return a.udiv(*in[1]);
+    case Op::kURem: return a.urem(*in[1]);
+    case Op::kSDiv: return a.sdiv(*in[1]);
+    case Op::kSRem: return a.srem(*in[1]);
+    case Op::kNeg: return a.neg();
+    case Op::kAnd: return a & *in[1];
+    case Op::kOr: return a | *in[1];
+    case Op::kXor: return a ^ *in[1];
+    case Op::kNot: return ~a;
+    case Op::kShl: return a.shl(*in[1]);
+    case Op::kLShr: return a.lshr(*in[1]);
+    case Op::kAShr: return a.ashr(*in[1]);
+    case Op::kEq: return b2v(a == *in[1]);
+    case Op::kNe: return b2v(a != *in[1]);
+    case Op::kULt: return b2v(a.ult(*in[1]));
+    case Op::kULe: return b2v(a.ule(*in[1]));
+    case Op::kSLt: return b2v(a.slt(*in[1]));
+    case Op::kSLe: return b2v(a.sle(*in[1]));
+    case Op::kMux: return a.isZero() ? *in[2] : *in[1];
+    case Op::kConcat: return BitVector::concat(a, *in[1]);
+    case Op::kExtract: return a.extract(attr0, attr1);
+    case Op::kZExt: return a.zext(attr0);
+    case Op::kSExt: return a.sext(attr0);
+    case Op::kRedAnd: return b2v(a.reduceAnd());
+    case Op::kRedOr: return b2v(a.reduceOr());
+    case Op::kRedXor: return b2v(a.reduceXor());
+    default:
+      DFV_UNREACHABLE("op " << opName(op) << " is not a scalar op");
+  }
+}
 
-  switch (node->op()) {
-    case Op::kConst:
-      result = Value(node->constValue());
-      break;
-    case Op::kInput:
-    case Op::kState: {
-      auto it = env_.find(node);
-      DFV_CHECK_MSG(it != env_.end(), "unbound leaf '" << node->name() << "'");
-      DFV_CHECK_MSG(it->second.matches(node->type()),
-                    "bound value for '" << node->name()
-                                        << "' has the wrong sort");
-      result = it->second;
-      break;
-    }
-    default: {
-      // Evaluate operands first (recursion depth is bounded by expression
-      // height, which our builders keep modest).
-      std::vector<const Value*> xs;
-      xs.reserve(node->operands().size());
-      for (NodeRef opnd : node->operands()) xs.push_back(&eval(opnd));
-      auto s = [&](unsigned i) -> const BitVector& { return xs[i]->scalar; };
-      switch (node->op()) {
-        case Op::kAdd: result = s(0) + s(1); break;
-        case Op::kSub: result = s(0) - s(1); break;
-        case Op::kMul: result = s(0) * s(1); break;
-        case Op::kUDiv: result = s(0).udiv(s(1)); break;
-        case Op::kURem: result = s(0).urem(s(1)); break;
-        case Op::kSDiv: result = s(0).sdiv(s(1)); break;
-        case Op::kSRem: result = s(0).srem(s(1)); break;
-        case Op::kNeg: result = s(0).neg(); break;
-        case Op::kAnd: result = s(0) & s(1); break;
-        case Op::kOr: result = s(0) | s(1); break;
-        case Op::kXor: result = s(0) ^ s(1); break;
-        case Op::kNot: result = ~s(0); break;
-        case Op::kShl: result = s(0).shl(s(1)); break;
-        case Op::kLShr: result = s(0).lshr(s(1)); break;
-        case Op::kAShr: result = s(0).ashr(s(1)); break;
-        case Op::kEq: result = b2v(s(0) == s(1)); break;
-        case Op::kNe: result = b2v(s(0) != s(1)); break;
-        case Op::kULt: result = b2v(s(0).ult(s(1))); break;
-        case Op::kULe: result = b2v(s(0).ule(s(1))); break;
-        case Op::kSLt: result = b2v(s(0).slt(s(1))); break;
-        case Op::kSLe: result = b2v(s(0).sle(s(1))); break;
-        case Op::kMux:
-          result = s(0).isZero() ? *xs[2] : *xs[1];
-          break;
-        case Op::kConcat: result = BitVector::concat(s(0), s(1)); break;
-        case Op::kExtract:
-          result = s(0).extract(node->attr0(), node->attr1());
-          break;
-        case Op::kZExt: result = s(0).zext(node->attr0()); break;
-        case Op::kSExt: result = s(0).sext(node->attr0()); break;
-        case Op::kRedAnd: result = b2v(s(0).reduceAnd()); break;
-        case Op::kRedOr: result = b2v(s(0).reduceOr()); break;
-        case Op::kRedXor: result = b2v(s(0).reduceXor()); break;
-        case Op::kArrayRead: {
-          const auto& arr = xs[0]->array;
-          const std::uint64_t idx = s(1).toUint64();
-          // Out-of-range index (possible when depth is not a power of two)
-          // reads element 0, matching the bit-blasted mux tree's default.
-          result = idx < arr.size() ? arr[idx] : arr[0];
+void Tape::run(std::size_t begin, std::size_t end) {
+  Value* s = slots_.data();
+  for (std::size_t pc = begin; pc < end; ++pc) {
+    const Instr& i = code_[pc];
+    if (i.guard != kNone && s[i.guard].scalar.isZero()) continue;
+    Value& dst = s[i.dst];
+    const Value& a = s[i.src[0]];
+    switch (i.op) {
+      case Op::kMux: {
+        const Value& pick = a.scalar.isZero() ? s[i.src[2]] : s[i.src[1]];
+        if (pick.isArray)
+          dst = pick;
+        else
+          dst.scalar = pick.scalar;
+        break;
+      }
+      case Op::kArrayRead: {
+        // An out-of-range index (depth not a power of two) reads element 0,
+        // matching the bit-blasted mux tree's default.
+        const std::uint64_t idx = s[i.src[1]].scalar.toUint64();
+        dst.scalar = a.array[idx < a.array.size() ? idx : 0];
+        break;
+      }
+      case Op::kArrayWrite: {
+        if (i.dst != i.src[0]) dst = a;
+        const std::uint64_t idx = s[i.src[1]].scalar.toUint64();
+        if (idx < dst.array.size()) dst.array[idx] = s[i.src[2]].scalar;
+        break;
+      }
+      case Op::kZExt:
+        if (a.scalar.width() == i.attr0) {
+          dst.scalar = a.scalar;
           break;
         }
-        case Op::kArrayWrite: {
-          Value arr = *xs[0];
-          const std::uint64_t idx = s(1).toUint64();
-          if (idx < arr.array.size()) arr.array[idx] = xs[2]->scalar;
-          result = std::move(arr);
-          break;
-        }
-        default:
-          DFV_UNREACHABLE("unhandled op " << opName(node->op()));
+        [[fallthrough]];
+      default: {
+        const bv::BitVector* in[3] = {&a.scalar, &s[i.src[1]].scalar,
+                                      &s[i.src[2]].scalar};
+        dst.scalar = applyOp(i.op, in, i.attr0, i.attr1);
       }
     }
   }
-  DFV_CHECK_MSG(result.matches(node->type()),
-                "evaluator produced wrong sort for " << opName(node->op()));
-  return cache_.emplace(node, std::move(result)).first->second;
+}
+
+Tape::Slot Tape::compile(NodeRef root,
+                         const std::function<Slot(NodeRef)>& leaf) {
+  // Iterative post-order: a node is emitted once all its operands have
+  // slots.
+  std::vector<NodeRef> stack{root};
+  while (!stack.empty()) {
+    NodeRef n = stack.back();
+    if (nodeSlots_.count(n) != 0) {
+      stack.pop_back();
+      continue;
+    }
+    if (n->isLeaf()) {
+      nodeSlots_.emplace(n, n->op() == Op::kConst
+                                ? addSlot(Value(n->constValue()))
+                                : leaf(n));
+      stack.pop_back();
+      continue;
+    }
+    bool ready = true;
+    for (NodeRef o : n->operands())
+      if (nodeSlots_.count(o) == 0) {
+        stack.push_back(o);
+        ready = false;
+      }
+    if (!ready) continue;
+    stack.pop_back();
+    // Sorts are fixed here (the result slot takes the node's), so the
+    // executor never re-checks them.
+    const auto& ops = n->operands();
+    DFV_CHECK_MSG(ops[0]->type().isArray() == (n->op() == Op::kArrayRead ||
+                                               n->op() == Op::kArrayWrite),
+                  "ill-sorted " << opName(n->op()) << " node");
+    Instr i{.op = n->op(),
+            .dst = addSlot(Value::zeroOf(n->type())),
+            .attr0 = n->attr0(),
+            .attr1 = n->attr1()};
+    for (std::size_t k = 0; k < ops.size(); ++k)
+      i.src[k] = nodeSlots_.at(ops[k]);
+    emit(i);
+    nodeSlots_.emplace(n, i.dst);
+  }
+  return nodeSlots_.at(root);
+}
+
+const Value& Evaluator::eval(NodeRef node) {
+  const std::size_t begin = tape_.size();
+  const Tape::Slot s = tape_.compile(node, [&](NodeRef leaf) {
+    auto it = env_.find(leaf);
+    DFV_CHECK_MSG(it != env_.end(), "unbound leaf '" << leaf->name() << "'");
+    DFV_CHECK_MSG(it->second.matches(leaf->type()),
+                  "bound value for '" << leaf->name()
+                                      << "' has the wrong sort");
+    return tape_.addSlot(it->second);
+  });
+  tape_.run(begin, tape_.size());
+  return tape_.slot(s);
 }
 
 }  // namespace dfv::ir

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "ir/eval.h"
+
 namespace dfv::ir {
 
 const char* opName(Op op) {
@@ -67,6 +69,17 @@ NodeRef Context::intern(std::unique_ptr<Node> n) {
   nodes_.push_back(std::move(n));
   interned_.emplace(std::move(key), ref);
   return ref;
+}
+
+NodeRef Context::make(Op op, Type type, std::vector<NodeRef> operands,
+                      unsigned attr0, unsigned attr1) {
+  auto n = std::unique_ptr<Node>(new Node());
+  n->op_ = op;
+  n->type_ = type;
+  n->operands_ = std::move(operands);
+  n->attr0_ = attr0;
+  n->attr1_ = attr1;
+  return intern(std::move(n));
 }
 
 NodeRef Context::constant(const bv::BitVector& v) {
@@ -136,57 +149,20 @@ bool isOnesConst(NodeRef n) {
 }  // namespace
 
 NodeRef Context::tryFold(Op op, const std::vector<NodeRef>& ops,
-                         const Type& type, unsigned attr0, unsigned attr1) {
+                         unsigned attr0, unsigned attr1) {
   // Constant folding: if every operand is a constant, evaluate directly.
   for (NodeRef n : ops)
     if (!isConst(n)) return nullptr;
-  using bv::BitVector;
-  auto c = [&](unsigned i) -> const BitVector& { return ops[i]->constValue(); };
-  auto b2v = [&](bool b) { return constant(BitVector::fromUint(1, b)); };
-  switch (op) {
-    case Op::kAdd: return constant(c(0) + c(1));
-    case Op::kSub: return constant(c(0) - c(1));
-    case Op::kMul: return constant(c(0) * c(1));
-    case Op::kUDiv: return constant(c(0).udiv(c(1)));
-    case Op::kURem: return constant(c(0).urem(c(1)));
-    case Op::kSDiv: return constant(c(0).sdiv(c(1)));
-    case Op::kSRem: return constant(c(0).srem(c(1)));
-    case Op::kNeg: return constant(c(0).neg());
-    case Op::kAnd: return constant(c(0) & c(1));
-    case Op::kOr: return constant(c(0) | c(1));
-    case Op::kXor: return constant(c(0) ^ c(1));
-    case Op::kNot: return constant(~c(0));
-    case Op::kShl: return constant(c(0).shl(c(1)));
-    case Op::kLShr: return constant(c(0).lshr(c(1)));
-    case Op::kAShr: return constant(c(0).ashr(c(1)));
-    case Op::kEq: return b2v(c(0) == c(1));
-    case Op::kNe: return b2v(c(0) != c(1));
-    case Op::kULt: return b2v(c(0).ult(c(1)));
-    case Op::kULe: return b2v(c(0).ule(c(1)));
-    case Op::kSLt: return b2v(c(0).slt(c(1)));
-    case Op::kSLe: return b2v(c(0).sle(c(1)));
-    case Op::kMux: return c(0).isZero() ? ops[2] : ops[1];
-    case Op::kConcat: return constant(BitVector::concat(c(0), c(1)));
-    case Op::kExtract: return constant(c(0).extract(attr0, attr1));
-    case Op::kZExt: return constant(c(0).zext(attr0));
-    case Op::kSExt: return constant(c(0).sext(attr0));
-    case Op::kRedAnd: return b2v(c(0).reduceAnd());
-    case Op::kRedOr: return b2v(c(0).reduceOr());
-    case Op::kRedXor: return b2v(c(0).reduceXor());
-    default: return nullptr;
-  }
-  (void)type;
-  (void)attr1;
+  if (op == Op::kMux) return ops[0]->constValue().isZero() ? ops[2] : ops[1];
+  const bv::BitVector* in[3] = {};
+  for (std::size_t i = 0; i < ops.size(); ++i) in[i] = &ops[i]->constValue();
+  return constant(applyOp(op, in, attr0, attr1));
 }
 
 NodeRef Context::unary(Op op, NodeRef a) {
   DFV_CHECK_MSG(!a->type().isArray(), opName(op) << " on array");
-  if (NodeRef f = tryFold(op, {a}, a->type(), 0, 0)) return f;
-  auto n = std::unique_ptr<Node>(new Node());
-  n->op_ = op;
-  n->type_ = a->type();
-  n->operands_ = {a};
-  return intern(std::move(n));
+  if (NodeRef f = tryFold(op, {a}, 0, 0)) return f;
+  return make(op, a->type(), {a});
 }
 
 NodeRef Context::binary(Op op, NodeRef a, NodeRef b) {
@@ -195,7 +171,7 @@ NodeRef Context::binary(Op op, NodeRef a, NodeRef b) {
   DFV_CHECK_MSG(a->width() == b->width(), opName(op) << " width mismatch: "
                                                      << a->width() << " vs "
                                                      << b->width());
-  if (NodeRef f = tryFold(op, {a, b}, a->type(), 0, 0)) return f;
+  if (NodeRef f = tryFold(op, {a, b}, 0, 0)) return f;
   // Identity simplifications keep graphs (and the SAT encodings derived from
   // them) small without a separate rewriting pass.
   switch (op) {
@@ -242,18 +218,14 @@ NodeRef Context::binary(Op op, NodeRef a, NodeRef b) {
        op == Op::kXor) &&
       b->id() < a->id())
     std::swap(a, b);
-  auto n = std::unique_ptr<Node>(new Node());
-  n->op_ = op;
-  n->type_ = a->type();
-  n->operands_ = {a, b};
-  return intern(std::move(n));
+  return make(op, a->type(), {a, b});
 }
 
 NodeRef Context::compare(Op op, NodeRef a, NodeRef b) {
   DFV_CHECK_MSG(!a->type().isArray() && !b->type().isArray(),
                 opName(op) << " on array");
   DFV_CHECK_MSG(a->width() == b->width(), opName(op) << " width mismatch");
-  if (NodeRef f = tryFold(op, {a, b}, Type{1, 0}, 0, 0)) return f;
+  if (NodeRef f = tryFold(op, {a, b}, 0, 0)) return f;
   if (a == b) {
     switch (op) {
       case Op::kEq: case Op::kULe: case Op::kSLe: return boolConst(true);
@@ -262,34 +234,22 @@ NodeRef Context::compare(Op op, NodeRef a, NodeRef b) {
     }
   }
   if ((op == Op::kEq || op == Op::kNe) && b->id() < a->id()) std::swap(a, b);
-  auto n = std::unique_ptr<Node>(new Node());
-  n->op_ = op;
-  n->type_ = Type{1, 0};
-  n->operands_ = {a, b};
-  return intern(std::move(n));
+  return make(op, Type{1, 0}, {a, b});
 }
 
 NodeRef Context::shift(Op op, NodeRef a, NodeRef amount) {
   DFV_CHECK_MSG(!a->type().isArray() && !amount->type().isArray(),
                 "shift on array");
-  if (NodeRef f = tryFold(op, {a, amount}, a->type(), 0, 0)) return f;
+  if (NodeRef f = tryFold(op, {a, amount}, 0, 0)) return f;
   if (isZeroConst(amount)) return a;
-  auto n = std::unique_ptr<Node>(new Node());
-  n->op_ = op;
-  n->type_ = a->type();
-  n->operands_ = {a, amount};
-  return intern(std::move(n));
+  return make(op, a->type(), {a, amount});
 }
 
 NodeRef Context::reduction(Op op, NodeRef a) {
   DFV_CHECK_MSG(!a->type().isArray(), "reduction on array");
-  if (NodeRef f = tryFold(op, {a}, Type{1, 0}, 0, 0)) return f;
+  if (NodeRef f = tryFold(op, {a}, 0, 0)) return f;
   if (a->width() == 1) return a;  // all reductions are identity on 1 bit
-  auto n = std::unique_ptr<Node>(new Node());
-  n->op_ = op;
-  n->type_ = Type{1, 0};
-  n->operands_ = {a};
-  return intern(std::move(n));
+  return make(op, Type{1, 0}, {a});
 }
 
 NodeRef Context::mux(NodeRef sel, NodeRef thenV, NodeRef elseV) {
@@ -306,24 +266,14 @@ NodeRef Context::mux(NodeRef sel, NodeRef thenV, NodeRef elseV) {
   if (elseV->op() == Op::kMux && elseV->operand(0) == sel)
     elseV = elseV->operand(2);
   if (thenV == elseV) return thenV;
-  auto n = std::unique_ptr<Node>(new Node());
-  n->op_ = Op::kMux;
-  n->type_ = thenV->type();
-  n->operands_ = {sel, thenV, elseV};
-  return intern(std::move(n));
+  return make(Op::kMux, thenV->type(), {sel, thenV, elseV});
 }
 
 NodeRef Context::concat(NodeRef hi, NodeRef lo) {
   DFV_CHECK_MSG(!hi->type().isArray() && !lo->type().isArray(),
                 "concat on array");
-  if (NodeRef f = tryFold(Op::kConcat, {hi, lo},
-                          Type{hi->width() + lo->width(), 0}, 0, 0))
-    return f;
-  auto n = std::unique_ptr<Node>(new Node());
-  n->op_ = Op::kConcat;
-  n->type_ = Type{hi->width() + lo->width(), 0};
-  n->operands_ = {hi, lo};
-  return intern(std::move(n));
+  if (NodeRef f = tryFold(Op::kConcat, {hi, lo}, 0, 0)) return f;
+  return make(Op::kConcat, Type{hi->width() + lo->width(), 0}, {hi, lo});
 }
 
 NodeRef Context::extract(NodeRef a, unsigned hi, unsigned lo) {
@@ -331,46 +281,27 @@ NodeRef Context::extract(NodeRef a, unsigned hi, unsigned lo) {
   DFV_CHECK_MSG(hi < a->width() && lo <= hi,
                 "extract [" << hi << ':' << lo << "] of width " << a->width());
   if (hi == a->width() - 1 && lo == 0) return a;
-  if (NodeRef f = tryFold(Op::kExtract, {a}, Type{hi - lo + 1, 0}, hi, lo))
-    return f;
+  if (NodeRef f = tryFold(Op::kExtract, {a}, hi, lo)) return f;
   // extract(extract(x)) composes.
   if (a->op() == Op::kExtract)
     return extract(a->operand(0), a->attr1() + hi, a->attr1() + lo);
-  auto n = std::unique_ptr<Node>(new Node());
-  n->op_ = Op::kExtract;
-  n->type_ = Type{hi - lo + 1, 0};
-  n->operands_ = {a};
-  n->attr0_ = hi;
-  n->attr1_ = lo;
-  return intern(std::move(n));
+  return make(Op::kExtract, Type{hi - lo + 1, 0}, {a}, hi, lo);
 }
 
 NodeRef Context::zext(NodeRef a, unsigned newWidth) {
   DFV_CHECK_MSG(!a->type().isArray(), "zext on array");
   DFV_CHECK_MSG(newWidth >= a->width(), "zext to narrower width");
   if (newWidth == a->width()) return a;
-  if (NodeRef f = tryFold(Op::kZExt, {a}, Type{newWidth, 0}, newWidth, 0))
-    return f;
-  auto n = std::unique_ptr<Node>(new Node());
-  n->op_ = Op::kZExt;
-  n->type_ = Type{newWidth, 0};
-  n->operands_ = {a};
-  n->attr0_ = newWidth;
-  return intern(std::move(n));
+  if (NodeRef f = tryFold(Op::kZExt, {a}, newWidth, 0)) return f;
+  return make(Op::kZExt, Type{newWidth, 0}, {a}, newWidth);
 }
 
 NodeRef Context::sext(NodeRef a, unsigned newWidth) {
   DFV_CHECK_MSG(!a->type().isArray(), "sext on array");
   DFV_CHECK_MSG(newWidth >= a->width(), "sext to narrower width");
   if (newWidth == a->width()) return a;
-  if (NodeRef f = tryFold(Op::kSExt, {a}, Type{newWidth, 0}, newWidth, 0))
-    return f;
-  auto n = std::unique_ptr<Node>(new Node());
-  n->op_ = Op::kSExt;
-  n->type_ = Type{newWidth, 0};
-  n->operands_ = {a};
-  n->attr0_ = newWidth;
-  return intern(std::move(n));
+  if (NodeRef f = tryFold(Op::kSExt, {a}, newWidth, 0)) return f;
+  return make(Op::kSExt, Type{newWidth, 0}, {a}, newWidth);
 }
 
 NodeRef Context::resize(NodeRef a, unsigned newWidth, bool asSigned) {
@@ -396,11 +327,7 @@ NodeRef Context::arrayRead(NodeRef array, NodeRef index) {
   DFV_CHECK_MSG(index->width() == array->type().indexWidth(),
                 "index width " << index->width() << " != "
                                << array->type().indexWidth());
-  auto n = std::unique_ptr<Node>(new Node());
-  n->op_ = Op::kArrayRead;
-  n->type_ = Type{array->type().width, 0};
-  n->operands_ = {array, index};
-  return intern(std::move(n));
+  return make(Op::kArrayRead, Type{array->type().width, 0}, {array, index});
 }
 
 NodeRef Context::arrayWrite(NodeRef array, NodeRef index, NodeRef value) {
@@ -410,11 +337,7 @@ NodeRef Context::arrayWrite(NodeRef array, NodeRef index, NodeRef value) {
   DFV_CHECK_MSG(!value->type().isArray() &&
                     value->width() == array->type().width,
                 "written value width mismatch");
-  auto n = std::unique_ptr<Node>(new Node());
-  n->op_ = Op::kArrayWrite;
-  n->type_ = array->type();
-  n->operands_ = {array, index, value};
-  return intern(std::move(n));
+  return make(Op::kArrayWrite, array->type(), {array, index, value});
 }
 
 }  // namespace dfv::ir

@@ -225,8 +225,11 @@ class Context {
   NodeRef shift(Op op, NodeRef a, NodeRef amount);
   NodeRef reduction(Op op, NodeRef a);
   NodeRef intern(std::unique_ptr<Node> n);
-  NodeRef tryFold(Op op, const std::vector<NodeRef>& ops, const Type& type,
-                  unsigned attr0, unsigned attr1);
+  /// Interns a non-leaf node.
+  NodeRef make(Op op, Type type, std::vector<NodeRef> operands,
+               unsigned attr0 = 0, unsigned attr1 = 0);
+  NodeRef tryFold(Op op, const std::vector<NodeRef>& ops, unsigned attr0,
+                  unsigned attr1);
 
   struct Key {
     Op op;

@@ -1,6 +1,7 @@
 #include "ir/transition_system.h"
 
 #include <algorithm>
+#include <unordered_map>
 
 namespace dfv::ir {
 
@@ -79,20 +80,35 @@ void TransitionSystem::validate() const {
 
 TsSimulator::TsSimulator(const TransitionSystem& ts) : ts_(ts) {
   ts.validate();
-  reset();
+  std::unordered_map<NodeRef, Slot> leaves;
+  for (NodeRef in : ts.inputs())
+    inputSlots_.push_back(
+        leaves[in] = tape_.addSlot(Value::zeroOf(in->type())));
+  for (const auto& s : ts.states())
+    stateSlots_.push_back(leaves[s.current] = tape_.addSlot(s.init));
+  // An unbound leaf is reported by every step, as evaluating it would be.
+  auto leaf = [&](NodeRef n) {
+    auto it = leaves.find(n);
+    if (it != leaves.end()) return it->second;
+    if (unboundLeaf_.empty()) unboundLeaf_ = n->name();
+    return leaves[n] = tape_.addSlot(Value::zeroOf(n->type()));
+  };
+  for (const auto& o : ts.outputs()) {
+    outputSlots_.push_back(tape_.compile(o.expr, leaf));
+    validSlots_.push_back(o.valid == nullptr ? Tape::kNone
+                                             : tape_.compile(o.valid, leaf));
+  }
+  for (NodeRef c : ts.constraints())
+    constraintSlots_.push_back(tape_.compile(c, leaf));
+  for (const auto& s : ts.states()) {
+    nextSlots_.push_back(tape_.compile(s.next, leaf));
+    staged_.push_back(Value::zeroOf(s.current->type()));
+  }
 }
 
 void TsSimulator::reset() {
-  state_.clear();
-  state_.reserve(ts_.states().size());
-  for (const auto& s : ts_.states()) state_.push_back(s.init);
-}
-
-void TsSimulator::overrideState(std::size_t idx, Value v) {
-  DFV_CHECK(idx < state_.size());
-  DFV_CHECK_MSG(v.matches(ts_.states()[idx].current->type()),
-                "override sort mismatch");
-  state_[idx] = std::move(v);
+  for (std::size_t i = 0; i < stateSlots_.size(); ++i)
+    tape_.slot(stateSlots_[i]) = ts_.states()[i].init;
 }
 
 TsSimulator::StepResult TsSimulator::step(
@@ -100,31 +116,30 @@ TsSimulator::StepResult TsSimulator::step(
   DFV_CHECK_MSG(inputValues.size() == ts_.inputs().size(),
                 "expected " << ts_.inputs().size() << " inputs, got "
                             << inputValues.size());
-  Env env;
   for (std::size_t i = 0; i < inputValues.size(); ++i) {
     DFV_CHECK_MSG(inputValues[i].matches(ts_.inputs()[i]->type()),
                   "input '" << ts_.inputs()[i]->name() << "' sort mismatch");
-    env.emplace(ts_.inputs()[i], inputValues[i]);
+    tape_.slot(inputSlots_[i]) = inputValues[i];
   }
-  for (std::size_t i = 0; i < state_.size(); ++i)
-    env.emplace(ts_.states()[i].current, state_[i]);
+  DFV_CHECK_MSG(unboundLeaf_.empty(), "unbound leaf '" << unboundLeaf_ << "'");
+  tape_.run(0, tape_.size());
 
-  Evaluator eval(env);
   StepResult result;
-  result.outputs.reserve(ts_.outputs().size());
-  for (const auto& o : ts_.outputs()) {
-    result.outputs.push_back(eval.eval(o.expr));
-    result.outputValid.push_back(
-        o.valid == nullptr || !eval.eval(o.valid).scalar.isZero());
+  result.outputs.reserve(outputSlots_.size());
+  for (std::size_t o = 0; o < outputSlots_.size(); ++o) {
+    result.outputs.push_back(tape_.slot(outputSlots_[o]));
+    result.outputValid.push_back(validSlots_[o] == Tape::kNone ||
+                                 !tape_.slot(validSlots_[o]).scalar.isZero());
   }
-  for (NodeRef c : ts_.constraints())
-    if (eval.eval(c).scalar.isZero()) result.constraintsHeld = false;
+  for (Slot c : constraintSlots_)
+    if (tape_.slot(c).scalar.isZero()) result.constraintsHeld = false;
 
-  // Simultaneous state update.
-  std::vector<Value> nextState;
-  nextState.reserve(state_.size());
-  for (const auto& s : ts_.states()) nextState.push_back(eval.eval(s.next));
-  state_ = std::move(nextState);
+  // Simultaneous state update: stage every next value before any state
+  // slot changes (a next function may read another state directly).
+  for (std::size_t i = 0; i < stateSlots_.size(); ++i)
+    staged_[i] = tape_.slot(nextSlots_[i]);
+  for (std::size_t i = 0; i < stateSlots_.size(); ++i)
+    std::swap(tape_.slot(stateSlots_[i]), staged_[i]);
   return result;
 }
 

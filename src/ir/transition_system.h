@@ -89,6 +89,9 @@ class TransitionSystem {
 };
 
 /// Reference interpreter for a TransitionSystem: step-by-step simulation.
+/// The output, valid, constraint and next-state cones are compiled into one
+/// Tape at construction; a step writes the inputs into their slots, runs the
+/// tape and swaps the next-state values into the state slots.
 class TsSimulator {
  public:
   explicit TsSimulator(const TransitionSystem& ts);
@@ -107,16 +110,15 @@ class TsSimulator {
   /// advances the state.
   StepResult step(const std::vector<Value>& inputValues);
 
-  /// Current value of a state variable (by index into ts.states()).
-  const Value& stateValue(std::size_t idx) const {
-    DFV_CHECK(idx < state_.size());
-    return state_[idx];
-  }
-  void overrideState(std::size_t idx, Value v);
-
  private:
+  using Slot = Tape::Slot;
+
   const TransitionSystem& ts_;
-  std::vector<Value> state_;
+  Tape tape_;
+  std::vector<Slot> inputSlots_, stateSlots_, nextSlots_;
+  std::vector<Slot> outputSlots_, validSlots_, constraintSlots_;
+  std::vector<Value> staged_;  ///< next-state values between run and swap
+  std::string unboundLeaf_;    ///< first leaf neither an input nor a state
 };
 
 }  // namespace dfv::ir

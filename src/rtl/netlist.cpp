@@ -397,15 +397,13 @@ std::string CombCycle::describe(const Module& m) const {
   return out;
 }
 
-std::optional<CombCycle> findCombinationalCycle(const Module& m) {
+std::vector<std::size_t> levelize(const Module& m) {
+  // Kahn's algorithm: inputs and sequential outputs (dff q, memory read
+  // data) drive no cell, so they are the sources.
   const auto& cells = m.cells();
-  // net -> driving cell index (sequential/input-driven nets have none).
   std::vector<std::size_t> driverCell(m.netCount(), SIZE_MAX);
   for (std::size_t i = 0; i < cells.size(); ++i)
     driverCell[cells[i].output] = i;
-
-  // Kahn levelization; cells left with pending inputs are on or behind a
-  // cycle.
   std::vector<unsigned> pendingInputs(cells.size(), 0);
   std::vector<std::vector<std::size_t>> consumers(cells.size());
   for (std::size_t i = 0; i < cells.size(); ++i) {
@@ -424,25 +422,35 @@ std::optional<CombCycle> findCombinationalCycle(const Module& m) {
   for (std::size_t head = 0; head < order.size(); ++head)
     for (std::size_t next : consumers[order[head]])
       if (--pendingInputs[next] == 0) order.push_back(next);
+  return order;
+}
+
+std::optional<CombCycle> findCombinationalCycle(const Module& m) {
+  const auto& cells = m.cells();
+  const std::vector<std::size_t> order = levelize(m);
   if (order.size() == cells.size()) return std::nullopt;
+  // Cells left out of the order are on or behind a cycle.
+  std::vector<bool> unresolved(cells.size(), true);
+  for (std::size_t i : order) unresolved[i] = false;
+  std::vector<std::size_t> driverCell(m.netCount(), SIZE_MAX);
+  for (std::size_t i = 0; i < cells.size(); ++i)
+    driverCell[cells[i].output] = i;
 
   // Walk backwards through unresolved cells (each has at least one
   // unresolved driver) until a cell repeats; the walk from the first repeat
   // is the cycle.  Reverse it so the reported order follows the data flow.
-  std::size_t start = SIZE_MAX;
-  for (std::size_t i = 0; i < cells.size(); ++i)
-    if (pendingInputs[i] != 0) { start = i; break; }
-  DFV_CHECK(start != SIZE_MAX);
+  std::size_t cur = static_cast<std::size_t>(
+      std::find(unresolved.begin(), unresolved.end(), true) -
+      unresolved.begin());
   std::vector<std::size_t> walk;
   std::vector<bool> onWalk(cells.size(), false);
-  std::size_t cur = start;
   while (!onWalk[cur]) {
     onWalk[cur] = true;
     walk.push_back(cur);
     std::size_t next = SIZE_MAX;
     for (NetId in : cells[cur].inputs) {
       const std::size_t drv = driverCell[in];
-      if (drv != SIZE_MAX && pendingInputs[drv] != 0) { next = drv; break; }
+      if (drv != SIZE_MAX && unresolved[drv]) { next = drv; break; }
     }
     DFV_CHECK_MSG(next != SIZE_MAX, "unresolved cell with no unresolved driver");
     cur = next;

@@ -238,6 +238,11 @@ struct CombCycle {
   std::string describe(const Module& m) const;
 };
 
+/// `m`'s cells in levelized (topological) order: every cell after the cells
+/// driving its inputs.  Cells on or behind a combinational cycle are left
+/// out, so the order is complete iff the module is simulable.
+std::vector<std::size_t> levelize(const Module& m);
+
 /// Finds one combinational cycle among `m`'s cells (the module is analyzed
 /// as-is; flatten first for hierarchical designs).  Returns nullopt when the
 /// cells levelize, i.e. the module is simulable.

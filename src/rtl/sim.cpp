@@ -1,138 +1,197 @@
 #include "rtl/sim.h"
 
 #include <algorithm>
+#include <unordered_map>
 
 namespace dfv::rtl {
 
+namespace {
+using Instr = ir::Tape::Instr;
+constexpr ir::Tape::Slot kNone = ir::Tape::kNone;
+}  // namespace
+
 Simulator::Simulator(const Module& m) : flat_(m.isFlat() ? m : m.flatten()) {
   flat_.validate();
-  values_.assign(flat_.netCount(), bv::BitVector(1));
-  for (NetId n = 0; n < flat_.netCount(); ++n)
-    values_[n] = bv::BitVector(flat_.netWidth(n));
-  levelize();
+  // Report the complete loop, not just one net on it.
+  const auto cycle = findCombinationalCycle(flat_);
+  DFV_CHECK_MSG(!cycle.has_value(),
+                "combinational cycle: " << cycle->describe(flat_));
+  netSlot_.assign(flat_.netCount(), kNone);
+  auto slotOf = [&](NetId n) {
+    if (netSlot_[n] == kNone)
+      netSlot_[n] = tape_.addSlot(ir::Value(bv::BitVector(flat_.netWidth(n))));
+    return netSlot_[n];
+  };
+  for (std::size_t mi = 0; mi < flat_.memories().size(); ++mi)
+    memSlot_.push_back(tape_.addSlot(ir::Value::makeArray({})));
+  // Combinational phase: a constant is a preset slot, every other cell is
+  // one instruction.
+  for (std::size_t idx : levelize(flat_)) {
+    const Cell& c = flat_.cells()[idx];
+    if (c.op == ir::Op::kConst) {
+      netSlot_[c.output] = tape_.addSlot(ir::Value(c.constVal));
+      continue;
+    }
+    Instr i{.op = c.op, .attr0 = c.attr0, .attr1 = c.attr1};
+    for (std::size_t k = 0; k < c.inputs.size(); ++k)
+      i.src[k] = slotOf(c.inputs[k]);
+    i.dst = slotOf(c.output);
+    tape_.emit(i);
+  }
+  for (NetId n = 0; n < flat_.netCount(); ++n) slotOf(n);
+  combEnd_ = tape_.size();
+  compileEdge();
   reset();
 }
 
-void Simulator::levelize() {
-  // Kahn's algorithm over combinational cells.  Sequential outputs (dff q,
-  // memory read data) and inputs are sources.
-  const auto& cells = flat_.cells();
-  // net -> driving cell index (or none for sequential/input-driven nets).
-  std::vector<std::size_t> driverCell(flat_.netCount(), SIZE_MAX);
-  for (std::size_t i = 0; i < cells.size(); ++i)
-    driverCell[cells[i].output] = i;
-
-  std::vector<unsigned> pendingInputs(cells.size(), 0);
-  std::vector<std::vector<std::size_t>> consumers(cells.size());
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    for (NetId in : cells[i].inputs) {
-      const std::size_t drv = driverCell[in];
-      if (drv != SIZE_MAX) {
-        ++pendingInputs[i];
-        consumers[drv].push_back(i);
-      }
+void Simulator::compileEdge() {
+  // One action per register, per memory read port and per memory (its write
+  // ports in port order).  Each writes one slot and must read pre-edge
+  // values, so it runs before the action writing any slot it reads.
+  struct Action {
+    std::vector<Instr> code;
+    Slot writes;
+    std::vector<Slot> reads;
+    bool staged = false;  // writes a scratch slot, copied back at the end
+  };
+  auto copy = [&](Slot dst, Slot src, Slot guard) {  // a same-width zext
+    return Instr{.op = ir::Op::kZExt,
+                 .dst = dst,
+                 .src = {src, 0, 0},
+                 .attr0 = tape_.slot(src).scalar.width(),
+                 .guard = guard};
+  };
+  auto slotOf = [&](NetId n) { return n == kNoNet ? kNone : netSlot_[n]; };
+  std::vector<Action> actions;
+  for (const Dff& f : flat_.dffs()) {
+    const Slot q = netSlot_[f.q], en = slotOf(f.enable),
+               rst = slotOf(f.syncReset);
+    Action a{{copy(q, netSlot_[f.d], en)}, q, {netSlot_[f.d], en, rst}};
+    if (rst != kNone)
+      a.code.push_back(copy(q, tape_.addSlot(ir::Value(f.resetValue)), rst));
+    a.staged = rst == q;  // its reset guard would read the new value
+    actions.push_back(std::move(a));
+  }
+  for (std::size_t mi = 0; mi < flat_.memories().size(); ++mi) {
+    const Memory& m = flat_.memories()[mi];
+    const Slot mem = memSlot_[mi];
+    for (const auto& rp : m.readPorts) {
+      const Instr i{.op = ir::Op::kArrayRead,
+                    .dst = netSlot_[rp.data],
+                    .src = {mem, netSlot_[rp.addr], 0}};
+      actions.push_back({{i}, i.dst, {mem, i.src[1]}});
     }
+    Action writes{{}, mem, {}};
+    for (const auto& wp : m.writePorts) {
+      const Instr i{.op = ir::Op::kArrayWrite,  // in place: dst == src[0]
+                    .dst = mem,
+                    .src = {mem, netSlot_[wp.addr], netSlot_[wp.data]},
+                    .guard = netSlot_[wp.enable]};
+      writes.code.push_back(i);
+      writes.reads.insert(writes.reads.end(), {i.guard, i.src[1], i.src[2]});
+    }
+    if (!writes.code.empty()) actions.push_back(std::move(writes));
   }
-  cellOrder_.clear();
-  cellOrder_.reserve(cells.size());
-  for (std::size_t i = 0; i < cells.size(); ++i)
-    if (pendingInputs[i] == 0) cellOrder_.push_back(i);
-  for (std::size_t head = 0; head < cellOrder_.size(); ++head) {
-    for (std::size_t next : consumers[cellOrder_[head]])
-      if (--pendingInputs[next] == 0) cellOrder_.push_back(next);
+
+  // Kahn's order over "reads before writes"; when only cycles remain, stage
+  // the first pending register or read port (every cycle has one: a
+  // memory's writes wait only on its read ports).
+  const std::size_t n = actions.size();
+  std::unordered_map<Slot, std::size_t> writer;
+  for (std::size_t x = 0; x < n; ++x) writer[actions[x].writes] = x;
+  std::vector<std::vector<std::size_t>> unblocks(n);
+  std::vector<unsigned> pending(n, 0);
+  for (std::size_t y = 0; y < n; ++y)
+    for (Slot r : actions[y].reads) {
+      auto it = writer.find(r);
+      if (it == writer.end() || it->second == y) continue;
+      unblocks[y].push_back(it->second);
+      ++pending[it->second];
+    }
+  std::vector<std::size_t> order;
+  std::vector<bool> queued(n, false);
+  auto enqueue = [&](std::size_t x) {
+    queued[x] = true;
+    order.push_back(x);
+  };
+  for (std::size_t x = 0; x < n; ++x)
+    if (actions[x].staged || pending[x] == 0) enqueue(x);
+  for (std::size_t head = 0; order.size() < n; ++head) {
+    if (head == order.size()) {
+      std::size_t x = 0;
+      while (x < n && (queued[x] || tape_.slot(actions[x].writes).isArray)) ++x;
+      DFV_CHECK(x < n);
+      actions[x].staged = true;
+      enqueue(x);
+    }
+    for (std::size_t x : unblocks[order[head]])
+      if (!queued[x] && --pending[x] == 0) enqueue(x);
   }
-  if (cellOrder_.size() != cells.size()) {
-    // Report the complete loop, not just one net on it.
-    const auto cycle = findCombinationalCycle(flat_);
-    DFV_CHECK(cycle.has_value());
-    DFV_CHECK_MSG(false, "combinational cycle: " << cycle->describe(flat_));
+
+  std::vector<Instr> commits;
+  for (std::size_t x : order) {
+    Action& a = actions[x];
+    if (a.staged) {
+      const Slot scratch = tape_.addSlot(tape_.slot(a.writes));
+      tape_.emit(copy(scratch, a.writes, kNone));
+      for (Instr& i : a.code) i.dst = scratch;
+      commits.push_back(copy(a.writes, scratch, kNone));
+    }
+    for (const Instr& i : a.code) tape_.emit(i);
   }
+  for (const Instr& i : commits) tape_.emit(i);
 }
 
 void Simulator::reset() {
-  cycle_ = 0;
   combEvaluated_ = false;
   watchHistory_.clear();
-  for (std::size_t i = 0; i < flat_.dffs().size(); ++i)
-    values_[flat_.dffs()[i].q] = flat_.dffs()[i].resetValue;
-  memData_.clear();
-  for (const auto& m : flat_.memories()) {
+  for (const Dff& f : flat_.dffs()) tape_.slot(netSlot_[f.q]) = f.resetValue;
+  for (std::size_t mi = 0; mi < flat_.memories().size(); ++mi) {
+    const Memory& m = flat_.memories()[mi];
+    auto& contents = tape_.slot(memSlot_[mi]).array;
     if (m.init.empty())
-      memData_.emplace_back(m.depth, bv::BitVector(m.width));
+      contents.assign(m.depth, bv::BitVector(m.width));
     else
-      memData_.push_back(m.init);
+      contents = m.init;
     for (const auto& rp : m.readPorts)
-      values_[rp.data] = bv::BitVector(m.width);
+      tape_.slot(netSlot_[rp.data]) = bv::BitVector(m.width);
   }
 }
 
-void Simulator::setInput(const std::string& name, const bv::BitVector& v) {
+NetId Simulator::inputPort(const std::string& name) const {
   const NetId n = flat_.findInput(name);
   DFV_CHECK_MSG(n != kNoNet, "no input named '" << name << "'");
-  DFV_CHECK_MSG(v.width() == flat_.netWidth(n),
-                "input '" << name << "' width " << flat_.netWidth(n)
-                          << ", got " << v.width());
-  values_[n] = v;
+  return n;
+}
+
+NetId Simulator::outputPort(const std::string& name) const {
+  const NetId n = flat_.findOutput(name);
+  DFV_CHECK_MSG(n != kNoNet, "no output named '" << name << "'");
+  return n;
+}
+
+void Simulator::setInput(NetId input, const bv::BitVector& v) {
+  DFV_CHECK_MSG(std::any_of(flat_.inputs().begin(), flat_.inputs().end(),
+                            [&](const auto& p) { return p.net == input; }),
+                "net " << input << " is not an input port");
+  DFV_CHECK_MSG(v.width() == flat_.netWidth(input),
+                "input '" << flat_.netName(input) << "' width "
+                          << flat_.netWidth(input) << ", got " << v.width());
+  tape_.slot(netSlot_[input]).scalar = v;
   combEvaluated_ = false;
 }
 
-void Simulator::setInputUint(const std::string& name, std::uint64_t v) {
-  const NetId n = flat_.findInput(name);
-  DFV_CHECK_MSG(n != kNoNet, "no input named '" << name << "'");
-  setInput(name, bv::BitVector::fromUint(flat_.netWidth(n), v));
+void Simulator::setInputUint(NetId input, std::uint64_t v) {
+  setInput(input, bv::BitVector::fromUint(flat_.netWidth(input), v));
 }
 
 void Simulator::evalCombinational() {
-  using bv::BitVector;
-  const auto& cells = flat_.cells();
-  for (std::size_t idx : cellOrder_) {
-    const Cell& c = cells[idx];
-    auto in = [&](unsigned i) -> const BitVector& {
-      return values_[c.inputs[i]];
-    };
-    BitVector out;
-    auto b2v = [](bool b) { return BitVector::fromUint(1, b); };
-    switch (c.op) {
-      case ir::Op::kConst: out = c.constVal; break;
-      case ir::Op::kAdd: out = in(0) + in(1); break;
-      case ir::Op::kSub: out = in(0) - in(1); break;
-      case ir::Op::kMul: out = in(0) * in(1); break;
-      case ir::Op::kUDiv: out = in(0).udiv(in(1)); break;
-      case ir::Op::kURem: out = in(0).urem(in(1)); break;
-      case ir::Op::kSDiv: out = in(0).sdiv(in(1)); break;
-      case ir::Op::kSRem: out = in(0).srem(in(1)); break;
-      case ir::Op::kNeg: out = in(0).neg(); break;
-      case ir::Op::kAnd: out = in(0) & in(1); break;
-      case ir::Op::kOr: out = in(0) | in(1); break;
-      case ir::Op::kXor: out = in(0) ^ in(1); break;
-      case ir::Op::kNot: out = ~in(0); break;
-      case ir::Op::kShl: out = in(0).shl(in(1)); break;
-      case ir::Op::kLShr: out = in(0).lshr(in(1)); break;
-      case ir::Op::kAShr: out = in(0).ashr(in(1)); break;
-      case ir::Op::kEq: out = b2v(in(0) == in(1)); break;
-      case ir::Op::kNe: out = b2v(in(0) != in(1)); break;
-      case ir::Op::kULt: out = b2v(in(0).ult(in(1))); break;
-      case ir::Op::kULe: out = b2v(in(0).ule(in(1))); break;
-      case ir::Op::kSLt: out = b2v(in(0).slt(in(1))); break;
-      case ir::Op::kSLe: out = b2v(in(0).sle(in(1))); break;
-      case ir::Op::kMux: out = in(0).isZero() ? in(2) : in(1); break;
-      case ir::Op::kConcat: out = BitVector::concat(in(0), in(1)); break;
-      case ir::Op::kExtract: out = in(0).extract(c.attr0, c.attr1); break;
-      case ir::Op::kZExt: out = in(0).zext(c.attr0); break;
-      case ir::Op::kSExt: out = in(0).sext(c.attr0); break;
-      case ir::Op::kRedAnd: out = b2v(in(0).reduceAnd()); break;
-      case ir::Op::kRedOr: out = b2v(in(0).reduceOr()); break;
-      case ir::Op::kRedXor: out = b2v(in(0).reduceXor()); break;
-      default:
-        DFV_UNREACHABLE("op " << ir::opName(c.op) << " is not a valid cell");
-    }
-    values_[c.output] = std::move(out);
-  }
+  tape_.run(0, combEnd_);
   combEvaluated_ = true;
   if (!watched_.empty()) {
     std::vector<bv::BitVector> snap;
     snap.reserve(watched_.size());
-    for (NetId n : watched_) snap.push_back(values_[n]);
+    for (NetId n : watched_) snap.push_back(netValue(n));
     watchHistory_.push_back(std::move(snap));
   }
 }
@@ -140,37 +199,7 @@ void Simulator::evalCombinational() {
 void Simulator::clockEdge() {
   DFV_CHECK_MSG(combEvaluated_,
                 "clockEdge before evalCombinational in this cycle");
-  // Capture all register inputs first (simultaneous update).
-  const auto& dffs = flat_.dffs();
-  dffNext_.resize(dffs.size(), bv::BitVector(1));
-  for (std::size_t i = 0; i < dffs.size(); ++i) {
-    const Dff& f = dffs[i];
-    if (f.syncReset != kNoNet && !values_[f.syncReset].isZero()) {
-      dffNext_[i] = f.resetValue;
-    } else if (f.enable == kNoNet || !values_[f.enable].isZero()) {
-      dffNext_[i] = values_[f.d];
-    } else {
-      dffNext_[i] = values_[f.q];
-    }
-  }
-  // Memories: register read data (old contents), then commit writes.
-  for (std::size_t mi = 0; mi < flat_.memories().size(); ++mi) {
-    const Memory& m = flat_.memories()[mi];
-    auto& data = memData_[mi];
-    for (const auto& rp : m.readPorts) {
-      const std::uint64_t addr = values_[rp.addr].toUint64();
-      values_[rp.data] = addr < m.depth ? data[addr] : data[0];
-    }
-    for (const auto& wp : m.writePorts) {
-      if (!values_[wp.enable].isZero()) {
-        const std::uint64_t addr = values_[wp.addr].toUint64();
-        if (addr < m.depth) data[addr] = values_[wp.data];
-      }
-    }
-  }
-  for (std::size_t i = 0; i < dffs.size(); ++i)
-    values_[dffs[i].q] = dffNext_[i];
-  ++cycle_;
+  tape_.run(combEnd_, tape_.size());
   combEvaluated_ = false;
 }
 
@@ -179,20 +208,9 @@ std::unordered_map<std::string, bv::BitVector> Simulator::step(
   for (const auto& [name, v] : inputs) setInput(name, v);
   evalCombinational();
   std::unordered_map<std::string, bv::BitVector> out;
-  for (const auto& p : flat_.outputs()) out.emplace(p.name, values_[p.net]);
+  for (const auto& p : flat_.outputs()) out.emplace(p.name, netValue(p.net));
   clockEdge();
   return out;
-}
-
-const bv::BitVector& Simulator::outputValue(const std::string& name) const {
-  const NetId n = flat_.findOutput(name);
-  DFV_CHECK_MSG(n != kNoNet, "no output named '" << name << "'");
-  return values_[n];
-}
-
-std::vector<bv::BitVector>& Simulator::memoryContents(std::size_t memIdx) {
-  DFV_CHECK(memIdx < memData_.size());
-  return memData_[memIdx];
 }
 
 }  // namespace dfv::rtl

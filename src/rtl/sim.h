@@ -9,6 +9,13 @@
 // Memory ports are read-before-write: a read of an address written in the
 // same cycle returns the old contents.
 //
+// Construction compiles both phases into one ir::Tape over a per-net slot
+// arena: the levelized cells, then the clock edge — register commits,
+// memory reads and in-place memory writes — ordered so every edge action
+// reads pre-edge values (a register feeding another commits after it; only
+// a cyclic dependency, such as two registers swapping, is staged through a
+// scratch slot).  A cycle then allocates nothing for values <= 64 bits.
+//
 // Combinational cycles are rejected at construction.
 #pragma once
 
@@ -17,6 +24,7 @@
 #include <vector>
 
 #include "bitvec/bitvector.h"
+#include "ir/eval.h"
 #include "rtl/netlist.h"
 
 namespace dfv::rtl {
@@ -30,12 +38,24 @@ class Simulator {
 
   const Module& module() const { return flat_; }
 
-  /// Registers to reset values, memories to init contents, cycle counter 0.
+  /// Registers to reset values, memories to init contents.
   void reset();
 
+  /// The net of input (output) port `name`; throws if there is none.  A
+  /// per-cycle driver resolves its ports once and then uses the NetId
+  /// overloads, which skip the by-name lookup.
+  NetId inputPort(const std::string& name) const;
+  NetId outputPort(const std::string& name) const;
+
   /// Drives an input port for the current cycle.
-  void setInput(const std::string& name, const bv::BitVector& v);
-  void setInputUint(const std::string& name, std::uint64_t v);
+  void setInput(const std::string& name, const bv::BitVector& v) {
+    setInput(inputPort(name), v);
+  }
+  void setInputUint(const std::string& name, std::uint64_t v) {
+    setInputUint(inputPort(name), v);
+  }
+  void setInput(NetId input, const bv::BitVector& v);
+  void setInputUint(NetId input, std::uint64_t v);
 
   /// Evaluates all combinational logic with the current inputs and state.
   void evalCombinational();
@@ -49,15 +69,12 @@ class Simulator {
 
   /// Value of any net (valid after evalCombinational in this cycle).
   const bv::BitVector& netValue(NetId n) const {
-    DFV_CHECK(n < values_.size());
-    return values_[n];
+    DFV_CHECK(n < netSlot_.size());
+    return tape_.slot(netSlot_[n]).scalar;
   }
-  const bv::BitVector& outputValue(const std::string& name) const;
-
-  /// Direct access to a memory's contents (e.g. preloading test state).
-  std::vector<bv::BitVector>& memoryContents(std::size_t memIdx);
-
-  std::uint64_t cycle() const { return cycle_; }
+  const bv::BitVector& outputValue(const std::string& name) const {
+    return netValue(outputPort(name));
+  }
 
   /// Records the value of `net` after every evalCombinational call.
   void watch(NetId net) { watched_.push_back(net); }
@@ -66,14 +83,15 @@ class Simulator {
   }
 
  private:
-  void levelize();
+  using Slot = ir::Tape::Slot;
+
+  void compileEdge();
 
   Module flat_;
-  std::vector<bv::BitVector> values_;          // per net
-  std::vector<std::size_t> cellOrder_;         // levelized cell indices
-  std::vector<std::vector<bv::BitVector>> memData_;  // per memory
-  std::vector<bv::BitVector> dffNext_;         // scratch, per dff
-  std::uint64_t cycle_ = 0;
+  ir::Tape tape_;
+  std::vector<Slot> netSlot_;  // per net
+  std::vector<Slot> memSlot_;  // per memory
+  std::size_t combEnd_ = 0;    // tape [0, combEnd_) is the combinational phase
   bool combEvaluated_ = false;
   std::vector<NetId> watched_;
   std::vector<std::vector<bv::BitVector>> watchHistory_;

@@ -37,6 +37,14 @@ Image makeTestImage(unsigned width, unsigned height, std::uint64_t seed) {
   return img;
 }
 
+bv::BitVector randomBits(Rng& rng, unsigned width) {
+  bv::BitVector v = bv::BitVector::fromUint(std::min(width, 64u), rng.next());
+  for (unsigned lo = 64; lo < width; lo += 64)
+    v = bv::BitVector::concat(
+        bv::BitVector::fromUint(std::min(width - lo, 64u), rng.next()), v);
+  return v;
+}
+
 std::vector<bv::BitVector> makeSampleStream(std::size_t count,
                                             std::uint64_t seed) {
   Rng rng(seed);

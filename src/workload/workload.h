@@ -38,6 +38,10 @@ class Rng {
   std::uint64_t state_;
 };
 
+/// A uniformly random `width`-bit value, built limb by limb from
+/// ceil(width / 64) successive rng.next() words, low limb first.
+bv::BitVector randomBits(Rng& rng, unsigned width);
+
 /// A grayscale image, 8 bits per pixel, row-major.
 struct Image {
   unsigned width = 0;

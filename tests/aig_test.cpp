@@ -9,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <random>
+#include <set>
 #include <tuple>
 
 #include "aig/aig.h"
@@ -184,6 +185,26 @@ TEST_P(BlastProperty, AllOpsMatchInterpreter) {
       // A composite: (a*b + (a ^ b)) >> s-ish amount
       ctx.add(ctx.mul(a, b), ctx.bitXor(a, b)),
   };
+
+  // This sweep is the independent reference for ir::applyOp: it must reach
+  // every op the kernel implements (at width 1, extract and the reductions
+  // fold away).
+  if (w > 1) {
+    std::set<ir::Op> covered;
+    std::vector<ir::NodeRef> stack(exprs.begin(), exprs.end());
+    while (!stack.empty()) {
+      ir::NodeRef n = stack.back();
+      stack.pop_back();
+      covered.insert(n->op());
+      for (ir::NodeRef o : n->operands()) stack.push_back(o);
+    }
+    for (int op = 0; op <= static_cast<int>(ir::Op::kArrayWrite); ++op) {
+      if (ir::isScalarOp(static_cast<ir::Op>(op))) {
+        EXPECT_EQ(covered.count(static_cast<ir::Op>(op)), 1u)
+            << ir::opName(static_cast<ir::Op>(op)) << " is not swept";
+      }
+    }
+  }
 
   Aig g;
   BitBlaster blaster(g);

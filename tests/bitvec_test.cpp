@@ -2,7 +2,10 @@
 //
 // The property tests compare every operation at widths <= 64 against a
 // native-integer reference model (mask to width), and cross-check wide
-// (multi-limb) arithmetic against identities and limb-composition.
+// (multi-limb) arithmetic against identities and limb-composition.  The
+// 128-bit reference sweep covers both representations (one inline limb up
+// to 64 bits, heap limbs above) against unsigned __int128, and checks the
+// canonical form (no bit set above the width) after every operation.
 
 #include "bitvec/bitvector.h"
 
@@ -10,6 +13,7 @@
 
 #include <cstdint>
 #include <random>
+#include <utility>
 
 namespace dfv::bv {
 namespace {
@@ -346,6 +350,189 @@ TEST_P(BitVectorWideProperty, MulFullComposesFromLimbs) {
 
 INSTANTIATE_TEST_SUITE_P(Widths, BitVectorWideProperty,
                          ::testing::Values(65u, 96u, 128u, 200u, 257u));
+
+// ---------------------------------------------------------------------------
+// Every op at widths 1..128 vs an unsigned __int128 reference model.
+// ---------------------------------------------------------------------------
+
+using U128 = unsigned __int128;
+using I128 = __int128;
+
+U128 mask128(unsigned w) { return w == 128 ? ~U128{0} : (U128{1} << w) - 1; }
+
+I128 signed128(U128 v, unsigned w) {
+  const unsigned s = 128 - w;
+  return static_cast<I128>(v << s) >> s;
+}
+
+// Built and read bit by bit, so the reference never goes through the limb
+// code under test.
+BitVector fromU128(unsigned w, U128 v) {
+  BitVector r(w);
+  for (unsigned i = 0; i < w; ++i)
+    if ((v >> i) & 1) r.setBit(i, true);
+  return r;
+}
+
+U128 toU128(const BitVector& v) {
+  U128 r = 0;
+  for (unsigned i = 0; i < v.width(); ++i)
+    if (v.bit(i)) r |= U128{1} << i;
+  return r;
+}
+
+// Width, value and canonical form: popcount() counts every stored bit, so a
+// bit left set above the width shows up as a mismatch with bit().
+::testing::AssertionResult holds(const BitVector& got, unsigned w, U128 want) {
+  if (got.width() != w)
+    return ::testing::AssertionFailure() << "width " << got.width();
+  unsigned bits = 0;
+  for (unsigned i = 0; i < w; ++i) bits += got.bit(i) ? 1 : 0;
+  if (got.popcount() != bits)
+    return ::testing::AssertionFailure() << "bits set above width " << w;
+  if (toU128(got) != (want & mask128(w)) ||
+      got != fromU128(w, want & mask128(w)))
+    return ::testing::AssertionFailure() << "value " << got;
+  return ::testing::AssertionSuccess();
+}
+
+class BitVectorReference : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(BitVectorReference, EveryOpMatchesInt128) {
+  const unsigned w = GetParam();
+  const U128 m = mask128(w);
+  std::mt19937_64 rng(0x128 + w);
+  auto random = [&] { return ((U128{rng()} << 64) | rng()) & m; };
+  const U128 minSigned = U128{1} << (w - 1);
+  const U128 corners[] = {0, 1, m, minSigned, minSigned - 1, m - 1};
+  for (int iter = 0; iter < 300; ++iter) {
+    const U128 ra = iter < 36 ? corners[iter % 6] : random();
+    const U128 rb = iter < 36 ? corners[iter / 6] & m : random();
+    const BitVector a = fromU128(w, ra), b = fromU128(w, rb);
+    const I128 sa = signed128(ra, w), sb = signed128(rb, w);
+    SCOPED_TRACE(::testing::Message() << "w=" << w << " a=" << a << " b=" << b);
+
+    EXPECT_TRUE(holds(a + b, w, ra + rb));
+    EXPECT_TRUE(holds(a - b, w, ra - rb));
+    EXPECT_TRUE(holds(a * b, w, ra * rb));
+    EXPECT_TRUE(holds(a.neg(), w, 0 - ra));
+    EXPECT_TRUE(holds(~a, w, ~ra));
+    EXPECT_TRUE(holds(a & b, w, ra & rb));
+    EXPECT_TRUE(holds(a | b, w, ra | rb));
+    EXPECT_TRUE(holds(a ^ b, w, ra ^ rb));
+
+    // Division totalized SMT-LIB style: x/0 = all ones, x%0 = x, and the
+    // signed forms take the magnitudes' result with the operand signs.
+    EXPECT_TRUE(holds(a.udiv(b), w, rb == 0 ? m : ra / rb));
+    EXPECT_TRUE(holds(a.urem(b), w, rb == 0 ? ra : ra % rb));
+    U128 sdiv, srem;
+    if (rb == 0) {
+      sdiv = sa < 0 ? 1 : m;
+      srem = ra;
+    } else if (w == 128 && ra == minSigned && rb == m) {
+      sdiv = ra;  // INT_MIN / -1 wraps
+      srem = 0;
+    } else {
+      sdiv = static_cast<U128>(sa / sb);
+      srem = static_cast<U128>(sa % sb);
+    }
+    EXPECT_TRUE(holds(a.sdiv(b), w, sdiv));
+    EXPECT_TRUE(holds(a.srem(b), w, srem));
+
+    // Shifts by amounts below, at and above the width, as unsigned and as
+    // same-width bit-vector amounts.
+    const unsigned amounts[] = {0, static_cast<unsigned>(rng() % w), w - 1, w,
+                                w + 1, 1000};
+    for (unsigned amt : amounts) {
+      SCOPED_TRACE(::testing::Message() << "shift " << amt);
+      const U128 shl = amt >= w ? 0 : ra << amt;
+      const U128 lshr = amt >= w ? 0 : ra >> amt;
+      const U128 ashr = static_cast<U128>(amt >= w ? (sa < 0 ? -1 : 0)
+                                                   : sa >> amt);
+      EXPECT_TRUE(holds(a.shl(amt), w, shl));
+      EXPECT_TRUE(holds(a.lshr(amt), w, lshr));
+      EXPECT_TRUE(holds(a.ashr(amt), w, ashr));
+      if (amt <= m) {
+        const BitVector amtBv = fromU128(w, amt);
+        EXPECT_TRUE(holds(a.shl(amtBv), w, shl));
+        EXPECT_TRUE(holds(a.lshr(amtBv), w, lshr));
+        EXPECT_TRUE(holds(a.ashr(amtBv), w, ashr));
+      }
+    }
+
+    EXPECT_EQ(a == b, ra == rb);
+    EXPECT_EQ(a != b, ra != rb);
+    EXPECT_EQ(a.ult(b), ra < rb);
+    EXPECT_EQ(a.ule(b), ra <= rb);
+    EXPECT_EQ(a.slt(b), sa < sb);
+    EXPECT_EQ(a.sle(b), sa <= sb);
+    EXPECT_EQ(a.isZero(), ra == 0);
+    EXPECT_EQ(a.isAllOnes(), ra == m);
+
+    // Width changes, within the 128-bit reference.
+    const unsigned wider = w + static_cast<unsigned>(rng() % (129 - w));
+    EXPECT_TRUE(holds(a.zext(wider), wider, ra));
+    EXPECT_TRUE(holds(a.sext(wider), wider, static_cast<U128>(sa)));
+    const unsigned narrower = 1 + static_cast<unsigned>(rng() % w);
+    EXPECT_TRUE(holds(a.trunc(narrower), narrower, ra));
+    const unsigned lo = static_cast<unsigned>(rng() % w);
+    const unsigned hi = lo + static_cast<unsigned>(rng() % (w - lo));
+    EXPECT_TRUE(holds(a.extract(hi, lo), hi - lo + 1, ra >> lo));
+    if (w < 128) {
+      const unsigned wc = 1 + static_cast<unsigned>(rng() % (128 - w));
+      const U128 rc = random() & mask128(wc);
+      EXPECT_TRUE(holds(BitVector::concat(a, fromU128(wc, rc)), w + wc,
+                        (ra << wc) | rc));
+      EXPECT_TRUE(holds(BitVector::concat(fromU128(wc, rc), a), w + wc,
+                        (rc << w) | ra));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, BitVectorReference,
+                         ::testing::Values(1u, 7u, 8u, 31u, 32u, 33u, 63u, 64u,
+                                           65u, 100u, 127u, 128u));
+
+// Copy, move and self-assignment across the inline/heap boundary (the ci
+// preset runs this under ASan, which catches a leaked or doubly freed limb
+// buffer).
+TEST(BitVector, CopyMoveAndSelfAssignAcrossRepresentations) {
+  std::mt19937_64 rng(0xc0b);
+  const unsigned widths[] = {1, 8, 64, 65, 128, 200};
+  auto random = [&](unsigned w) {
+    BitVector v(w);
+    for (unsigned i = 0; i < w; ++i)
+      if (rng() & 1) v.setBit(i, true);
+    return v;
+  };
+  for (unsigned wa : widths) {
+    for (unsigned wb : widths) {
+      SCOPED_TRACE(::testing::Message() << wa << " <-> " << wb);
+      const BitVector a = random(wa), b = random(wb);
+      BitVector c = a;  // copy construct
+      EXPECT_EQ(c, a);
+      c = b;  // copy assign across representations
+      EXPECT_EQ(c, b);
+      c = a;
+      EXPECT_EQ(c, a);
+      BitVector& alias = c;
+      c = alias;  // self copy-assign
+      EXPECT_EQ(c, a);
+      c = std::move(alias);  // self move-assign
+      EXPECT_EQ(c, a);
+      BitVector d = std::move(c);  // move construct
+      EXPECT_EQ(d, a);
+      EXPECT_EQ(c, BitVector());  // moved-from: a 1-bit zero
+      BitVector e = b;
+      d = std::move(e);  // move assign across representations
+      EXPECT_EQ(d, b);
+      EXPECT_EQ(e, BitVector());
+      e = d;  // a moved-from value is assignable
+      EXPECT_EQ(e, b);
+      EXPECT_EQ(e.hash(), b.hash());
+    }
+  }
+}
 
 }  // namespace
 }  // namespace dfv::bv

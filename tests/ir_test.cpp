@@ -135,6 +135,17 @@ TEST(IrEval, MemoizationEvaluatesSharedNodesOnce) {
             (3ull << 40) & 0xffffffffull);
 }
 
+TEST(IrEval, HundredThousandDeepChainDoesNotRecurse) {
+  // The evaluator compiles cones iteratively, so depth is bounded by memory,
+  // not by the call stack.
+  Context ctx;
+  NodeRef x = ctx.input("x", 32);
+  NodeRef e = x;
+  for (int i = 0; i < 100000; ++i) e = ctx.add(e, x);
+  Env env{{x, Value(BitVector::fromUint(32, 3))}};
+  EXPECT_EQ(Evaluator::evaluate(e, env).scalar.toUint64(), 3u * 100001u);
+}
+
 TEST(TransitionSystem, CounterWithEnable) {
   Context ctx;
   TransitionSystem ts(ctx, "counter");

@@ -18,6 +18,26 @@ TEST(Workload, RngDeterministic) {
   EXPECT_TRUE(anyDiff);
 }
 
+TEST(Workload, RandomBitsMatchesPerBitConstruction) {
+  // randomBits builds limb by limb; it must give every seed the values the
+  // former bit-by-bit construction from the same words gave.
+  auto perBit = [](Rng& rng, unsigned width) {
+    bv::BitVector v(width);
+    std::uint64_t word = 0;
+    for (unsigned i = 0; i < width; ++i) {
+      if (i % 64 == 0) word = rng.next();
+      v.setBit(i, ((word >> (i % 64)) & 1) != 0);
+    }
+    return v;
+  };
+  for (unsigned width : {1u, 64u, 65u, 130u}) {
+    Rng a(7 + width), b(7 + width);
+    for (int k = 0; k < 20; ++k)
+      EXPECT_EQ(randomBits(a, width), perBit(b, width)) << "width " << width;
+    EXPECT_EQ(a.next(), b.next()) << "width " << width;  // same words drawn
+  }
+}
+
 TEST(Workload, RngBelowInRange) {
   Rng rng(7);
   for (int i = 0; i < 1000; ++i) EXPECT_LT(rng.below(17), 17u);
