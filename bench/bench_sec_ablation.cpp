@@ -9,8 +9,8 @@
 // agree wherever both arms finish within budget.
 //
 // Part 1f — bound sweep: k = 1, 2, 4, 8 with the miter layers on and off,
-// per-depth rewrite/fraig/solve time and delta size (the incremental miter
-// rewrites and sweeps each frame once).
+// per-depth fraig/solve time and delta size (the incremental miter sweeps
+// each distinct frame once).
 //
 // Part 2 — strash reserve + hash-mixing micro-bench: Aig::reserve() sized
 // from the unrolling vs growing the table incrementally.
@@ -250,7 +250,8 @@ int main(int argc, char** argv) {
   // compose with identical verdicts in every cell, and the histo row must
   // show the slice payoff: its RTL observability block is outside every
   // checked cone, and severing it must cut the induction graph by more
-  // than 5% (counted as a regression otherwise).
+  // than 5% (counted as a regression otherwise).  The cone, SAT-call and
+  // conflict columns show what the sweep merges and costs in each cell.
   unsigned sliceRegressions = 0;
   std::uint64_t severedTotal = 0, seqConstantsTotal = 0;
   {
@@ -269,9 +270,10 @@ int main(int argc, char** argv) {
     if (smoke) slCases = {slCases[1]};  // the design built for slicing
 
     std::printf("--- slice x fraig matrix ---\n");
-    std::printf("%-12s %-6s %-6s %8s %10s %10s %7s %7s  %s\n", "design",
-                "slice", "fraig", "sec(s)", "aig(bmc)", "aig(ind)", "severed",
-                "seqcst", "verdict");
+    std::printf("%-12s %-6s %-6s %8s %10s %10s %7s %7s %9s %10s %8s %9s  %s\n",
+                "design", "slice", "fraig", "sec(s)", "aig(bmc)", "aig(ind)",
+                "severed", "seqcst", "cone(pre)", "cone(post)", "satcalls",
+                "conflicts", "verdict");
     for (const Case& c : slCases) {
       sec::Verdict ref = sec::Verdict::kInconclusive;
       bool refSet = false;
@@ -300,12 +302,23 @@ int main(int argc, char** argv) {
           severedTotal += severed;
           seqConstantsTotal += seqcst;
           if (fraig) (slice ? indOn : indOff) = r.stats.inductionAigNodes;
-          std::printf("%-12s %-6s %-6s %8.3f %10zu %10zu %7llu %7llu  %s\n",
-                      c.name, slice ? "on" : "off", fraig ? "on" : "off", secs,
-                      r.stats.bmcAigNodes, r.stats.inductionAigNodes,
-                      static_cast<unsigned long long>(severed),
-                      static_cast<unsigned long long>(seqcst),
-                      sec::verdictName(r.verdict));
+          // The swept cone: every phase's delta before and after merging.
+          const auto pre = sumPhases(r.stats, [](const sec::PhaseStats& p) {
+            return p.fraigNodesBefore;
+          });
+          const auto post = sumPhases(r.stats, [](const sec::PhaseStats& p) {
+            return p.fraigNodesAfter;
+          });
+          std::printf(
+              "%-12s %-6s %-6s %8.3f %10zu %10zu %7llu %7llu %9zu %10zu %8llu "
+              "%9llu  %s\n",
+              c.name, slice ? "on" : "off", fraig ? "on" : "off", secs,
+              r.stats.bmcAigNodes, r.stats.inductionAigNodes,
+              static_cast<unsigned long long>(severed),
+              static_cast<unsigned long long>(seqcst), pre, post,
+              static_cast<unsigned long long>(r.stats.fraigSatCalls),
+              static_cast<unsigned long long>(conflictsUsed(r.stats)),
+              sec::verdictName(r.verdict));
           report.beginRow("slice_matrix")
               .field("design", c.name)
               .field("slice", slice)
@@ -318,6 +331,10 @@ int main(int argc, char** argv) {
               .field("sliceNodesBeforeRtl", sl.rtl.nodesBefore)
               .field("sliceNodesAfterRtl", sl.rtl.nodesAfter)
               .field("sliceSeconds", sl.seconds)
+              .field("fraigNodesBefore", pre)
+              .field("fraigNodesAfter", post)
+              .field("fraigSatCalls", r.stats.fraigSatCalls)
+              .field("conflicts", conflictsUsed(r.stats))
               .field("budgetCut", cut)
               .field("verdict", sec::verdictName(r.verdict));
           // Every completed cell must agree with the first completed one:
@@ -352,119 +369,6 @@ int main(int argc, char** argv) {
                 "constants hold from\n any start state — so both phases use "
                 "the sliced systems; regressions: %u, must be 0)\n\n",
                 sliceRegressions);
-  }
-
-  // --- Part 1d: rewrite x fraig x slice matrix ------------------------------
-  //
-  // DAG-aware AIG rewriting (SecOptions::rewrite) runs between bit-blast
-  // and CNF on every miter cone.  Its output is unconditional — sound for
-  // BMC and induction alike — so the only questions are the
-  // verdict parity (every completed cell must agree) and the payoff.  The
-  // acceptance gate: on fir, with the other layers at their defaults, the
-  // rewrite must cut the summed miter cone by more than 15% (fir's two
-  // sides genuinely differ; histo's hash-cons to the same structure, so its
-  // row documents the no-headroom case: near-zero cost, zero harm).
-  unsigned rewriteRegressions = 0;
-  {
-    std::vector<Case> rwCases = {
-        {"fir", 2, 1000000, 0,
-         [](ir::Context& ctx) {
-           return hold(std::make_shared<designs::FirSecSetup>(
-               designs::makeFirSecProblem(ctx, designs::FirBug::kNone)));
-         }},
-        {"histo", 2, 1000000, 0,
-         [](ir::Context& ctx) {
-           return hold(std::make_shared<designs::HistoSecSetup>(
-               designs::makeHistoSecProblem(ctx)));
-         }},
-    };
-    if (smoke) rwCases = {rwCases[0]};  // fir carries the acceptance gate
-
-    std::printf("--- rewrite x fraig x slice matrix ---\n");
-    std::printf("%-12s %-7s %-6s %-6s %8s %9s %9s %8s %9s  %s\n", "design",
-                "rewrite", "fraig", "slice", "sec(s)", "cone(pre)",
-                "cone(post)", "applied", "conflicts", "verdict");
-    for (const Case& c : rwCases) {
-      sec::Verdict ref = sec::Verdict::kInconclusive;
-      bool refSet = false;
-      std::size_t firPre = 0, firPost = 0;  // rewrite=on, rest at defaults
-      for (const bool rewrite : {true, false}) {
-        for (const bool fraig : {true, false}) {
-          for (const bool slice : {true, false}) {
-            ir::Context ctx;
-            auto problem = c.make(ctx);
-            sec::SecOptions o;
-            o.boundTransactions = c.bound;
-            o.rewrite = rewrite;
-            o.fraig = fraig;
-            o.slice = slice;
-            applyBudget(o, c, smoke);
-            const auto t0 = Clock::now();
-            const auto r = sec::checkEquivalence(*problem, o);
-            const double secs = secsSince(t0);
-            const bool cut = r.stats.induction.budgetExhausted ||
-                             sumPhases(r.stats, [](const sec::PhaseStats& p) {
-                               return static_cast<int>(p.budgetExhausted);
-                             }) > 0;
-            const auto pre = sumPhases(r.stats, [](const sec::PhaseStats& p) {
-              return p.rewriteNodesBefore;
-            });
-            const auto post = sumPhases(r.stats, [](const sec::PhaseStats& p) {
-              return p.rewriteNodesAfter;
-            });
-            if (rewrite && fraig && slice) {
-              firPre = pre;
-              firPost = post;
-            }
-            std::printf(
-                "%-12s %-7s %-6s %-6s %8.3f %9zu %9zu %8llu %9llu  %s\n",
-                c.name, rewrite ? "on" : "off", fraig ? "on" : "off",
-                slice ? "on" : "off", secs, pre, post,
-                static_cast<unsigned long long>(r.stats.rewriteApplied),
-                static_cast<unsigned long long>(conflictsUsed(r.stats)),
-                sec::verdictName(r.verdict));
-            report.beginRow("rewrite_matrix")
-                .field("design", c.name)
-                .field("rewrite", rewrite)
-                .field("fraig", fraig)
-                .field("slice", slice)
-                .field("seconds", secs)
-                .field("rewriteNodesBefore", pre)
-                .field("rewriteNodesAfter", post)
-                .field("rewriteApplied", r.stats.rewriteApplied)
-                .field("rewriteSavedNodes", r.stats.rewriteSavedNodes)
-                .field("rewriteTimeMs", r.stats.rewriteTimeMs)
-                .field("conflicts", conflictsUsed(r.stats))
-                .field("budgetCut", cut)
-                .field("verdict", sec::verdictName(r.verdict));
-            if (!cut) {
-              if (!refSet) {
-                ref = r.verdict;
-                refSet = true;
-              } else if (r.verdict != ref) {
-                ++verdictMismatches;
-                std::printf("  !! VERDICT CHANGED in rewrite matrix on %s\n",
-                            c.name);
-              }
-            }
-          }
-        }
-      }
-      // The acceptance gate rides the fir row (histo has no miter cone to
-      // shrink — both sides collapse structurally before the solver runs).
-      if (std::string(c.name) == "fir") {
-        if (firPre == 0 || firPost * 100 >= firPre * 85) {
-          ++rewriteRegressions;
-          std::printf("  !! REWRITE REGRESSION on fir: cone %zu -> %zu "
-                      "(need >15%% cut)\n",
-                      firPre, firPost);
-        }
-      }
-    }
-    std::printf("(rewriting is unconditional structure — sound for BMC and "
-                "induction alike — so\n every completed cell must agree; "
-                "mismatches counted above, regressions: %u)\n\n",
-                rewriteRegressions);
   }
 
   // --- Part 1e: invariants x slice matrix -----------------------------------
@@ -582,13 +486,13 @@ int main(int argc, char** argv) {
 
   // --- Part 1f: bound sweep -------------------------------------------------
   //
-  // The miter is one incremental pipeline: each BMC depth rewrites and
-  // sweeps only the nodes its frame added, in a frame-local solver, and a
+  // The miter is one incremental pipeline: each BMC depth sweeps only the
+  // nodes its frame added, in a frame-local solver, and a
   // delta equal to an earlier one (in BMC or induction) replays the check's
   // frame cache, so the per-depth delta is constant and each distinct one is
   // swept once; the per-depth rows show what still grows with the bound.  Each
   // design runs at k = 1, 2, 4, 8 with the layers on (the default) and off
-  // (rewrite and fraig both off, under a conflict + propagation cap that
+  // (fraig off, under a conflict + propagation cap that
   // reports INCONCLUSIVE where it binds — gcd_breakif's off arm needs ~733k
   // conflicts at k = 1).  Gate: every completed off arm agrees with the on
   // arm on the verdict and on the failing transaction, and gcd_breakif's
@@ -647,9 +551,9 @@ int main(int argc, char** argv) {
                 "(off arm capped at %lldk conflicts / %lldM props) ---\n",
                 static_cast<long long>(offConflicts / 1000),
                 static_cast<long long>(offPropagations / 1000000));
-    std::printf("%-12s %2s %8s %8s %8s %8s %8s  %-18s %-18s %s\n", "design",
-                "k", "on(s)", "rw(s)", "fraig(s)", "solve(s)", "off(s)",
-                "on verdict", "off verdict", "fail@");
+    std::printf("%-12s %2s %8s %8s %8s %8s  %-18s %-18s %s\n", "design", "k",
+                "on(s)", "fraig(s)", "solve(s)", "off(s)", "on verdict",
+                "off verdict", "fail@");
     std::vector<std::string> detail;
     for (const SweepCase& c : sweepCases) {
       const bool gcd = std::string(c.name) == "gcd_breakif";
@@ -663,7 +567,7 @@ int main(int argc, char** argv) {
           auto problem = c.make(ctx);
           sec::SecOptions o;
           o.boundTransactions = k;
-          o.rewrite = o.fraig = on != 0;
+          o.fraig = on != 0;
           o.bmcBudget.maxConflicts = on ? 2000000 : offConflicts;
           o.bmcBudget.maxPropagations = on ? 0 : offPropagations;
           o.inductionBudget = o.bmcBudget;
@@ -677,27 +581,25 @@ int main(int argc, char** argv) {
         }
         const sec::SecResult& r = arms[1];
         if (gcd && k == kMemoBound) {
-          gcdMemoHits = r.stats.rewriteMemoHits;
+          gcdMemoHits = r.stats.fraigMemoHits;
           gcdLateSweepCalls = r.stats.induction.fraigSatCalls;
           for (std::size_t t = 2; t < r.stats.bmcTransactions.size(); ++t)
             gcdLateSweepCalls += r.stats.bmcTransactions[t].fraigSatCalls;
         }
-        const double rw = r.stats.rewriteTimeMs * 1e-3;
         const double fr = r.stats.fraigTimeMs * 1e-3;
         const double solve = sumPhases(
             r.stats, [](const sec::PhaseStats& p) { return p.seconds; });
         char fail[16] = "-";
         if (r.cex)
           std::snprintf(fail, sizeof fail, "%u", r.cex->failingTransaction);
-        std::printf("%-12s %2u %8.3f %8.3f %8.3f %8.3f %8.3f  %-18s %-18s %s\n",
-                    c.name, k, secs[1], rw, fr, solve, secs[0],
+        std::printf("%-12s %2u %8.3f %8.3f %8.3f %8.3f  %-18s %-18s %s\n",
+                    c.name, k, secs[1], fr, solve, secs[0],
                     sec::verdictName(r.verdict),
                     sec::verdictName(arms[0].verdict), fail);
         report.beginRow("bound_sweep")
             .field("design", c.name)
             .field("bound", k)
             .field("onSeconds", secs[1])
-            .field("rewriteSeconds", rw)
             .field("fraigSeconds", fr)
             .field("solveSeconds", solve)
             .field("offSeconds", secs[0])
@@ -711,23 +613,18 @@ int main(int argc, char** argv) {
               .field("design", c.name)
               .field("bound", k)
               .field("depth", depth)
-              .field("rewriteSeconds", p.rewriteTimeMs * 1e-3)
               .field("fraigSeconds", p.fraigTimeMs * 1e-3)
               .field("solveSeconds", p.seconds)
-              .field("deltaNodes", p.rewriteNodesBefore)
-              .field("sweptNodes", p.fraigNodesBefore)
-              .field("rewrite_memo_hits", p.rewriteMemoHits)
+              .field("deltaNodes", p.fraigNodesBefore)
+              .field("sweptNodes", p.fraigNodesAfter)
               .field("fraig_memo_hits", p.fraigMemoHits)
               .field("fraig_sat_calls", p.fraigSatCalls);
           if (k != detailBound) return;
           char line[160];
           std::snprintf(line, sizeof line,
-                        "%-12s %5s %8.3f %8.3f %8.3f %10zu %10zu %5llu %10llu "
-                        "%6llu",
-                        c.name, depth.c_str(), p.rewriteTimeMs * 1e-3,
-                        p.fraigTimeMs * 1e-3, p.seconds, p.rewriteNodesBefore,
-                        p.fraigNodesBefore,
-                        static_cast<unsigned long long>(p.rewriteMemoHits),
+                        "%-12s %5s %8.3f %8.3f %10zu %10zu %10llu %6llu",
+                        c.name, depth.c_str(), p.fraigTimeMs * 1e-3, p.seconds,
+                        p.fraigNodesBefore, p.fraigNodesAfter,
                         static_cast<unsigned long long>(p.fraigMemoHits),
                         static_cast<unsigned long long>(p.fraigSatCalls));
           detail.emplace_back(line);
@@ -752,16 +649,17 @@ int main(int argc, char** argv) {
     std::printf("\nper depth at k=%u, layers on (delta = AND nodes the "
                 "depth added to the miter):\n",
                 detailBound);
-    std::printf("%-12s %5s %8s %8s %8s %10s %10s %5s %10s %6s\n", "design",
-                "depth", "rw(s)", "fraig(s)", "solve(s)", "delta", "swept",
-                "memo", "fraig_memo", "calls");
+    std::printf("%-12s %5s %8s %8s %10s %10s %10s %6s\n", "design", "depth",
+                "fraig(s)", "solve(s)", "delta", "swept", "fraig_memo",
+                "calls");
     for (const std::string& line : detail) std::printf("%s\n", line.c_str());
     if (gcdMemoHits == 0) ++memoRegressions;
     if (gcdLateSweepCalls > 0) ++sweepRegressions;
     std::printf("(verdict and failing-transaction parity are part of the "
-                "mismatch count above; memo / fraig_memo = rewrites /\n"
-                " sweeps replayed from the frame cache, calls = fraig SAT "
-                "calls; gcd_breakif at k=%u replayed %llu, must be > 0,\n"
+                "mismatch count above; swept = delta AND nodes left after\n"
+                " merging, fraig_memo = sweeps replayed from the frame "
+                "cache, calls = fraig SAT calls;\n gcd_breakif at k=%u "
+                "replayed %llu, must be > 0,\n"
                 " and made %llu fraig SAT calls at depth >= 2 and in "
                 "induction, must be 0)\n\n",
                 kMemoBound, static_cast<unsigned long long>(gcdMemoHits),
@@ -919,7 +817,6 @@ int main(int argc, char** argv) {
   report.beginRow("summary")
       .field("verdictMismatches", verdictMismatches)
       .field("sliceRegressions", sliceRegressions)
-      .field("rewriteRegressions", rewriteRegressions)
       .field("memoRegressions", memoRegressions)
       .field("sweepRegressions", sweepRegressions)
       .field("slice_states_severed", severedTotal)
@@ -928,7 +825,7 @@ int main(int argc, char** argv) {
       .field("invCertified", invCertifiedTotal)
       .field("disagreements", disagreements);
   return report.write() && disagreements == 0 && verdictMismatches == 0 &&
-                 sliceRegressions == 0 && rewriteRegressions == 0 &&
+                 sliceRegressions == 0 &&
                  invRegressions == 0 && memoRegressions == 0 &&
                  sweepRegressions == 0
              ? 0

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <unordered_map>
 
 #include "aig/cnf.h"
@@ -54,60 +55,39 @@ FrameCache::Entry FrameCache::compute(Aig delta, std::vector<Lit> roots,
   Entry e;
   e.delta = std::move(delta);
   e.roots = std::move(roots);
-  // The stage chain: the current graph, its roots, and the delta-node ->
-  // current-literal map, starting from the identity.
-  const Aig* cur = &e.delta;
-  std::vector<Lit> curRoots = e.roots;
-  std::vector<Lit> curMap(e.delta.numNodes());
-  for (std::size_t n = 0; n < curMap.size(); ++n)
-    curMap[n] = static_cast<Lit>(n << 1);
-  Aig rewritten;
   Aig swept;
-  if (pipeline_.rewrite) {
-    const Rewriter::Result rr =
-        Rewriter(*pipeline_.rewrite).run(*cur, curRoots, rewritten);
-    e.rewrite = rr.stats;
-    curMap = compose(curMap, rr.nodeMap);
-    curRoots = rr.roots;
-    cur = &rewritten;
-  }
-  if (pipeline_.fraig) {
-    sat::Solver solver(pipeline_.solver);
-    CnfEncoder enc(swept, solver);
-    const Fraig::Result fr =
-        Fraig(*pipeline_.fraig).run(*cur, curRoots, swept, enc, budget);
-    e.fraig = fr.stats;
-    curMap = compose(curMap, fr.nodeMap);
-    curRoots = fr.roots;
-    cur = &swept;
-  }
+  sat::Solver solver(pipeline_.solver);
+  CnfEncoder enc(swept, solver);
+  const Fraig::Result fr =
+      Fraig(pipeline_.fraig).run(e.delta, e.roots, swept, enc, budget);
+  e.fraig = fr.stats;
 
   // Keep the cone of the roots and of every mapped delta node; this drops
   // the sweep's candidate-miter gates.
-  std::vector<bool> live(cur->numNodes(), false);
+  std::vector<bool> live(swept.numNodes(), false);
   std::vector<std::uint32_t> work;
-  for (const Lit r : curRoots) work.push_back(nodeOf(r));
-  for (const Lit l : curMap)
+  for (const Lit r : fr.roots) work.push_back(nodeOf(r));
+  for (const Lit l : fr.nodeMap)
     if (l != kUn) work.push_back(nodeOf(l));
   while (!work.empty()) {
     const std::uint32_t n = work.back();
     work.pop_back();
     if (live[n]) continue;
     live[n] = true;
-    if (!cur->isAndNode(n)) continue;
-    work.push_back(nodeOf(cur->fanin0(n)));
-    work.push_back(nodeOf(cur->fanin1(n)));
+    if (!swept.isAndNode(n)) continue;
+    work.push_back(nodeOf(swept.fanin0(n)));
+    work.push_back(nodeOf(swept.fanin1(n)));
   }
-  // Every stage recreates all inputs in order, so input k of `out` is
-  // input k of the delta.
-  std::vector<Lit> toOut(cur->numNodes(), kUn);
+  // The sweep recreates all inputs in order, so input k of `out` is input k
+  // of the delta.
+  std::vector<Lit> toOut(swept.numNodes(), kUn);
   toOut[0] = kFalse;
-  for (const std::uint32_t in : cur->inputs()) toOut[in] = e.out.makeInput();
-  for (std::uint32_t n = 1; n < cur->numNodes(); ++n)
-    if (live[n] && cur->isAndNode(n))
-      toOut[n] = e.out.makeAnd(mapLit(toOut, cur->fanin0(n)),
-                               mapLit(toOut, cur->fanin1(n)));
-  e.nodeMap = compose(curMap, toOut);
+  for (const std::uint32_t in : swept.inputs()) toOut[in] = e.out.makeInput();
+  for (std::uint32_t n = 1; n < swept.numNodes(); ++n)
+    if (live[n] && swept.isAndNode(n))
+      toOut[n] = e.out.makeAnd(mapLit(toOut, swept.fanin0(n)),
+                               mapLit(toOut, swept.fanin1(n)));
+  e.nodeMap = compose(fr.nodeMap, toOut);
   return e;
 }
 
@@ -215,7 +195,6 @@ const FrameCache::Result& FrameCache::Session::extend(
         e = &cache_.entries_.back();
       }
     }
-    st.rewrite = e->rewrite;
 
     // Append the result through the pseudo-inputs' targets.
     const Aig& dOut = e->out;

@@ -1,15 +1,14 @@
 // The miter pipeline between bit-blasting and CNF: each distinct frame
-// delta is rewritten and swept once per check.
+// delta is swept once per check.
 //
 // A BMC unrolling grows one frame per depth, and each solve adds the cone of
 // its new facts and query: the *delta*, cut off at source nodes an earlier
 // call already mapped.  FrameCache::Session copies each delta into a
 // self-contained graph in which every distinct mapped frontier node is one
-// pseudo-input, runs the pipeline on it — the Rewriter, then a Fraig sweep
-// in a frame-local sat::Solver — and appends the result to one persistent
-// output graph through the pseudo-inputs' targets, strashing into whatever
-// it shares with earlier deltas.  Cuts, balanced trees and sweep merges
-// therefore never span a delta boundary.
+// pseudo-input, sweeps it with a Fraig in a frame-local sat::Solver, and
+// appends the result to one persistent output graph through the
+// pseudo-inputs' targets, strashing into whatever it shares with earlier
+// deltas.  Sweep merges therefore never span a delta boundary.
 //
 // The sweep's frontier is free: a merge proven with unconstrained
 // pseudo-inputs holds under any frontier, so it is sound in every later
@@ -19,10 +18,10 @@
 // The FrameCache stores each completed result under its delta and root
 // list.  A later delta that equals a stored one exactly — every node's kind
 // and fan-ins, hence every input position, and the root list; never a hash
-// match alone — replays the stored result without rewriting or solving.
+// match alone — replays the stored result without solving.
 // Transaction-level BMC makes such repeats the rule: every depth unrolls the
 // same transition relation, and the induction step is one more copy of it.
-// The pipeline is a pure function of (delta, roots, pipeline), so a replay
+// The sweep is a pure function of (delta, roots, pipeline), so a replay
 // appends exactly what recomputing would.  A sweep cut short by the
 // caller's budget is still appended (sound, just less merged) but never
 // stored.  One entry per distinct delta, so memory is bounded by the number
@@ -30,29 +29,24 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <utility>
 #include <vector>
 
 #include "aig/aig.h"
 #include "aig/fraig.h"
-#include "aig/rewrite.h"
 #include "sat/solver.h"
 
 namespace dfv::aig {
 
-/// The stages every delta goes through; an unset stage is skipped.
+/// How every delta is swept.
 struct FramePipeline {
-  std::optional<RewriteOptions> rewrite;
-  std::optional<FraigOptions> fraig;
+  FraigOptions fraig{};
   /// Heuristics of each frame-local sweep solver.
   sat::SolverOptions solver{};
 };
 
 /// Counters from one FrameCache::Session::extend.
 struct FrameStats {
-  /// The delta's rewrite (the stored counters on a cache hit).
-  RewriteStats rewrite;
   /// The delta's sweep.  On a cache hit the node counts are the stored
   /// ones and every SAT-work counter is zero.
   FraigStats fraig;
@@ -60,18 +54,17 @@ struct FrameStats {
   double seconds = 0.0;   ///< wall time of the whole extend
 };
 
-/// Completed pipeline results, one per distinct delta.  Shared by every
+/// Completed sweeps, one per distinct delta.  Shared by every
 /// session of one check; never by concurrent checks.
 class FrameCache {
  public:
   explicit FrameCache(FramePipeline pipeline)
       : pipeline_(std::move(pipeline)) {}
 
-  const FramePipeline& pipeline() const { return pipeline_; }
   /// Stored deltas.
   std::size_t size() const { return entries_.size(); }
 
-  /// The source-literal -> output-literal map; mirrors Rewriter::Result.
+  /// The source-literal -> output-literal map; mirrors Fraig::Result.
   struct Result {
     std::vector<Lit> roots;  ///< map of the last extend's roots, in order
     FrameStats stats;        ///< the last extend's counters
@@ -99,17 +92,16 @@ class FrameCache {
     /// session.
     Session(FrameCache& cache, Aig& out);
 
-    /// Runs the pipeline on the delta for `newRoots` (literals of `src`,
-    /// which must be the same graph every call, only grown), after
-    /// recreating every source input not yet mapped, in id order.  The
-    /// sweep runs under `budget`.  Returns the cumulative node map, this
+    /// Sweeps the delta for `newRoots` (literals of `src`, which must be
+    /// the same graph every call, only grown), after recreating every
+    /// source input not yet mapped, in id order.  The sweep runs under
+    /// `budget`.  Returns the cumulative node map, this
     /// call's mapped roots and its stats.
     const Result& extend(const Aig& src, const std::vector<Lit>& newRoots,
                          const sat::Budget& budget = {});
 
     /// The cumulative map after the last extend().
     const Result& result() const { return res_; }
-    const FramePipeline& pipeline() const { return cache_.pipeline(); }
 
    private:
     FrameCache& cache_;
@@ -119,7 +111,7 @@ class FrameCache {
   };
 
  private:
-  /// One delta and its pipeline result: a self-contained graph over the
+  /// One delta and its swept result: a self-contained graph over the
   /// delta's inputs (in order) and the delta-node map into it, which maps
   /// every root.
   struct Entry {
@@ -127,7 +119,6 @@ class FrameCache {
     std::vector<Lit> roots;
     Aig out;
     std::vector<Lit> nodeMap;  ///< per delta node, or kUnmapped
-    RewriteStats rewrite;
     FraigStats fraig;
   };
 

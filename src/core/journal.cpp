@@ -337,11 +337,6 @@ void mixSecOptions(common::StableHasher& h, const sec::SecOptions& o) {
   h.mix(o.fraigOptions.simWords);
   h.mix(o.fraigOptions.simRounds);
   mixBudget(h, o.fraigOptions.candidateBudget);
-  h.mix(o.rewrite);
-  h.mix(o.rewriteOptions.balance);
-  h.mix(o.rewriteOptions.cuts);
-  h.mix(o.rewriteOptions.cutsPerNode);
-  h.mix(o.rewriteOptions.maxPasses);
   h.mix(o.slice);
   h.mix(o.sliceOptions.coi);
   h.mix(o.sliceOptions.seqConst);

@@ -138,10 +138,10 @@ class Journal {
 // name + content digest) and the verification configuration, DRC gate
 // included.  Every SecOptions field that can change a verdict or a recorded
 // counter is hashed: the toggles, budgets and solver heuristics, and every
-// scalar of the tuning structs (fraigOptions, rewriteOptions, sliceOptions,
-// invOptions with its absintOptions).  Tuning moves counters, and the
-// invariant miner's options can move a verdict (fewer candidates can leave
-// an induction open).  invOptions.extraCandidates enter by their printed
+// scalar of the tuning structs (fraigOptions, sliceOptions, invOptions with
+// its absintOptions).  Tuning moves counters, and the invariant miner's
+// options can move a verdict (fewer candidates can leave an induction
+// open).  invOptions.extraCandidates enter by their printed
 // text, so equal predicates hash equally across processes.  A resumed
 // record whose fingerprint matches therefore reproduces what a live run of
 // the same entry would report.

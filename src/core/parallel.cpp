@@ -210,10 +210,6 @@ std::vector<PortfolioMember> buildPortfolio(const sec::SecOptions& base,
       m.options.fraig = !base.fraig;
       name << (m.options.fraig ? ":fraig" : ":nofraig");
     }
-    if ((k & 8u) != 0) {
-      m.options.rewrite = !base.rewrite;
-      name << (m.options.rewrite ? ":rewrite" : ":norewrite");
-    }
     m.name = name.str();
     members.push_back(std::move(m));
   }

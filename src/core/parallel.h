@@ -14,7 +14,7 @@
 //     fixed-size pool.
 //   * Portfolio racing — buildPortfolio() derives diversified but fully
 //     deterministic SecOptions variants (solver seed, phase saving,
-//     restart policy, rewrite, optionally fraig) and racePortfolio() runs
+//     restart policy, optionally fraig) and racePortfolio() runs
 //     them concurrently, takes the first decisive verdict, and cancels the
 //     losers through sat::Budget::cancel — cooperative, never a thread
 //     kill, so every solver stays valid.  WHICH member wins may depend on
@@ -115,10 +115,9 @@ class ParallelExecutor {
 /// How buildPortfolio diversifies SecOptions into racing members.  Member
 /// 0 is always the unmodified base; member i >= 1 gets solver and fraig seed
 /// 0x5eedbeef + i and cycles deterministically through {geometric
-/// restarts, phase saving off, fraig toggled (only with varyFraig), rewrite
-/// toggled} on bits 0-3 of i - 1.  Everything derives from (base, this
-/// struct) — no RNG, no clock — so the same inputs always name the same
-/// portfolio.
+/// restarts, phase saving off, fraig toggled (only with varyFraig)} on
+/// bits 0-2 of i - 1.  Everything derives from (base, this struct) — no
+/// RNG, no clock — so the same inputs always name the same portfolio.
 struct PortfolioOptions {
   unsigned members = 3;  ///< total racers, including the base (1 = no race)
   /// Off by default: fraig-off members lose the repo's main rescue for

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <exception>
+#include <optional>
 #include <sstream>
 
 #include "core/journal.h"
@@ -493,6 +494,25 @@ ResilientRunner::CosimRunner makeRandomCosimFallback(
     for (const sec::OutputCheck& c : problem.checks())
       checks.push_back(ResolvedCheck{&c, outputIndex(slm, c.slmOutput),
                                      outputIndex(rtl, c.rtlOutput)});
+    // Resolve each input binding once: per side, per cycle, per input, the
+    // bound expression or null (a free input).
+    auto resolveBindings = [&](sec::Side side, const ir::TransitionSystem& ts) {
+      std::vector<std::vector<ir::NodeRef>> bound(
+          problem.cycles(side),
+          std::vector<ir::NodeRef>(ts.inputs().size(), nullptr));
+      for (const sec::InputBinding& b : problem.bindings()) {
+        if (b.side != side || b.cycle >= bound.size()) continue;
+        const auto& ins = ts.inputs();
+        const auto it = std::find(ins.begin(), ins.end(), b.input);
+        if (it == ins.end()) continue;
+        ir::NodeRef& slot = bound[b.cycle][static_cast<std::size_t>(
+            it - ins.begin())];
+        if (slot == nullptr) slot = b.value;
+      }
+      return bound;
+    };
+    const auto slmBound = resolveBindings(sec::Side::kSlm, slm);
+    const auto rtlBound = resolveBindings(sec::Side::kRtl, rtl);
     ir::TsSimulator slmSim(slm);
     ir::TsSimulator rtlSim(rtl);
     slmSim.reset();
@@ -500,16 +520,20 @@ ResilientRunner::CosimRunner makeRandomCosimFallback(
     for (unsigned txn = 0; txn < transactions; ++txn) {
       // Sample transaction variables until every input constraint holds —
       // the SLM/RTL may legitimately differ outside the constrained space.
+      // One evaluator per try serves its constraints and, once admitted,
+      // the transaction's bindings.
       ir::Env env;
+      std::optional<ir::Evaluator> eval;
       bool admissible = false;
       constexpr unsigned kMaxTries = 1000;
       for (unsigned tries = 0; tries < kMaxTries && !admissible; ++tries) {
         env.clear();
         for (ir::NodeRef v : problem.txnVars())
           env[v] = randomValue(rng, v->type());
+        eval.emplace(env);
         admissible = true;
         for (ir::NodeRef c : problem.constraints())
-          if (!ir::Evaluator::evaluate(c, env).scalar.bit(0)) {
+          if (!eval->eval(c).scalar.bit(0)) {
             admissible = false;
             break;
           }
@@ -524,31 +548,23 @@ ResilientRunner::CosimRunner makeRandomCosimFallback(
       // binding under the sampled transaction variables, unbound input
       // cycles get fresh random values (SEC leaves them universally
       // quantified; random is the simulation analogue).
-      auto runSide = [&](sec::Side side, const ir::TransitionSystem& ts,
-                         ir::TsSimulator& sim) {
+      auto runSide = [&](const std::vector<std::vector<ir::NodeRef>>& bound,
+                         const ir::TransitionSystem& ts, ir::TsSimulator& sim) {
         std::vector<ir::TsSimulator::StepResult> steps;
-        const unsigned cycles = problem.cycles(side);
-        steps.reserve(cycles);
-        for (unsigned cyc = 0; cyc < cycles; ++cyc) {
+        steps.reserve(bound.size());
+        for (const std::vector<ir::NodeRef>& cycleBound : bound) {
           std::vector<ir::Value> ins;
           ins.reserve(ts.inputs().size());
-          for (ir::NodeRef in : ts.inputs()) {
-            const sec::InputBinding* bound = nullptr;
-            for (const sec::InputBinding& b : problem.bindings())
-              if (b.side == side && b.input == in && b.cycle == cyc) {
-                bound = &b;
-                break;
-              }
-            ins.push_back(bound != nullptr
-                              ? ir::Evaluator::evaluate(bound->value, env)
-                              : randomValue(rng, in->type()));
-          }
+          for (std::size_t i = 0; i < ts.inputs().size(); ++i)
+            ins.push_back(cycleBound[i] != nullptr
+                              ? eval->eval(cycleBound[i])
+                              : randomValue(rng, ts.inputs()[i]->type()));
           steps.push_back(sim.step(ins));
         }
         return steps;
       };
-      const auto slmSteps = runSide(sec::Side::kSlm, slm, slmSim);
-      const auto rtlSteps = runSide(sec::Side::kRtl, rtl, rtlSim);
+      const auto slmSteps = runSide(slmBound, slm, slmSim);
+      const auto rtlSteps = runSide(rtlBound, rtl, rtlSim);
       for (const ResolvedCheck& rc : checks) {
         const auto& ss = slmSteps[rc.check->slmCycle];
         const auto& rs = rtlSteps[rc.check->rtlCycle];

@@ -32,7 +32,6 @@
 #include "aig/cnf.h"                // IWYU pragma: export
 #include "aig/fraig.h"              // IWYU pragma: export
 #include "aig/frame.h"              // IWYU pragma: export
-#include "aig/rewrite.h"            // IWYU pragma: export
 #include "bitvec/bitvector.h"       // IWYU pragma: export
 #include "bitvec/hdl_int.h"         // IWYU pragma: export
 #include "core/journal.h"           // IWYU pragma: export

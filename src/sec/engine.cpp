@@ -41,9 +41,6 @@ std::map<std::string, std::uint64_t> deterministicCounters(
       {"sat_learnts", learnts},
       {"fraig_sat_calls", s.fraigSatCalls},
       {"fraig_memo_hits", s.fraigMemoHits},
-      {"rewrite_applied", s.rewriteApplied},
-      {"rewrite_saved_nodes", s.rewriteSavedNodes},
-      {"rewrite_memo_hits", s.rewriteMemoHits},
       {"slice_states_severed",
        s.slice.slm.statesSevered + s.slice.rtl.statesSevered},
       {"slice_seq_constants",
@@ -319,18 +316,18 @@ sat::Budget drainBudget(sat::Budget b, std::uint64_t conflicts,
 /// unrolling into it.  Each solve() takes the facts asserted since the
 /// previous solve plus its query, and hands only their not-yet-mapped cone
 /// — the nodes the unrolling gained since then — to the session, which
-/// rewrites and sweeps that delta in a frame-local solver, or replays the
-/// result from the check's cache when an equal delta was done before.  The
-/// miter then clausifies only what is new on its one solver, keeping every
-/// learnt clause.  With rewrite and fraig off the encoder works on the
-/// unrolling graph directly.  Model extraction maps unrolling-graph
-/// literals through the session's map, so counterexamples are exact.
+/// sweeps that delta in a frame-local solver, or replays the result from
+/// the check's cache when an equal delta was swept before.  The miter then
+/// clausifies only what is new on its one solver, keeping every learnt
+/// clause.  With fraig off the encoder works on the unrolling graph
+/// directly.  Model extraction maps unrolling-graph literals through the
+/// session's map, so counterexamples are exact.
 ///
 /// No sweep ever runs on the miter's solver, so facts (constraints,
 /// certified invariants, "outputs equal at depth t") are plain units.
 class Miter {
  public:
-  /// `cache` is null exactly when rewrite and fraig are both off.
+  /// `cache` is null exactly when fraig is off.
   Miter(aig::Aig& g, const SecOptions& options, aig::FrameCache* cache)
       : g_(g), solver_(options.solver), enc_(cache ? out_ : g, solver_) {
     if (cache != nullptr) frames_.emplace(*cache, out_);
@@ -353,35 +350,21 @@ class Miter {
     bool swept = true;
     if (frames_) {
       const aig::FrameCache::Result& fr = frames_->extend(g_, roots, budget);
-      const aig::FramePipeline& pipe = frames_->pipeline();
-      const aig::RewriteStats& rs = fr.stats.rewrite;
       const aig::FraigStats& fs = fr.stats.fraig;
-      // Delta extraction, lookup and append count as rewrite time, or as
-      // sweep time when rewriting is off.
-      const double ms = fr.stats.seconds * 1e3;
-      const double sweepMs = pipe.rewrite ? fs.seconds * 1e3 : ms;
-      if (pipe.rewrite) {
-        phase.rewriteNodesBefore += rs.nodesBefore;
-        phase.rewriteNodesAfter += rs.nodesAfter;
-        phase.rewriteApplied += rs.rewritesApplied;
-        phase.rewriteMemoHits += fr.stats.cacheHit ? 1 : 0;
-        phase.rewriteTimeMs += ms - sweepMs;
-      }
-      if (pipe.fraig) {
-        phase.fraigNodesBefore += fs.nodesBefore;
-        phase.fraigNodesAfter += fs.nodesAfter;
-        phase.fraigMergedNodes += fs.mergedNodes;
-        phase.fraigSatCalls += fs.satCalls;
-        phase.fraigMemoHits += fr.stats.cacheHit ? 1 : 0;
-        phase.fraigTimeMs += sweepMs;
-        phase.conflicts += fs.conflicts;
-        phase.propagations += fs.propagations;
-        sweepConflicts_ += fs.conflicts;
-        sweepDecisions_ += fs.decisions;
-        swept = !fs.budgetExhausted;
-        solveBudget =
-            drainBudget(budget, fs.conflicts, fs.propagations, fs.seconds);
-      }
+      // Delta extraction, lookup and append count as sweep time.
+      phase.fraigNodesBefore += fs.nodesBefore;
+      phase.fraigNodesAfter += fs.nodesAfter;
+      phase.fraigMergedNodes += fs.mergedNodes;
+      phase.fraigSatCalls += fs.satCalls;
+      phase.fraigMemoHits += fr.stats.cacheHit ? 1 : 0;
+      phase.fraigTimeMs += fr.stats.seconds * 1e3;
+      phase.conflicts += fs.conflicts;
+      phase.propagations += fs.propagations;
+      sweepConflicts_ += fs.conflicts;
+      sweepDecisions_ += fs.decisions;
+      swept = !fs.budgetExhausted;
+      solveBudget =
+          drainBudget(budget, fs.conflicts, fs.propagations, fs.seconds);
       roots = fr.roots;
     }
     for (std::size_t i = 0; i < numFacts; ++i)
@@ -414,7 +397,7 @@ class Miter {
 
  private:
   aig::Aig& g_;
-  aig::Aig out_;  // the rewritten and swept graph (unused with both off)
+  aig::Aig out_;  // the swept graph (unused with fraig off)
   sat::Solver solver_;
   aig::CnfEncoder enc_;
   std::optional<aig::FrameCache::Session> frames_;
@@ -519,13 +502,8 @@ SecResult checkEquivalence(const SecProblem& problem,
   // One frame cache for the check, shared by the BMC and induction miters:
   // induction is one more copy of the transition relation BMC unrolled.
   std::optional<aig::FrameCache> frames;
-  if (options.rewrite || options.fraig) {
-    aig::FramePipeline pipe;
-    if (options.rewrite) pipe.rewrite = options.rewriteOptions;
-    if (options.fraig) pipe.fraig = options.fraigOptions;
-    pipe.solver = options.solver;
-    frames.emplace(std::move(pipe));
-  }
+  if (options.fraig)
+    frames.emplace(aig::FramePipeline{options.fraigOptions, options.solver});
   aig::FrameCache* cache = frames ? &*frames : nullptr;
   aig::Aig g;
   Miter miter(g, options, cache);
@@ -626,16 +604,12 @@ SecResult checkEquivalence(const SecProblem& problem,
     st.bmcAigNodes = g.numNodes();
     st.aigNodes = st.bmcAigNodes + st.inductionAigNodes;
     miter.foldInto(st);
-    // The rewrite and fraig totals are the sums of the phase entries.
+    // The fraig totals are the sums of the phase entries.
     auto addPhase = [&st](const PhaseStats& p) {
       st.fraigMergedNodes += p.fraigMergedNodes;
       st.fraigSatCalls += p.fraigSatCalls;
       st.fraigMemoHits += p.fraigMemoHits;
       st.fraigTimeMs += p.fraigTimeMs;
-      st.rewriteSavedNodes += p.rewriteNodesBefore - p.rewriteNodesAfter;
-      st.rewriteApplied += p.rewriteApplied;
-      st.rewriteMemoHits += p.rewriteMemoHits;
-      st.rewriteTimeMs += p.rewriteTimeMs;
     };
     for (const PhaseStats& p : st.bmcTransactions) addPhase(p);
     addPhase(st.induction);

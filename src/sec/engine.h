@@ -21,7 +21,6 @@
 #include "aig/bitblast.h"
 #include "aig/cnf.h"
 #include "aig/fraig.h"
-#include "aig/rewrite.h"
 #include "inv/inv.h"
 #include "sat/solver.h"
 #include "sec/transaction.h"
@@ -63,9 +62,9 @@ struct Counterexample {
 /// step): SAT-statistic deltas attributable to that phase's solve calls,
 /// plus their wall-clock time.  `seconds` is the main solves alone; the
 /// conflict and propagation counts also include the fraig sweep the phase
-/// ran first, since the phase budget pays for both.  The rewrite and fraig
-/// counters cover the phase's delta: the miter nodes its facts and query
-/// added since the previous phase.  A delta replayed from the check's frame
+/// ran first, since the phase budget pays for both.  The fraig counters
+/// cover the phase's delta: the miter nodes its facts and query added
+/// since the previous phase.  A delta replayed from the check's frame
 /// cache (aig/frame.h) reports the stored node counts and no SAT work.
 /// Populated whether or not the phase hit its budget, so an interrupted run
 /// still reports how far it got.
@@ -86,14 +85,9 @@ struct PhaseStats {
   std::size_t fraigMergedNodes = 0;
   std::uint64_t fraigSatCalls = 0;
   std::uint64_t fraigMemoHits = 0;  ///< sweeps replayed from the frame cache
-  double fraigTimeMs = 0.0;
-  /// Structural-rewrite cost/effect for this phase's delta (all zero when
-  /// SecOptions::rewrite is off).
-  std::size_t rewriteNodesBefore = 0;  ///< and-nodes in the delta
-  std::size_t rewriteNodesAfter = 0;   ///< and-nodes after rewriting
-  std::uint64_t rewriteApplied = 0;    ///< NPN-table rewrites committed
-  std::uint64_t rewriteMemoHits = 0;   ///< rewrites replayed from the cache
-  double rewriteTimeMs = 0.0;
+  double fraigTimeMs = 0.0;  ///< the whole frame pipeline's wall time
+  /// Always 0; only dfvbench reads it, and a benchmark change removes it.
+  std::size_t rewriteNodesBefore = 0;
 };
 
 /// Wall time of the word-level abstract interpretation SEC runs: the
@@ -155,10 +149,7 @@ struct SecStats {
   std::uint64_t fraigSatCalls = 0;
   std::uint64_t fraigMemoHits = 0;
   double fraigTimeMs = 0.0;
-  /// Rewrite totals, summed from the phases the same way.
-  std::size_t rewriteSavedNodes = 0;  ///< sum of (before - after) per delta
-  std::uint64_t rewriteApplied = 0;
-  std::uint64_t rewriteMemoHits = 0;
+  /// Always 0; only dfvbench reads it, and a benchmark change removes it.
   double rewriteTimeMs = 0.0;
   double seconds = 0.0;
   bool inductionAttempted = false;
@@ -222,19 +213,6 @@ struct SecOptions {
   bool fraig = true;
   /// Tuning for the fraig pass (seed, stimulus size, per-candidate budget).
   aig::FraigOptions fraigOptions{};
-  /// DAG-aware structural rewrite (aig::Rewriter) of the miter before each
-  /// solve — only the per-depth delta, once per distinct delta, like the
-  /// sweep — between bit-blasting and CNF: AND-tree balancing
-  /// plus 4-input-cut rewriting against the NPN optimal-structure table.  Like
-  /// fraig the pass is unconditional — it never sees the problem
-  /// constraints — so it is sound for BMC and induction alike, and it is
-  /// deterministic, so verdicts are identical with it on or off (tests and
-  /// bench_sec_ablation assert this).  Composes with fraig: rewriting
-  /// shrinks the graph the sweep must simulate and prove over, fraig then
-  /// merges the semantic equivalences structure alone cannot see.
-  bool rewrite = true;
-  /// Tuning for the rewrite pass (balancing, cut bound, pass count).
-  aig::RewriteOptions rewriteOptions{};
   /// Slice both sides (dfv::slice) against the checked outputs, coupling
   /// invariants and constraints before anything is unrolled: state
   /// variables and logic outside every property cone are severed, and

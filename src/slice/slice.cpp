@@ -52,9 +52,10 @@ class ConeWalker {
 /// `subst` is empty this returns the original nodes unchanged (hash-consing
 /// makes the rebuild a no-op), so a slice with no sequential constants
 /// shares every live expression with its source.
-class Rewriter {
+class Substituter {
  public:
-  Rewriter(ir::Context& ctx, const std::unordered_map<NodeRef, NodeRef>& subst)
+  Substituter(ir::Context& ctx,
+              const std::unordered_map<NodeRef, NodeRef>& subst)
       : ctx_(ctx), subst_(subst) {}
 
   NodeRef rewrite(NodeRef n) {
@@ -310,7 +311,7 @@ ir::TransitionSystem sliceTransitionSystem(const ir::TransitionSystem& ts,
     }
     local.seqConstants = subst.size();
   }
-  Rewriter rw(ctx, subst);
+  Substituter rw(ctx, subst);
 
   // Pass 2: cone of influence over the *rewritten* graph, so logic that
   // the substituted constants fold away does not keep states alive.

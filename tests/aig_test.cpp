@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <memory>
 #include <random>
@@ -582,18 +583,12 @@ std::vector<Lit> growRandomAig(Aig& g, std::mt19937_64& rng,
   return roots;
 }
 
-FramePipeline sweepOnly() {
-  FramePipeline p;
-  p.fraig = FraigOptions{};
-  return p;
-}
-
 TEST(FraigSession, DeltasPreserveSemanticsOfEveryRootSoFar) {
   std::mt19937_64 rng(0x5e55);
   for (int iter = 0; iter < 15; ++iter) {
     Aig g;
     Aig out;
-    FrameCache cache(sweepOnly());
+    FrameCache cache(FramePipeline{});
     FrameCache::Session session(cache, out);
     std::vector<Lit> pool = {kFalse, kTrue};
     std::vector<Lit> roots;
@@ -624,7 +619,7 @@ TEST(FraigSession, RunIsOneExtendOfAFreshSession) {
   for (const std::uint32_t in : g.inputs()) roots.push_back(in << 1);
   FraigRun run(g, roots);
   Aig out;
-  FrameCache cache(sweepOnly());
+  FrameCache cache(FramePipeline{});
   FrameCache::Session session(cache, out);
   const FrameCache::Result& res = session.extend(g, roots);
   const FraigStats& fs = res.stats.fraig;
@@ -678,6 +673,225 @@ TEST(FraigSession, ExhaustedBudgetLeavesTheDeltaSoundAndUnmerged) {
     for (std::size_t r = 0; r < roots.size(); ++r)
       ASSERT_EQ(Aig::litValue(srcVals, roots[r]),
                 Aig::litValue(outVals, res.roots[r]));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// FrameCache: a delta equal to a stored one, node for node and root for
+// root, replays the stored sweep exactly; any other delta is swept afresh.
+// ---------------------------------------------------------------------------
+
+/// A BMC-shaped unrolling: frame t reads frame t-1's state word and a
+/// fresh input word.  Returns each frame's roots (observation, next state).
+/// The observation adds s and x two ways, a pair only the sweep can merge.
+std::vector<std::vector<Lit>> unrollFrames(Aig& g, int numFrames) {
+  ir::Context ctx;
+  ir::NodeRef sv = ctx.input("s", 8);
+  ir::NodeRef xv = ctx.input("x", 8);
+  ir::NodeRef next = ctx.add(ctx.mul(sv, ctx.constantUint(8, 3)), xv);
+  ir::NodeRef obs = ctx.bitXor(ctx.add(sv, xv), ctx.sub(sv, ctx.neg(xv)));
+  Word state;
+  {
+    BitBlaster b(g);
+    state = b.freshWord(8, "s0");
+  }
+  std::vector<std::vector<Lit>> frames;
+  for (int t = 0; t < numFrames; ++t) {
+    BitBlaster b(g);
+    b.bindScalar(sv, state);
+    b.bindScalar(xv, b.freshWord(8, "x" + std::to_string(t)));
+    const Word o = b.blast(obs);
+    state = b.blast(next);
+    frames.emplace_back(o.begin(), o.end());
+    frames.back().insert(frames.back().end(), state.begin(), state.end());
+  }
+  return frames;
+}
+
+TEST(FrameCache, IdenticalFramesCostIdenticalDeltas) {
+  // Every frame is the same shape, so every extend sweeps the same number
+  // of nodes — the session's cost is linear in the number of frames, not
+  // quadratic.
+  Aig g;
+  const auto frames = unrollFrames(g, 5);
+  Aig out;
+  FrameCache cache(FramePipeline{});
+  FrameCache::Session session(cache, out);
+  std::vector<FraigStats> perFrame;
+  for (const auto& f : frames)
+    perFrame.push_back(session.extend(g, f).stats.fraig);
+  ASSERT_GT(perFrame[0].nodesBefore, 0u);
+  for (const FraigStats& st : perFrame) {
+    EXPECT_EQ(st.nodesBefore, perFrame[0].nodesBefore);
+    EXPECT_EQ(st.nodesAfter, perFrame[0].nodesAfter);
+  }
+}
+
+/// Rebuilds the delta FrameCache::Session::extend will see for `roots` (the
+/// not-yet-mapped cone, with each distinct mapped frontier node as one
+/// input, in source id order) as a standalone graph `h`.  Returns the
+/// mapped roots in `h`; `targets` gets each input's literal in the
+/// session's output graph.
+std::vector<Lit> standaloneDelta(const Aig& src, const FrameCache::Result& m,
+                                 const std::vector<Lit>& roots, Aig& h,
+                                 std::vector<Lit>& targets) {
+  std::vector<bool> seen(src.numNodes(), false);
+  std::vector<std::uint32_t> nodes;
+  std::vector<std::uint32_t> stack;
+  for (const Lit r : roots) stack.push_back(nodeOf(r));
+  while (!stack.empty()) {
+    const std::uint32_t n = stack.back();
+    stack.pop_back();
+    if (seen[n]) continue;
+    seen[n] = true;
+    nodes.push_back(n);
+    if (m.isMapped(n << 1)) continue;
+    stack.push_back(nodeOf(src.fanin0(n)));
+    stack.push_back(nodeOf(src.fanin1(n)));
+  }
+  std::sort(nodes.begin(), nodes.end());
+  std::vector<Lit> local(src.numNodes(), kFalse);
+  std::map<std::uint32_t, Lit> inputOf;  // output node -> input of h
+  auto at = [&](Lit l) { return local[nodeOf(l)] ^ (l & 1u); };
+  for (const std::uint32_t n : nodes) {
+    if (!m.isMapped(n << 1)) {
+      local[n] = h.makeAnd(at(src.fanin0(n)), at(src.fanin1(n)));
+      continue;
+    }
+    const Lit t = m.map(n << 1);
+    if (nodeOf(t) == 0) {
+      local[n] = t;
+      continue;
+    }
+    auto [it, fresh] = inputOf.try_emplace(nodeOf(t), kFalse);
+    if (fresh) {
+      it->second = h.makeInput();
+      targets.push_back(t & ~1u);
+    }
+    local[n] = it->second ^ (t & 1u);
+  }
+  std::vector<Lit> out;
+  for (const Lit r : roots) out.push_back(at(r));
+  return out;
+}
+
+bool sameCounters(const FrameStats& a, const FrameStats& b) {
+  return a.fraig.nodesBefore == b.fraig.nodesBefore &&
+         a.fraig.nodesAfter == b.fraig.nodesAfter &&
+         a.fraig.mergedNodes == b.fraig.mergedNodes;
+}
+
+TEST(FrameCache, IdenticalFrameReplaysTheCacheExactly) {
+  // Frames 1 and 2 see the same delta, so frame 2 replays the cache, and
+  // what it appends must be exactly what a fresh sweep of that delta
+  // builds: the same nodes, the same roots, the same merge counts.
+  Aig g;
+  const auto frames = unrollFrames(g, 3);
+  Aig out;
+  FrameCache cache(FramePipeline{});
+  FrameCache::Session session(cache, out);
+  const FrameStats s0 = session.extend(g, frames[0]).stats;
+  const FrameStats s1 = session.extend(g, frames[1]).stats;
+  EXPECT_FALSE(s0.cacheHit);
+
+  // The reference: frame 2's delta as a fresh cache's first delta.
+  Aig h;
+  std::vector<Lit> targets;
+  const std::vector<Lit> hRoots =
+      standaloneDelta(g, session.result(), frames[2], h, targets);
+  Aig hOut;
+  FrameCache freshCache(FramePipeline{});
+  FrameCache::Session fresh(freshCache, hOut);
+  const FrameCache::Result& ref = fresh.extend(h, hRoots);
+  EXPECT_FALSE(ref.stats.cacheHit);
+  EXPECT_GT(ref.stats.fraig.mergedNodes, 0u);
+
+  const std::size_t before = out.numNodes();
+  const std::size_t entries = cache.size();
+  const FrameCache::Result& hit = session.extend(g, frames[2]);
+  EXPECT_TRUE(hit.stats.cacheHit);
+  EXPECT_EQ(cache.size(), entries);
+  EXPECT_EQ(hit.stats.fraig.satCalls, 0u);
+  EXPECT_TRUE(sameCounters(hit.stats, ref.stats));
+  EXPECT_TRUE(sameCounters(hit.stats, s1));
+
+  // Structure: replaying the reference's nodes through the pseudo-input
+  // targets must find every one already in place, in the same number.
+  std::vector<Lit> phi(hOut.numNodes(), kFalse);
+  ASSERT_EQ(hOut.numInputs(), targets.size());
+  for (std::size_t k = 0; k < targets.size(); ++k)
+    phi[hOut.inputs()[k]] = targets[k];
+  std::size_t refAnds = 0;
+  auto through = [&](Lit l) { return phi[nodeOf(l)] ^ (l & 1u); };
+  const std::size_t after = out.numNodes();
+  for (std::uint32_t n = 1; n < hOut.numNodes(); ++n) {
+    if (!hOut.isAndNode(n)) continue;
+    ++refAnds;
+    phi[n] = out.makeAnd(through(hOut.fanin0(n)), through(hOut.fanin1(n)));
+    ASSERT_GE(nodeOf(phi[n]), before) << "reference node " << n;
+  }
+  EXPECT_EQ(out.numNodes(), after);
+  EXPECT_EQ(after - before, refAnds);
+  ASSERT_EQ(hit.roots.size(), ref.roots.size());
+  for (std::size_t r = 0; r < ref.roots.size(); ++r)
+    EXPECT_EQ(hit.roots[r], through(ref.roots[r])) << "root " << r;
+
+  // And the whole session still computes every frame's roots.
+  std::mt19937_64 rng(0x3e30);
+  for (int sample = 0; sample < 2000; ++sample) {
+    const std::uint64_t bits = rng();
+    const auto srcVals = evalUnderBits(g, bits);
+    const auto outVals = evalUnderBits(out, bits);
+    for (const auto& f : frames)
+      for (const Lit r : f)
+        ASSERT_EQ(Aig::litValue(srcVals, r),
+                  Aig::litValue(outVals, session.result().map(r)));
+  }
+}
+
+/// A fixed 4-input cone: three roots over and/xor/mux shapes.  `variant`
+/// perturbs it in one place: 1 complements one fan-in, 2 complements one
+/// root, 3 creates the last input only after the first gates (the same
+/// gates, but the input sits at a different position in the delta).
+std::vector<Lit> fixedCone(Aig& g, int variant) {
+  std::array<Lit, 4> x{};
+  for (int i = 0; i < 3; ++i) x[static_cast<std::size_t>(i)] = g.makeInput();
+  if (variant != 3) x[3] = g.makeInput();
+  const Lit a = g.makeXor(x[0], x[1]);
+  const Lit b = g.makeAnd(x[1], variant == 1 ? negate(x[2]) : x[2]);
+  if (variant == 3) x[3] = g.makeInput();
+  const Lit c = g.makeMux(a, b, x[3]);
+  const Lit d = g.makeOr(c, g.makeAnd(x[0], x[3]));
+  return {c, variant == 2 ? negate(d) : d, g.makeXor(d, b)};
+}
+
+TEST(FrameCache, MissesOnAnyStructuralDifference) {
+  // Each variant has as many nodes and roots as the first cone; only an
+  // exact node-for-node, root-for-root match may replay it.
+  for (int variant = 0; variant <= 3; ++variant) {
+    Aig g;
+    const std::vector<Lit> first = fixedCone(g, 0);
+    const std::vector<Lit> second = fixedCone(g, variant);
+    Aig out;
+    FrameCache cache(FramePipeline{});
+    FrameCache::Session session(cache, out);
+    const FrameStats s0 = session.extend(g, first).stats;
+    const FrameStats s1 = session.extend(g, second).stats;
+    EXPECT_FALSE(s0.cacheHit);
+    EXPECT_EQ(s1.cacheHit, variant == 0) << "variant " << variant;
+    EXPECT_EQ(cache.size(), variant == 0 ? 1u : 2u) << "variant " << variant;
+    if (variant == 0) {
+      EXPECT_TRUE(sameCounters(s0, s1));
+    }
+    for (std::uint64_t bits = 0; bits < (1ULL << g.numInputs()); ++bits) {
+      const auto srcVals = evalUnderBits(g, bits);
+      const auto outVals = evalUnderBits(out, bits);
+      for (const auto& roots : {first, second})
+        for (const Lit r : roots)
+          ASSERT_EQ(Aig::litValue(srcVals, r),
+                    Aig::litValue(outVals, session.result().map(r)))
+              << "variant " << variant << " bits " << bits;
+    }
   }
 }
 

@@ -843,9 +843,6 @@ TEST(Resume, TuningOptionsEnterTheFingerprint) {
   sec::SecOptions noSeqConst = histo;
   noSeqConst.sliceOptions.seqConst = false;
   EXPECT_NE(fp(noSeqConst), ref);
-  sec::SecOptions rewriteTuned = histo;
-  rewriteTuned.rewriteOptions.cutsPerNode = 4;
-  EXPECT_NE(fp(rewriteTuned), ref);
   sec::SecOptions widened = histo;
   widened.invOptions.absintOptions.widenAfter = 2;
   EXPECT_NE(fp(widened), ref);

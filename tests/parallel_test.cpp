@@ -186,29 +186,6 @@ TEST(Portfolio, BuildIsDeterministicAndDiversified) {
   EXPECT_TRUE(sawFraigToggle);
 }
 
-TEST(Portfolio, RewriteJoinsTheToggleCycle) {
-  // Rewrite rides bit 3 of the member counter, so a portfolio must be wide
-  // enough to reach it; it defaults on in SecOptions, so the toggled
-  // members carry the :norewrite name.
-  sec::SecOptions base;
-  PortfolioOptions popts;
-  popts.members = 16;
-  popts.varyFraig = true;
-  const auto a = buildPortfolio(base, popts);
-  const auto b = buildPortfolio(base, popts);
-  ASSERT_EQ(a.size(), 16u);
-  bool sawNoRewrite = false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].name, b[i].name) << i;
-    EXPECT_EQ(a[i].options.rewrite, b[i].options.rewrite) << i;
-    if (!a[i].options.rewrite) {
-      sawNoRewrite = true;
-      EXPECT_NE(a[i].name.find(":norewrite"), std::string::npos) << a[i].name;
-    }
-  }
-  EXPECT_TRUE(sawNoRewrite);
-}
-
 // ----- The replay contract (acceptance criterion) ---------------------------
 
 TEST(Portfolio, WinnerReplaysBitIdenticalOnOneThread) {
@@ -237,16 +214,16 @@ TEST(Portfolio, WinnerReplaysBitIdenticalOnOneThread) {
             sec::deterministicCounters(w.result.stats));
 }
 
-TEST(Portfolio, WinnerReplaysBitIdenticalAcrossRewriteMembers) {
-  // A portfolio wide enough that some racers run with rewriting toggled
+TEST(Portfolio, WinnerReplaysBitIdenticalAcrossFraigMembers) {
+  // A portfolio wide enough that some racers run with sweeping toggled
   // off: whichever member wins, re-running its exact options serially must
-  // reproduce the verdict and the solver and rewrite telemetry
-  // bit-for-bit.
+  // reproduce the verdict and the solver and sweep telemetry bit-for-bit.
   ChecksumFixture f;
   sec::SecOptions base;
   base.boundTransactions = 2;
   PortfolioOptions popts;
-  popts.members = 18;
+  popts.members = 9;
+  popts.varyFraig = true;
   const auto members = buildPortfolio(base, popts);
   ParallelExecutor exec(4);
   const PortfolioOutcome out = racePortfolio(
@@ -386,9 +363,9 @@ TEST(ParallelRunner, PortfolioRecordsWinnerAndReplayFingerprint) {
   EXPECT_NE(json.find("\"portfolio_winner\":"), std::string::npos);
   EXPECT_NE(json.find("\"member_name\":"), std::string::npos);
   EXPECT_NE(json.find("\"workers\":4"), std::string::npos);
-  // The solver and rewrite telemetry travels with every attempt row.
+  // The solver and sweep telemetry travels with every attempt row.
   EXPECT_NE(json.find("\"sat_learnts\":"), std::string::npos);
-  EXPECT_NE(json.find("\"rewrite_saved_nodes\":"), std::string::npos);
+  EXPECT_NE(json.find("\"fraig_sat_calls\":"), std::string::npos);
 }
 
 TEST(ParallelRunner, PortfolioMemberFaultsAreIsolated) {

@@ -543,101 +543,14 @@ TEST(SecFraig, SweepMergesRegroupedAdderAndFoldsStats) {
   EXPECT_TRUE(sawShrink);
 }
 
-// --- DAG-aware rewriting (SecOptions::rewrite) ---------------------------
-//
-// The rewriter is purely structural and unconditional (no caller
-// constraints assumed), so its output is sound for BMC and induction
-// alike.  Still, it runs per-solve inside the miter — *after*
-// the unrolling graphs are built — so the recorded bmc/induction AIG sizes
-// must be bit-identical with it on and off, and every verdict must match.
-
-TEST(SecRewrite, VerdictsIdenticalAcrossFixturesWithRewriteOnAndOff) {
-  for (bool buggy : {false, true}) {
-    SecOptions on, off;
-    on.rewrite = true;
-    off.rewrite = false;
-    on.boundTransactions = off.boundTransactions = 2;
-    Fig1Fixture a(buggy), b(buggy);
-    SecResult ron = checkEquivalence(*a.problem, on);
-    SecResult roff = checkEquivalence(*b.problem, off);
-    EXPECT_EQ(ron.verdict, roff.verdict);
-    EXPECT_EQ(ron.cex.has_value(), roff.cex.has_value());
-    // The rewrite never touches the unrolling graphs themselves, only the
-    // per-solve miter cone, so the recorded graph sizes cannot move.
-    EXPECT_EQ(ron.stats.bmcAigNodes, roff.stats.bmcAigNodes);
-    EXPECT_EQ(ron.stats.inductionAigNodes, roff.stats.inductionAigNodes);
-    EXPECT_EQ(roff.stats.rewriteApplied, 0u);
-    EXPECT_EQ(roff.stats.rewriteSavedNodes, 0u);
-  }
-}
-
-TEST(SecRewrite, FirShrinksMiterConeOverFifteenPercentWithSameVerdict) {
-  // The acceptance bar for the subsystem: fir's miter cones (delay-line
-  // muxing + accumulator compare) must shrink by more than 15% across the
-  // run with a bit-identical verdict.  Designs whose two sides hash-cons
-  // to the same structure (histo, gcd) have empty miter cones and nothing
-  // to rewrite — fir's sides genuinely differ.
-  SecOptions on, off;
-  on.rewrite = true;
-  off.rewrite = false;
-  on.boundTransactions = off.boundTransactions = 2;
-  ir::Context ctxOn, ctxOff;
-  designs::FirSecSetup a = designs::makeFirSecProblem(ctxOn, false);
-  designs::FirSecSetup b = designs::makeFirSecProblem(ctxOff, false);
-  SecResult ron = checkEquivalence(*a.problem, on);
-  SecResult roff = checkEquivalence(*b.problem, off);
-  EXPECT_EQ(ron.verdict, Verdict::kProvenEquivalent);
-  EXPECT_EQ(roff.verdict, Verdict::kProvenEquivalent);
-  EXPECT_GT(ron.stats.rewriteApplied, 0u);
-  EXPECT_GT(ron.stats.rewriteSavedNodes, 0u);
-  // fir's BMC cones collapse structurally; the real rewriting headroom is
-  // the induction miter (symbolic-start delay line vs accumulator compare).
-  std::size_t before = ron.stats.induction.rewriteNodesBefore;
-  std::size_t after = ron.stats.induction.rewriteNodesAfter;
-  EXPECT_LT(after, before);
-  for (const auto& ph : ron.stats.bmcTransactions) {
-    before += ph.rewriteNodesBefore;
-    after += ph.rewriteNodesAfter;
-  }
-  EXPECT_LT(after * 100, before * 85) << before << " -> " << after;
-  EXPECT_EQ(ron.stats.inductionAigNodes, roff.stats.inductionAigNodes);
-}
-
-TEST(SecRewrite, ComposesWithFraigAndAlone) {
-  // rewrite+fraig (the default), rewrite-only, fraig-only, neither: all
-  // four miter modes must agree on the verdict and find the same bug.
-  for (bool buggy : {false, true}) {
-    Verdict expected{};
-    bool first = true;
-    for (bool rw : {false, true}) {
-      for (bool fr : {false, true}) {
-        Fig1Fixture f(buggy);
-        SecOptions o{.boundTransactions = 2};
-        o.rewrite = rw;
-        o.fraig = fr;
-        SecResult r = checkEquivalence(*f.problem, o);
-        if (first) {
-          expected = r.verdict;
-          first = false;
-        }
-        EXPECT_EQ(r.verdict, expected) << "rewrite=" << rw << " fraig=" << fr;
-        if (buggy) {
-          EXPECT_TRUE(r.cex.has_value());
-        }
-      }
-    }
-  }
-}
-
 // --- The incremental miter ------------------------------------------------
 //
-// One solver, encoder, rewritten graph and swept graph serve a whole check;
-// each BMC depth rewrites and sweeps only the nodes it added.  Verdicts and
-// counterexample depths must not depend on the rewrite x fraig arm, the
-// sweep must never see an asserted fact, and its work is charged to the
-// phase budget.
+// One solver, encoder and swept graph serve a whole check; each BMC depth
+// sweeps only the nodes it added.  Verdicts and counterexamples must not
+// depend on the fraig arm, the sweep must never see an asserted fact, and
+// its work is charged to the phase budget.
 
-TEST(SecMiter, VerdictParityAcrossRewriteFraigArmsAndBounds) {
+TEST(SecMiter, VerdictParityAcrossFraigArmsAndBounds) {
   Fig1Fixture fig1Good(false), fig1Bug(true), fig1Masked(true);
   for (ir::NodeRef v : fig1Masked.problem->txnVars())
     fig1Masked.problem->addConstraint(
@@ -654,27 +567,24 @@ TEST(SecMiter, VerdictParityAcrossRewriteFraigArmsAndBounds) {
       {"later-txn", later.problem.get()}};
   for (const auto& [name, problem] : problems) {
     for (unsigned k = 1; k <= 4; ++k) {
-      std::optional<SecResult> ref;
-      for (const bool rw : {false, true}) {
-        for (const bool fr : {false, true}) {
-          SecOptions o{.boundTransactions = k};
-          o.rewrite = rw;
-          o.fraig = fr;
-          SecResult r = checkEquivalence(*problem, o);
-          // A cex only comes back after it replayed on both interpreters.
-          EXPECT_EQ(r.cex.has_value(), r.verdict == Verdict::kNotEquivalent);
-          if (!ref) {
-            ref = std::move(r);
-            continue;
-          }
-          EXPECT_EQ(r.verdict, ref->verdict)
-              << name << " k=" << k << " rewrite=" << rw << " fraig=" << fr;
-          if (r.cex && ref->cex) {
-            EXPECT_EQ(r.cex->failingTransaction, ref->cex->failingTransaction)
-                << name << " k=" << k << " rewrite=" << rw
-                << " fraig=" << fr;
-          }
-        }
+      SecOptions on{.boundTransactions = k};
+      SecOptions off = on;
+      off.fraig = false;
+      const SecResult ron = checkEquivalence(*problem, on);
+      const SecResult roff = checkEquivalence(*problem, off);
+      // A cex only comes back after it replayed on both interpreters.
+      for (const SecResult* r : {&ron, &roff})
+        EXPECT_EQ(r->cex.has_value(), r->verdict == Verdict::kNotEquivalent);
+      EXPECT_EQ(ron.verdict, roff.verdict) << name << " k=" << k;
+      // The sweep works on the miter deltas, never on the unrollings.
+      EXPECT_EQ(ron.stats.bmcAigNodes, roff.stats.bmcAigNodes) << name;
+      EXPECT_EQ(ron.stats.inductionAigNodes, roff.stats.inductionAigNodes)
+          << name;
+      if (ron.cex && roff.cex) {
+        EXPECT_EQ(ron.cex->failingTransaction, roff.cex->failingTransaction)
+            << name << " k=" << k;
+        EXPECT_EQ(ron.cex->check.slmOutput, roff.cex->check.slmOutput)
+            << name << " k=" << k;
       }
     }
   }
@@ -779,21 +689,19 @@ struct ConvWinFixture {
   }
 };
 
-TEST(SecMiter, IdenticalFramesRewriteIdenticalDeltas) {
+TEST(SecMiter, IdenticalFramesSweepIdenticalDeltas) {
   // conv_win's transactions unroll to same-shaped frames, so each BMC
-  // depth rewrites and sweeps the same number of new nodes: the miter's
-  // preprocessing is linear in the bound, not quadratic.
+  // depth sweeps the same number of new nodes: the miter's preprocessing
+  // is linear in the bound, not quadratic.
   ConvWinFixture f;
   SecOptions o{.boundTransactions = 4, .tryInduction = false};
   SecResult r = checkEquivalence(*f.problem, o);
   EXPECT_EQ(r.verdict, Verdict::kBoundedEquivalent);
   ASSERT_EQ(r.stats.bmcTransactions.size(), 4u);
   const PhaseStats& first = r.stats.bmcTransactions[0];
-  EXPECT_GT(first.rewriteNodesBefore, 0u);
-  for (const PhaseStats& ph : r.stats.bmcTransactions) {
-    EXPECT_EQ(ph.rewriteNodesBefore, first.rewriteNodesBefore);
+  EXPECT_GT(first.fraigNodesBefore, 0u);
+  for (const PhaseStats& ph : r.stats.bmcTransactions)
     EXPECT_EQ(ph.fraigNodesBefore, first.fraigNodesBefore);
-  }
 }
 
 TEST(SecMiter, FrameCacheSweepsEachDistinctFrameOnce) {
@@ -820,8 +728,6 @@ TEST(SecMiter, FrameCacheSweepsEachDistinctFrameOnce) {
   }
   EXPECT_GE(r.stats.fraigMemoHits, 3u);
   EXPECT_GE(deterministicCounters(r.stats).at("fraig_memo_hits"), 3u);
-  // Every hit is one replay of both stages.
-  EXPECT_EQ(r.stats.rewriteMemoHits, r.stats.fraigMemoHits);
 }
 
 TEST(SecMiter, ExhaustedInductionSweepStillAssertsItsFacts) {
