@@ -610,6 +610,53 @@ TEST(FraigSession, DeltasPreserveSemanticsOfEveryRootSoFar) {
   }
 }
 
+TEST(RewriteSession, DeltasPreserveSemanticsOfEveryRootSoFar) {
+  // The session re-expresses each delta in the output graph.  Each step's
+  // gates may read any earlier literal, so deltas reach back into what
+  // earlier calls already swept; a starved sweep (one conflict per
+  // candidate) leaves pairs unresolved and must stay exact too.
+  FramePipeline starved;
+  starved.fraig.seed = 0x0dd5eedULL;
+  starved.fraig.candidateBudget = sat::Budget{/*maxConflicts=*/1, 0, 0.0};
+  for (const FramePipeline& pipe : {FramePipeline{}, starved}) {
+    std::mt19937_64 rng(0x5e55);
+    for (int iter = 0; iter < 15; ++iter) {
+      Aig g;
+      Aig out;
+      FrameCache cache(pipe);
+      FrameCache::Session session(cache, out);
+      std::vector<Lit> roots;
+      std::vector<Lit> pool = {kFalse, kTrue};
+      for (int step = 0; step < 3; ++step) {
+        for (int i = 0; i < 2; ++i) pool.push_back(g.makeInput());
+        const std::size_t firstNew = pool.size();
+        for (int i = 0; i < 30; ++i) {
+          const Lit a =
+              pool[rng() % pool.size()] ^ static_cast<Lit>(rng() & 1);
+          const Lit b =
+              pool[rng() % pool.size()] ^ static_cast<Lit>(rng() & 1);
+          pool.push_back((rng() & 1) ? g.makeAnd(a, b) : g.makeXor(a, b));
+        }
+        std::vector<Lit> fresh;
+        for (int i = 0; i < 3; ++i)
+          fresh.push_back(pool[firstNew + rng() % (pool.size() - firstNew)]);
+        const FrameCache::Result& res = session.extend(g, fresh);
+        ASSERT_EQ(res.roots.size(), fresh.size());
+        EXPECT_LE(res.stats.fraig.nodesAfter, res.stats.fraig.nodesBefore);
+        roots.insert(roots.end(), fresh.begin(), fresh.end());
+        for (std::uint64_t bits = 0; bits < (1ULL << g.numInputs()); ++bits) {
+          const auto srcVals = evalUnderBits(g, bits);
+          const auto outVals = evalUnderBits(out, bits);
+          for (const Lit r : roots)
+            ASSERT_EQ(Aig::litValue(srcVals, r),
+                      Aig::litValue(outVals, session.result().map(r)))
+                << "iter " << iter << " step " << step << " bits " << bits;
+        }
+      }
+    }
+  }
+}
+
 TEST(FraigSession, RunIsOneExtendOfAFreshSession) {
   // Every input is a root, so the session's first delta holds every input
   // in the source order and sweeps on the same stimulus as a direct run.

@@ -520,6 +520,31 @@ TEST(SecFraig, VerdictsIdenticalWithFraigOnAndOff) {
   }
 }
 
+TEST(SecRewrite, ComposesWithFraigAndAlone) {
+  // Structural aliasing rewrites the miter so both sides share state
+  // variables; the sweep then merges what became equal.  Aliasing+fraig
+  // (the default), aliasing-only, fraig-only, neither: all four miter
+  // modes must agree on the verdict and find the same bug.
+  for (bool buggy : {false, true}) {
+    std::optional<SecResult> ref;
+    for (bool alias : {false, true}) {
+      for (bool fr : {false, true}) {
+        Fig1Fixture f(buggy);
+        SecOptions o{.boundTransactions = 2};
+        o.structuralAliasing = alias;
+        o.fraig = fr;
+        SecResult r = checkEquivalence(*f.problem, o);
+        if (!ref) ref = r;
+        EXPECT_EQ(r.verdict, ref->verdict) << "alias=" << alias
+                                           << " fraig=" << fr;
+        EXPECT_EQ(r.verdict, buggy ? Verdict::kNotEquivalent
+                                   : Verdict::kProvenEquivalent);
+        EXPECT_EQ(r.cex.has_value(), buggy);
+      }
+    }
+  }
+}
+
 TEST(SecFraig, SweepMergesRegroupedAdderAndFoldsStats) {
   RegroupedAddFixture f;
   SecOptions on, off;
