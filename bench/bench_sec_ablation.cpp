@@ -110,10 +110,13 @@ void applyBudget(sec::SecOptions& o, const Case& c, bool smoke) {
   o.inductionBudget = o.bmcBudget;
 }
 
+/// Every conflict the phases spent: the budgeted sweep and solve work plus
+/// the unswept probes'.
 std::uint64_t conflictsUsed(const sec::SecStats& stats) {
-  std::uint64_t total = stats.induction.conflicts;
-  for (const auto& phase : stats.bmcTransactions) total += phase.conflicts;
-  return total;
+  std::uint64_t total = 0;
+  for (const auto& phase : stats.bmcTransactions)
+    total += phase.conflicts + phase.probeConflicts;
+  return total + stats.induction.conflicts + stats.induction.probeConflicts;
 }
 
 /// Sums a per-phase fraig field across BMC transactions + induction.
@@ -486,11 +489,13 @@ int main(int argc, char** argv) {
 
   // --- Part 1f: bound sweep -------------------------------------------------
   //
-  // The miter is one incremental pipeline: each BMC depth sweeps only the
-  // nodes its frame added, in a frame-local solver, and a
-  // delta equal to an earlier one (in BMC or induction) replays the check's
-  // frame cache, so the per-depth delta is constant and each distinct one is
-  // swept once; the per-depth rows show what still grows with the bound.  Each
+  // The miter sweeps on demand: each phase first runs a capped unswept
+  // probe, and the first probe that runs out moves the check to the sweep
+  // pipeline, where each BMC depth sweeps only the nodes its frame added, in
+  // a frame-local solver, and a delta equal to an earlier one (in BMC or
+  // induction) replays the check's frame cache, so the per-depth delta is
+  // constant and each distinct one is swept once; the per-depth rows show
+  // what still grows with the bound and what the probe spent.  Each
   // design runs at k = 1, 2, 4, 8 with the layers on (the default) and off
   // (fraig off, under a conflict + propagation cap that
   // reports INCONCLUSIVE where it binds — gcd_breakif's off arm needs ~733k
@@ -500,10 +505,15 @@ int main(int argc, char** argv) {
   // depths add identical deltas; a change to the unroller's node order
   // could otherwise turn the cache off silently), and makes no fraig SAT
   // call at depth >= 2 or in induction (every such delta repeats an earlier
-  // one, so a sweep there means a frame was swept twice).  The smoke run
-  // keeps only that gcd_breakif cell.
+  // one, so a sweep there means a frame was swept twice).  A second gate:
+  // conv_win's BMC makes no fraig SAT call at any bound up to k = 4 (its
+  // probe decides each of those depths, so a sweep there means the probe
+  // stopped deciding it; at k = 8 the unswept solve of depth 5 outgrows the
+  // probe cap and the check switches by design).  The smoke run keeps
+  // gcd_breakif at k = 4 and the other designs at k = 1, 2.
   unsigned memoRegressions = 0;
   unsigned sweepRegressions = 0;
+  unsigned probeRegressions = 0;
   {
     struct SweepCase {
       const char* name;
@@ -580,6 +590,17 @@ int main(int argc, char** argv) {
                     }) > 0;
         }
         const sec::SecResult& r = arms[1];
+        if (std::string(c.name) == "conv_win" && k <= kMemoBound) {
+          std::uint64_t calls = 0;
+          for (const sec::PhaseStats& p : r.stats.bmcTransactions)
+            calls += p.fraigSatCalls;
+          if (calls > 0) {
+            ++probeRegressions;
+            std::printf("  !! conv_win swept in BMC at k=%u: %llu fraig SAT "
+                        "calls, must be 0\n",
+                        k, static_cast<unsigned long long>(calls));
+          }
+        }
         if (gcd && k == kMemoBound) {
           gcdMemoHits = r.stats.fraigMemoHits;
           gcdLateSweepCalls = r.stats.induction.fraigSatCalls;
@@ -618,15 +639,20 @@ int main(int argc, char** argv) {
               .field("deltaNodes", p.fraigNodesBefore)
               .field("sweptNodes", p.fraigNodesAfter)
               .field("fraig_memo_hits", p.fraigMemoHits)
-              .field("fraig_sat_calls", p.fraigSatCalls);
+              .field("fraig_sat_calls", p.fraigSatCalls)
+              .field("probe_conflicts", p.probeConflicts)
+              .field("probe_propagations", p.probePropagations);
           if (k != detailBound) return;
-          char line[160];
+          char line[200];
           std::snprintf(line, sizeof line,
-                        "%-12s %5s %8.3f %8.3f %10zu %10zu %10llu %6llu",
+                        "%-12s %5s %8.3f %8.3f %10zu %10zu %10llu %6llu "
+                        "%8llu %9llu",
                         c.name, depth.c_str(), p.fraigTimeMs * 1e-3, p.seconds,
                         p.fraigNodesBefore, p.fraigNodesAfter,
                         static_cast<unsigned long long>(p.fraigMemoHits),
-                        static_cast<unsigned long long>(p.fraigSatCalls));
+                        static_cast<unsigned long long>(p.fraigSatCalls),
+                        static_cast<unsigned long long>(p.probeConflicts),
+                        static_cast<unsigned long long>(p.probePropagations));
           detail.emplace_back(line);
         };
         for (std::size_t t = 0; t < r.stats.bmcTransactions.size(); ++t)
@@ -649,21 +675,25 @@ int main(int argc, char** argv) {
     std::printf("\nper depth at k=%u, layers on (delta = AND nodes the "
                 "depth added to the miter):\n",
                 detailBound);
-    std::printf("%-12s %5s %8s %8s %10s %10s %10s %6s\n", "design", "depth",
-                "fraig(s)", "solve(s)", "delta", "swept", "fraig_memo",
-                "calls");
+    std::printf("%-12s %5s %8s %8s %10s %10s %10s %6s %8s %9s\n", "design",
+                "depth", "fraig(s)", "solve(s)", "delta", "swept",
+                "fraig_memo", "calls", "probe_c", "probe_p");
     for (const std::string& line : detail) std::printf("%s\n", line.c_str());
     if (gcdMemoHits == 0) ++memoRegressions;
     if (gcdLateSweepCalls > 0) ++sweepRegressions;
     std::printf("(verdict and failing-transaction parity are part of the "
                 "mismatch count above; swept = delta AND nodes left after\n"
                 " merging, fraig_memo = sweeps replayed from the frame "
-                "cache, calls = fraig SAT calls;\n gcd_breakif at k=%u "
+                "cache, calls = fraig SAT calls,\n probe_c/probe_p = the "
+                "unswept probe's conflicts/propagations; delta and swept are "
+                "0 where the probe decided;\n gcd_breakif at k=%u "
                 "replayed %llu, must be > 0,\n"
                 " and made %llu fraig SAT calls at depth >= 2 and in "
-                "induction, must be 0)\n\n",
+                "induction, must be 0;\n conv_win BMC bounds <= %u that "
+                "swept: %u, must be 0)\n\n",
                 kMemoBound, static_cast<unsigned long long>(gcdMemoHits),
-                static_cast<unsigned long long>(gcdLateSweepCalls));
+                static_cast<unsigned long long>(gcdLateSweepCalls),
+                kMemoBound, probeRegressions);
   }
 
   // --- Part 2: strash reserve + hash mixing ---------------------------------
@@ -819,6 +849,7 @@ int main(int argc, char** argv) {
       .field("sliceRegressions", sliceRegressions)
       .field("memoRegressions", memoRegressions)
       .field("sweepRegressions", sweepRegressions)
+      .field("probeRegressions", probeRegressions)
       .field("slice_states_severed", severedTotal)
       .field("slice_seq_constants", seqConstantsTotal)
       .field("invRegressions", invRegressions)
@@ -827,7 +858,7 @@ int main(int argc, char** argv) {
   return report.write() && disagreements == 0 && verdictMismatches == 0 &&
                  sliceRegressions == 0 &&
                  invRegressions == 0 && memoRegressions == 0 &&
-                 sweepRegressions == 0
+                 sweepRegressions == 0 && probeRegressions == 0
              ? 0
              : 1;
 }

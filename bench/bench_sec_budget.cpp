@@ -87,10 +87,13 @@ struct Case {
   std::function<std::shared_ptr<sec::SecProblem>(ir::Context&)> make;
 };
 
+/// Every conflict the phases spent: the budgeted sweep and solve work plus
+/// the unswept probes'.
 std::uint64_t conflictsUsed(const sec::SecStats& stats) {
-  std::uint64_t total = stats.induction.conflicts;
-  for (const auto& phase : stats.bmcTransactions) total += phase.conflicts;
-  return total;
+  std::uint64_t total = 0;
+  for (const auto& phase : stats.bmcTransactions)
+    total += phase.conflicts + phase.probeConflicts;
+  return total + stats.induction.conflicts + stats.induction.probeConflicts;
 }
 
 const char* shortVerdict(sec::Verdict v) {

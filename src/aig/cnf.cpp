@@ -19,10 +19,10 @@ namespace dfv::aig {
 // for emitting up to half the clauses.
 
 sat::Var CnfEncoder::varForNode(std::uint32_t node) {
-  auto it = nodeVar_.find(node);
-  if (it != nodeVar_.end()) return it->second;
+  if (nodeVar_[node] >= 0) return nodeVar_[node];
   const sat::Var v = solver_.newVar();
-  nodeVar_.emplace(node, v);
+  nodeVar_[node] = v;
+  ++nodesEncoded_;
   if (node == 0) {
     // Constant-false node: pinned regardless of polarity bookkeeping.
     solver_.addClause(sat::Lit(v, true));
@@ -34,6 +34,8 @@ sat::Var CnfEncoder::varForNode(std::uint32_t node) {
 
 void CnfEncoder::require(std::uint32_t node, std::uint8_t polarity) {
   if (style_ == CnfStyle::kTseitin) polarity = kPos | kNeg;
+  nodeVar_.resize(aig_.numNodes(), -1);  // the graph may have grown
+  emitted_.resize(aig_.numNodes(), 0);
   // Worklist of (node, polarity-to-ensure).  Clause emission only needs the
   // fanin *variables* to exist (their own clauses arrive via the worklist),
   // so no readiness tracking is required; termination follows from the
@@ -42,8 +44,6 @@ void CnfEncoder::require(std::uint32_t node, std::uint8_t polarity) {
   while (!work.empty()) {
     const auto [n, want] = work.back();
     work.pop_back();
-    // NOTE: varForNode inserts into emitted_ for node 0, so never hold a
-    // reference into emitted_ across the calls below.
     const std::uint8_t missing =
         static_cast<std::uint8_t>(want & ~emitted_[n]);
     if (missing == 0) continue;
@@ -87,7 +87,7 @@ sat::Lit CnfEncoder::satLit(Lit l) {
   // The literal is being asserted/assumed true: its node is needed in
   // positive polarity if the literal is plain, negative if complemented.
   require(nodeOf(l), isComplemented(l) ? kNeg : kPos);
-  return sat::Lit(nodeVar_.at(nodeOf(l)), isComplemented(l));
+  return sat::Lit(nodeVar_[nodeOf(l)], isComplemented(l));
 }
 
 }  // namespace dfv::aig

@@ -24,7 +24,7 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 #include "aig/aig.h"
 #include "sat/solver.h"
@@ -62,8 +62,8 @@ class CnfEncoder {
   /// Clauses this encoder has added (telemetry: quantifies what the
   /// polarity analysis saves over two-sided Tseitin).
   std::uint64_t clausesEmitted() const { return clausesEmitted_; }
-  /// Nodes that have at least one emitted direction.
-  std::size_t nodesEncoded() const { return nodeVar_.size(); }
+  /// Nodes that have a SAT variable.
+  std::size_t nodesEncoded() const { return nodesEncoded_; }
 
  private:
   // Polarity bitmask per node: which directions have been emitted.
@@ -79,8 +79,10 @@ class CnfEncoder {
   const Aig& aig_;
   sat::Solver& solver_;
   CnfStyle style_;
-  std::unordered_map<std::uint32_t, sat::Var> nodeVar_;
-  std::unordered_map<std::uint32_t, std::uint8_t> emitted_;
+  // Per node id (AIG ids are dense), grown to the graph on demand.
+  std::vector<sat::Var> nodeVar_;       // -1 = no variable yet
+  std::vector<std::uint8_t> emitted_;  // directions emitted so far
+  std::size_t nodesEncoded_ = 0;
   std::uint64_t clausesEmitted_ = 0;
 };
 

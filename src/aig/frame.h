@@ -1,5 +1,9 @@
 // The miter pipeline between bit-blasting and CNF: each distinct frame
-// delta is swept once per check.
+// delta is swept once per check.  A check enters it on demand: the SEC
+// miter (sec/engine.cpp) solves its phases on the plain unrolling until a
+// capped probe runs out, then opens a Session and extends it with every
+// earlier solve's roots in order before going on, so the cache sees the
+// same deltas as a check swept from its first solve.
 //
 // A BMC unrolling grows one frame per depth, and each solve adds the cone of
 // its new facts and query: the *delta*, cut off at source nodes an earlier

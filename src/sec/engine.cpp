@@ -24,10 +24,11 @@ const char* verdictName(Verdict v) {
 
 std::map<std::string, std::uint64_t> deterministicCounters(
     const SecStats& s) {
-  std::uint64_t propagations = s.induction.propagations;
+  std::uint64_t propagations =
+      s.induction.propagations + s.induction.probePropagations;
   std::uint64_t learnts = s.induction.learntClauses;
   for (const PhaseStats& p : s.bmcTransactions) {
-    propagations += p.propagations;
+    propagations += p.propagations + p.probePropagations;
     learnts += p.learntClauses;
   }
   return {
@@ -274,9 +275,12 @@ class Unroller {
 
 /// Runs one budgeted solve and folds its cost into `phase` (several solves
 /// may share one phase entry, e.g. the vacuity check and transaction 0).
+/// A probe's conflicts and propagations land in the probe counters, and its
+/// kUnknown is not the phase's: the phase goes on to sweep.
 sat::Result solveIntoPhase(sat::Solver& solver,
                            const std::vector<sat::Lit>& assumptions,
-                           const sat::Budget& budget, PhaseStats& phase) {
+                           const sat::Budget& budget, PhaseStats& phase,
+                           bool probe = false) {
   const sat::SolverStats before = solver.stats();
   const auto t0 = std::chrono::steady_clock::now();
   const sat::Result r = solver.solve(assumptions, budget);
@@ -284,13 +288,15 @@ sat::Result solveIntoPhase(sat::Solver& solver,
   phase.seconds +=
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  phase.conflicts += after.conflicts - before.conflicts;
+  (probe ? phase.probeConflicts : phase.conflicts) +=
+      after.conflicts - before.conflicts;
+  (probe ? phase.probePropagations : phase.propagations) +=
+      after.propagations - before.propagations;
   phase.decisions += after.decisions - before.decisions;
-  phase.propagations += after.propagations - before.propagations;
   phase.restarts += after.restarts - before.restarts;
   phase.learntClauses += after.learntClauses - before.learntClauses;
   phase.deletedClauses += after.deletedClauses - before.deletedClauses;
-  if (r == sat::Result::kUnknown) phase.budgetExhausted = true;
+  if (r == sat::Result::kUnknown && !probe) phase.budgetExhausted = true;
   return r;
 }
 
@@ -310,18 +316,32 @@ sat::Budget drainBudget(sat::Budget b, std::uint64_t conflicts,
   return b;
 }
 
+/// Propagations an unswept probe may spend before its check moves to the
+/// sweep pipeline (the phase's own caps bind too).  DESIGN.md §13 has the
+/// measured cap table.
+constexpr std::int64_t kProbePropagations = 300000;
+
 /// The solver interface the engine drives: one incremental pipeline for the
-/// whole check.  The miter keeps one sat::Solver and one CnfEncoder over a
-/// persistent output graph, and an aig::FrameCache::Session mapping the
-/// unrolling into it.  Each solve() takes the facts asserted since the
-/// previous solve plus its query, and hands only their not-yet-mapped cone
-/// — the nodes the unrolling gained since then — to the session, which
-/// sweeps that delta in a frame-local solver, or replays the result from
-/// the check's cache when an equal delta was swept before.  The miter then
-/// clausifies only what is new on its one solver, keeping every learnt
-/// clause.  With fraig off the encoder works on the unrolling graph
-/// directly.  Model extraction maps unrolling-graph literals through the
-/// session's map, so counterexamples are exact.
+/// whole check, in one of two modes.
+///
+/// *Unswept*: one sat::Solver and one CnfEncoder over the unrolling graph.
+/// Each solve() clausifies the facts asserted since the previous solve and
+/// solves its query there.  With fraig off that solve is the phase's; with
+/// fraig on it is a probe capped at kProbePropagations, charged to the
+/// probe counters and not to the phase budget.
+///
+/// *Swept*: the first probe that comes back kUnknown moves the check here
+/// for good.  The unswept solver is dropped, and a fresh solver and encoder
+/// work on a persistent output graph that an aig::FrameCache::Session maps
+/// the unrolling into.  Every earlier solve's facts and query are replayed
+/// into the session in order, so the frame cache sees the same deltas as a
+/// check swept from the start.  Each solve then hands the not-yet-mapped
+/// cone of its facts and query to the session, which sweeps that delta in a
+/// frame-local solver, or replays it from the check's cache when an equal
+/// delta was swept before, and clausifies only what is new.  A miter whose
+/// check already holds swept frames (the induction miter after BMC
+/// switched) starts swept.  Model extraction maps unrolling-graph literals
+/// through the session's map, so counterexamples are exact.
 ///
 /// No sweep ever runs on the miter's solver, so facts (constraints,
 /// certified invariants, "outputs equal at depth t") are plain units.
@@ -329,8 +349,13 @@ class Miter {
  public:
   /// `cache` is null exactly when fraig is off.
   Miter(aig::Aig& g, const SecOptions& options, aig::FrameCache* cache)
-      : g_(g), solver_(options.solver), enc_(cache ? out_ : g, solver_) {
-    if (cache != nullptr) frames_.emplace(*cache, out_);
+      : g_(g), solverOptions_(options.solver), cache_(cache) {
+    if (cache_ != nullptr && cache_->size() > 0) {
+      openSwept();
+    } else {
+      solver_.emplace(solverOptions_);
+      enc_.emplace(g_, *solver_);
+    }
   }
 
   /// Asserts `l` for every later solve (clausified by the next solve).
@@ -339,17 +364,40 @@ class Miter {
   /// Solves the accumulated assertions, assuming `query` unless it is
   /// aig::kTrue (the constraint-vacuity form of the question).  The sweep
   /// and the solve share `budget`; a sweep that spends it ends the phase
-  /// with kUnknown.
+  /// with kUnknown, after which the miter is not solved again.
   sat::Result solve(aig::Lit query, const sat::Budget& budget,
                     PhaseStats& phase) {
-    std::vector<aig::Lit> roots = std::move(pending_);
+    Group group{std::move(pending_), query};
     pending_.clear();
-    const std::size_t numFacts = roots.size();
-    if (query != aig::kTrue) roots.push_back(query);
-    sat::Budget solveBudget = budget;
-    bool swept = true;
-    if (frames_) {
-      const aig::FrameCache::Result& fr = frames_->extend(g_, roots, budget);
+    std::vector<Group> groups;  // to sweep: one, unless the check switches
+    if (!frames_) {
+      for (const aig::Lit f : group.facts) solver_->addClause(enc_->satLit(f));
+      std::vector<sat::Lit> assumptions;
+      if (query != aig::kTrue) assumptions.push_back(enc_->satLit(query));
+      if (cache_ == nullptr)
+        return solveIntoPhase(*solver_, assumptions, budget, phase);
+      sat::Budget probe = budget;
+      probe.maxPropagations =
+          budget.maxPropagations > 0
+              ? std::min(budget.maxPropagations, kProbePropagations)
+              : kProbePropagations;
+      history_.push_back(std::move(group));
+      const sat::Result r =
+          solveIntoPhase(*solver_, assumptions, probe, phase, /*probe=*/true);
+      if (r != sat::Result::kUnknown) return r;
+      openSwept();
+      groups.swap(history_);
+    } else {
+      groups.push_back(std::move(group));
+    }
+    // Sweep the groups in order under the phase budget, then solve the last
+    // one's query.
+    sat::Budget left = budget;
+    aig::Lit mappedQuery = aig::kTrue;
+    for (const Group& grp : groups) {
+      std::vector<aig::Lit> roots = grp.facts;
+      if (grp.query != aig::kTrue) roots.push_back(grp.query);
+      const aig::FrameCache::Result& fr = frames_->extend(g_, roots, left);
       const aig::FraigStats& fs = fr.stats.fraig;
       // Delta extraction, lookup and append count as sweep time.
       phase.fraigNodesBefore += fs.nodesBefore;
@@ -362,20 +410,18 @@ class Miter {
       phase.propagations += fs.propagations;
       sweepConflicts_ += fs.conflicts;
       sweepDecisions_ += fs.decisions;
-      swept = !fs.budgetExhausted;
-      solveBudget =
-          drainBudget(budget, fs.conflicts, fs.propagations, fs.seconds);
-      roots = fr.roots;
-    }
-    for (std::size_t i = 0; i < numFacts; ++i)
-      solver_.addClause(enc_.satLit(roots[i]));
-    if (!swept) {
-      phase.budgetExhausted = true;
-      return sat::Result::kUnknown;
+      left = drainBudget(left, fs.conflicts, fs.propagations, fs.seconds);
+      for (std::size_t i = 0; i < grp.facts.size(); ++i)
+        solver_->addClause(enc_->satLit(fr.roots[i]));
+      if (fs.budgetExhausted) {
+        phase.budgetExhausted = true;
+        return sat::Result::kUnknown;
+      }
+      if (grp.query != aig::kTrue) mappedQuery = fr.roots.back();
     }
     std::vector<sat::Lit> assumptions;
-    if (query != aig::kTrue) assumptions.push_back(enc_.satLit(roots.back()));
-    return solveIntoPhase(solver_, assumptions, solveBudget, phase);
+    if (query != aig::kTrue) assumptions.push_back(enc_->satLit(mappedQuery));
+    return solveIntoPhase(*solver_, assumptions, left, phase);
   }
 
   /// After kSat: the model value of an unrolling-graph literal.
@@ -384,24 +430,50 @@ class Miter {
       if (!frames_->result().isMapped(l)) return def;
       l = frames_->result().map(l);
     }
-    return solver_.modelValueOr(enc_.satLit(l), def);
+    return solver_->modelValueOr(enc_->satLit(l), def);
   }
 
-  /// Folds this miter's solver totals, and its frame-local sweep solvers',
-  /// into the run stats.
+  /// Folds this miter's solver totals — the probe solver's, the swept
+  /// solver's and the frame-local sweep solvers' — into the run stats.
   void foldInto(SecStats& stats) const {
-    const sat::SolverStats& ss = solver_.stats();
+    const sat::SolverStats& ss = solver_->stats();
     stats.satConflicts += ss.conflicts + sweepConflicts_;
     stats.satDecisions += ss.decisions + sweepDecisions_;
   }
 
  private:
+  /// One solve's root group: the facts asserted before it, then its query.
+  struct Group {
+    std::vector<aig::Lit> facts;
+    aig::Lit query;
+  };
+
+  /// Moves the miter to swept mode: drops the unswept solver (its totals
+  /// stay counted) before the swept one exists, so only one lives at a
+  /// time.
+  void openSwept() {
+    if (solver_) {
+      sweepConflicts_ += solver_->stats().conflicts;
+      sweepDecisions_ += solver_->stats().decisions;
+    }
+    enc_.reset();
+    solver_.reset();
+    solver_.emplace(solverOptions_);
+    frames_.emplace(*cache_, out_);
+    enc_.emplace(out_, *solver_);
+  }
+
   aig::Aig& g_;
-  aig::Aig out_;  // the swept graph (unused with fraig off)
-  sat::Solver solver_;
-  aig::CnfEncoder enc_;
-  std::optional<aig::FrameCache::Session> frames_;
+  sat::SolverOptions solverOptions_;
+  aig::FrameCache* cache_;
+  aig::Aig out_;  // the swept graph (swept mode only)
+  std::optional<sat::Solver> solver_;
+  std::optional<aig::CnfEncoder> enc_;
+  std::optional<aig::FrameCache::Session> frames_;  // set in swept mode
   std::vector<aig::Lit> pending_;  // facts asserted since the last solve
+  std::vector<Group> history_;     // unswept solves so far (fraig on)
+  // Work of solvers that are not solver_: the frame-local sweeps' and the
+  // dropped unswept solver's.
   std::uint64_t sweepConflicts_ = 0;
   std::uint64_t sweepDecisions_ = 0;
 };

@@ -60,14 +60,20 @@ struct Counterexample {
 
 /// Telemetry for one solver phase (one BMC transaction, or the inductive
 /// step): SAT-statistic deltas attributable to that phase's solve calls,
-/// plus their wall-clock time.  `seconds` is the main solves alone; the
-/// conflict and propagation counts also include the fraig sweep the phase
-/// ran first, since the phase budget pays for both.  The fraig counters
-/// cover the phase's delta: the miter nodes its facts and query added
-/// since the previous phase.  A delta replayed from the check's frame
-/// cache (aig/frame.h) reports the stored node counts and no SAT work.
-/// Populated whether or not the phase hit its budget, so an interrupted run
-/// still reports how far it got.
+/// plus their wall-clock time.  With fraig on, each phase of a check that
+/// has not switched to sweeping first runs a capped unswept probe (see
+/// SecOptions::fraig).  `conflicts` and `propagations` are the work the
+/// phase budget pays for: the fraig sweep plus the solve after it (or the
+/// one solve with fraig off); the probe's are in `probeConflicts` and
+/// `probePropagations`, outside the budget.  `seconds`, `decisions`,
+/// `restarts` and the clause counts cover every solve on the miter's
+/// solvers, probe included, and no sweep.  The fraig counters
+/// cover the phase's swept deltas: the miter nodes its facts and query
+/// added since the previous phase, plus, in the phase a check switches,
+/// the earlier phases' deltas it replays.  A delta replayed from the
+/// check's frame cache (aig/frame.h) reports the stored node counts and no
+/// SAT work.  Populated whether or not the phase hit its budget, so an
+/// interrupted run still reports how far it got.
 struct PhaseStats {
   double seconds = 0.0;
   std::uint64_t conflicts = 0;
@@ -76,6 +82,9 @@ struct PhaseStats {
   std::uint64_t restarts = 0;
   std::uint64_t learntClauses = 0;
   std::uint64_t deletedClauses = 0;
+  /// The unswept probe's work (zero with fraig off, or once swept).
+  std::uint64_t probeConflicts = 0;
+  std::uint64_t probePropagations = 0;
   /// The phase's sweep or a solve in it ran out of budget (kUnknown).
   bool budgetExhausted = false;
   /// SAT-sweeping cost/effect for this phase's delta (all zero when
@@ -198,18 +207,23 @@ struct SecOptions {
   /// exposed so bench_sec_ablation can quantify the optimization (see
   /// DESIGN.md §7).  Verdicts are identical either way.
   bool structuralAliasing = true;
-  /// SAT-sweep (fraig) the miter before every BMC and induction solve —
-  /// only the delta that solve adds, in a frame-local solver with the
-  /// delta's frontier free: seeded random simulation proposes candidate
-  /// equivalence classes, incremental SAT proves or refutes them, and
-  /// proven-equal nodes are merged before the main solver sees the formula
-  /// (see aig/fraig.h, aig/frame.h and DESIGN.md).  Each distinct delta is
-  /// swept once per check; a repeat, in BMC or induction, replays the
-  /// stored sweep.  Sweep proofs are charged to the phase budget.  Composes
-  /// with structuralAliasing: aliasing makes the two sides share state
-  /// variables, fraiging then proves and merges the internal points that
-  /// became semantically equal.  Only unconditional equivalences are
-  /// merged, so verdicts are identical either way.
+  /// SAT-sweep (fraig) the miter on demand.  Each check first solves every
+  /// BMC and induction phase on the plain unrolling, as a probe capped at
+  /// a fixed number of propagations (and the phase's own caps).  The first
+  /// probe that runs out moves the check to the sweep pipeline for good:
+  /// from then on each solve sweeps only the delta it adds, in a
+  /// frame-local solver with the delta's frontier free — seeded random
+  /// simulation proposes candidate equivalence classes, incremental SAT
+  /// proves or refutes them, and proven-equal nodes are merged before the
+  /// main solver sees the formula (see aig/fraig.h, aig/frame.h and
+  /// DESIGN.md §13).  Each distinct delta is swept once per check; a
+  /// repeat, in BMC or induction, replays the stored sweep.  Sweep proofs
+  /// and the solve after them are charged to the phase budget; the probe is
+  /// not.  Composes with structuralAliasing: aliasing makes the two sides
+  /// share state variables, fraiging then proves and merges the internal
+  /// points that became semantically equal.  Only unconditional
+  /// equivalences are merged, so verdicts are identical either way.  Off,
+  /// each phase is one solve on the plain unrolling under the phase budget.
   bool fraig = true;
   /// Tuning for the fraig pass (seed, stimulus size, per-candidate budget).
   aig::FraigOptions fraigOptions{};
@@ -243,7 +257,8 @@ struct SecOptions {
   inv::Options invOptions{};
   /// Resource cap applied to each BMC solve (one per transaction, plus the
   /// constraint-vacuity check), shared with the fraig sweep that precedes
-  /// it.  Default-constructed = unlimited.  When a BMC solve or its sweep
+  /// it; the unswept probe runs under these caps too but does not draw on
+  /// them.  Default-constructed = unlimited.  When a BMC solve or its sweep
   /// is cut off the engine stops and returns kInconclusive — neither
   /// equivalence nor a counterexample is known at that depth.
   sat::Budget bmcBudget{};

@@ -10,10 +10,13 @@
 
 #include "designs/conv.h"
 #include "designs/fir.h"
+#include "designs/fpadd.h"
+#include "designs/gcd.h"
 #include "designs/histo.h"
 #include "designs/truncsum.h"
 #include "designs/wrapcnt.h"
 #include "rtl/lower.h"
+#include "rtl/mutate.h"
 #include "rtl/netlist.h"
 #include "slmc/elaborate.h"
 
@@ -462,24 +465,32 @@ TEST(SecEngine, CexOnLaterTransactionExercisesDepth) {
 /// (addition is associative modulo 2^9) but structurally distinct, so the
 /// miter does not collapse by strashing alone -- fraig has to prove the
 /// regrouped internal points equal.
+/// Adder width at which the unswept probe runs out on a regrouped adder
+/// miter (the plain solve needs about 526k propagations) while the sweep
+/// merges it with a few dozen SAT calls: a check on it switches to sweeping
+/// at its first phase.
+constexpr unsigned kProbeDefeatingWidth = 24;
+
+/// (a + b) + c against a + (b + c).  At the default 9 bits the unswept
+/// probe decides it; at kProbeDefeatingWidth only the sweep does.
 struct RegroupedAddFixture {
   ir::Context ctx;
   ir::TransitionSystem slm{ctx, "slm"};
   ir::TransitionSystem rtl{ctx, "rtl"};
   std::unique_ptr<SecProblem> problem;
 
-  RegroupedAddFixture() {
-    ir::NodeRef a = slm.addInput("s.a", 9);
-    ir::NodeRef b = slm.addInput("s.b", 9);
-    ir::NodeRef c = slm.addInput("s.c", 9);
+  explicit RegroupedAddFixture(unsigned width = 9) {
+    ir::NodeRef a = slm.addInput("s.a", width);
+    ir::NodeRef b = slm.addInput("s.b", width);
+    ir::NodeRef c = slm.addInput("s.c", width);
     slm.addOutput("out", ctx.add(ctx.add(a, b), c));
-    ir::NodeRef ra = rtl.addInput("r.a", 9);
-    ir::NodeRef rb = rtl.addInput("r.b", 9);
-    ir::NodeRef rc = rtl.addInput("r.c", 9);
+    ir::NodeRef ra = rtl.addInput("r.a", width);
+    ir::NodeRef rb = rtl.addInput("r.b", width);
+    ir::NodeRef rc = rtl.addInput("r.c", width);
     rtl.addOutput("out", ctx.add(ra, ctx.add(rb, rc)));
     problem = std::make_unique<SecProblem>(ctx, slm, 1, rtl, 1);
     for (const char* n : {"a", "b", "c"}) {
-      ir::NodeRef v = problem->declareTxnVar(n, 9);
+      ir::NodeRef v = problem->declareTxnVar(n, width);
       problem->bindInput(Side::kSlm, std::string("s.") + n, 0, v);
       problem->bindInput(Side::kRtl, std::string("r.") + n, 0, v);
     }
@@ -546,7 +557,8 @@ TEST(SecRewrite, ComposesWithFraigAndAlone) {
 }
 
 TEST(SecFraig, SweepMergesRegroupedAdderAndFoldsStats) {
-  RegroupedAddFixture f;
+  // Wide enough that the probe fails, so the check sweeps.
+  RegroupedAddFixture f(kProbeDefeatingWidth);
   SecOptions on, off;
   on.boundTransactions = off.boundTransactions = 1;
   on.fraig = true;
@@ -570,26 +582,315 @@ TEST(SecFraig, SweepMergesRegroupedAdderAndFoldsStats) {
 
 // --- The incremental miter ------------------------------------------------
 //
-// One solver, encoder and swept graph serve a whole check; each BMC depth
-// sweeps only the nodes it added.  Verdicts and counterexamples must not
-// depend on the fraig arm, the sweep must never see an asserted fact, and
-// its work is charged to the phase budget.
+// A check solves each phase on the plain unrolling first, as a probe
+// capped in propagations; the first probe that runs out moves the check to
+// the sweep pipeline for good, where one solver, encoder and swept graph
+// serve it and each BMC depth sweeps only the nodes it added.  Verdicts and
+// counterexamples must not depend on the fraig arm or on where a check
+// switched, the sweep must never see an asserted fact, and its work is
+// charged to the phase budget.
+
+/// SLM latches a 24-bit transaction word and outputs "the previous word was
+/// all ones" through a 23-gate AND tree; RTL outputs constant 0.  The
+/// constraint (top bit clear) makes the two agree, so the tree is false
+/// under the facts asserted at depth 0 — but not unconditionally.
+///
+/// With `hardFirstTxn`, both sides also output a regrouped adder of
+/// kProbeDefeatingWidth bits in the first transaction only (a reset flag
+/// gates it to 0 afterwards): depth 0's probe runs out and the check
+/// switches to sweeping, while depth 1's delta is the AND tree alone.
+struct LatchedAllOnesFixture {
+  ir::Context ctx;
+  ir::TransitionSystem slm{ctx, "slm"};
+  ir::TransitionSystem rtl{ctx, "rtl"};
+  std::unique_ptr<SecProblem> problem;
+
+  explicit LatchedAllOnesFixture(bool hardFirstTxn = false) {
+    ir::NodeRef sx = slm.addInput("s.x", 24);
+    ir::NodeRef s = slm.addState("s.last", 24, 0);
+    slm.setNext(s, sx);
+    slm.addOutput("y", ctx.eq(s, ctx.constantUint(24, 0xffffff)));
+    rtl.addInput("r.x", 24);
+    rtl.addOutput("y", ctx.zero(1));
+    if (hardFirstTxn) {
+      const unsigned w = kProbeDefeatingWidth;
+      auto addFirstTxnSum = [&](ir::TransitionSystem& ts, const char* p,
+                                bool leftGrouped) {
+        ir::NodeRef a = ts.addInput(std::string(p) + "a", w);
+        ir::NodeRef b = ts.addInput(std::string(p) + "b", w);
+        ir::NodeRef c = ts.addInput(std::string(p) + "c", w);
+        ir::NodeRef first = ts.addState(std::string(p) + "first", 1, 1);
+        ts.setNext(first, ctx.zero(1));
+        ir::NodeRef sum = leftGrouped ? ctx.add(ctx.add(a, b), c)
+                                      : ctx.add(a, ctx.add(b, c));
+        ts.addOutput("z", ctx.mux(first, sum, ctx.zero(w)));
+      };
+      addFirstTxnSum(slm, "s.", true);
+      addFirstTxnSum(rtl, "r.", false);
+    }
+    problem = std::make_unique<SecProblem>(ctx, slm, 1, rtl, 1);
+    ir::NodeRef v = problem->declareTxnVar("x", 24);
+    problem->bindInput(Side::kSlm, "s.x", 0, v);
+    problem->bindInput(Side::kRtl, "r.x", 0, v);
+    // A single literal after blasting: the constraint adds no AND nodes.
+    problem->addConstraint(ctx.eq(ctx.extract(v, 23, 23), ctx.zero(1)));
+    problem->checkOutputs("y", 0, "y", 0);
+    if (hardFirstTxn) {
+      for (const char* n : {"a", "b", "c"}) {
+        ir::NodeRef t = problem->declareTxnVar(n, kProbeDefeatingWidth);
+        problem->bindInput(Side::kSlm, std::string("s.") + n, 0, t);
+        problem->bindInput(Side::kRtl, std::string("r.") + n, 0, t);
+      }
+      problem->checkOutputs("z", 0, "z", 0);
+    }
+  }
+};
+
+TEST(SecMiter, SweepNeverMergesUnderAssertedFacts) {
+  // Depth 1's only new cone is the AND tree over the depth-0 word.  Random
+  // stimulus never sets all 24 bits, so the tree sits in constant-false's
+  // class; with the depth-0 constraint visible, the proof would succeed and
+  // the miter root would collapse to false.  The sweep runs in a
+  // frame-local solver that holds no facts, so the proof is refuted and
+  // the tree stays in the swept graph (the main solve, which holds the
+  // facts, still proves the depth clean).  The first transaction's wide
+  // adder makes the check sweep from depth 0 on.
+  LatchedAllOnesFixture f(/*hardFirstTxn=*/true);
+  SecOptions o{.boundTransactions = 2, .tryInduction = false};
+  o.invariants = false;
+  SecResult r = checkEquivalence(*f.problem, o);
+  EXPECT_EQ(r.verdict, Verdict::kBoundedEquivalent);
+  ASSERT_EQ(r.stats.bmcTransactions.size(), 2u);
+  ASSERT_GT(r.stats.bmcTransactions[0].fraigSatCalls, 0u)
+      << "depth 0's probe decided: the check never swept";
+  const PhaseStats& depth1 = r.stats.bmcTransactions[1];
+  EXPECT_GT(depth1.fraigSatCalls, 0u);
+  EXPECT_GT(depth1.fraigNodesAfter, 0u)
+      << "the sweep merged the depth-1 miter under an asserted fact";
+}
+
+TEST(SecMiter, SweepWorkIsChargedToThePhaseBudget) {
+  // The regrouped adders merge only through SAT proofs.  A one-conflict
+  // phase cap is below what the sweep needs: the phase must end
+  // inconclusive with its sweep conflicts recorded, not run the sweep
+  // uncapped and report a decided verdict.  The adder is wide enough that
+  // the probe (capped at one conflict here, and outside the phase budget)
+  // does not decide it first.
+  RegroupedAddFixture f(kProbeDefeatingWidth);
+  SecOptions o{.boundTransactions = 1};
+  const SecResult free = checkEquivalence(*f.problem, o);
+  ASSERT_EQ(free.verdict, Verdict::kProvenEquivalent);
+  ASSERT_GT(free.stats.bmcTransactions[0].conflicts, 1u);
+  o.bmcBudget.maxConflicts = 1;
+  const SecResult capped = checkEquivalence(*f.problem, o);
+  EXPECT_EQ(capped.verdict, Verdict::kInconclusive);
+  ASSERT_EQ(capped.stats.bmcTransactions.size(), 1u);
+  const PhaseStats& phase = capped.stats.bmcTransactions[0];
+  EXPECT_TRUE(phase.budgetExhausted);
+  EXPECT_EQ(phase.conflicts, 1u);
+  EXPECT_GT(phase.fraigSatCalls, 0u);
+  EXPECT_LE(phase.probeConflicts, 1u);
+}
+
+/// conv_win: the sharpen kernel's SLM against its RTL window (or a mutant
+/// of it), one pixel per transaction.
+struct ConvWinFixture {
+  ir::Context ctx;
+  slmc::Elaboration slm;
+  ir::TransitionSystem rtl;
+  std::unique_ptr<SecProblem> problem;
+
+  explicit ConvWinFixture(const rtl::Module& rtlModule =
+                              designs::makeConvWindowRtl(
+                                  designs::ConvKernel::sharpen()))
+      : slm(slmc::elaborate(
+            designs::makeConvWindowSlm(designs::ConvKernel::sharpen()), ctx,
+            "s.")),
+        rtl(rtl::lowerToTransitionSystem(rtlModule, ctx, "r.")) {
+    DFV_CHECK(slm.ok);
+    problem = std::make_unique<SecProblem>(ctx, *slm.ts, 1, rtl, 1);
+    for (unsigned i = 0; i < 9; ++i) {
+      const std::string n = "p" + std::to_string(i);
+      ir::NodeRef v = problem->declareTxnVar(n, 8);
+      problem->bindInput(Side::kSlm, "s." + n, 0, v);
+      problem->bindInput(Side::kRtl, "r." + n, 0, v);
+    }
+    problem->checkOutputs("ret", 0, "pix", 0);
+  }
+};
+
+TEST(SecMiter, ProbeDecidesConvWinWithoutSweeping) {
+  // conv_win at bound 1 is settled by the unswept probe: no fraig SAT call
+  // and no frame-cache replay anywhere in the check.  Its single-edit RTL
+  // mutants are refuted by the probe too, except the few whose plain solve
+  // needs more propagations than the probe may spend; those switch and
+  // sweep.  Either way the verdict, failing transaction and failing output
+  // are the ones the fraig-off run finds (a counterexample only comes back
+  // after it replayed on both interpreters).
+  const rtl::Module golden =
+      designs::makeConvWindowRtl(designs::ConvKernel::sharpen());
+  const std::size_t sites = rtl::countMutationSites(golden);
+  ASSERT_GT(sites, 0u);
+  unsigned probeRefuted = 0;
+  for (std::size_t i = 0; i <= sites; ++i) {
+    const bool isGolden = i == sites;
+    const rtl::Module m = isGolden ? golden : rtl::mutate(golden, i)->module;
+    ConvWinFixture f(m);
+    SecOptions on{.boundTransactions = 1};
+    SecOptions off = on;
+    off.fraig = false;
+    const SecResult ron = checkEquivalence(*f.problem, on);
+    const SecResult roff = checkEquivalence(*f.problem, off);
+    if (isGolden) {
+      EXPECT_EQ(ron.verdict, Verdict::kProvenEquivalent);
+      EXPECT_EQ(ron.stats.fraigSatCalls, 0u);
+      EXPECT_EQ(ron.stats.fraigMemoHits, 0u);
+    }
+    EXPECT_EQ(ron.verdict, roff.verdict) << "mutant " << i;
+    ASSERT_EQ(ron.cex.has_value(), roff.cex.has_value()) << "mutant " << i;
+    EXPECT_EQ(ron.cex.has_value(), ron.verdict == Verdict::kNotEquivalent);
+    EXPECT_EQ(ron.stats.bmcAigNodes, roff.stats.bmcAigNodes);
+    EXPECT_EQ(ron.stats.inductionAigNodes, roff.stats.inductionAigNodes);
+    if (!ron.cex) continue;
+    if (ron.stats.fraigSatCalls == 0) ++probeRefuted;
+    EXPECT_EQ(ron.cex->failingTransaction, roff.cex->failingTransaction);
+    EXPECT_EQ(ron.cex->check.slmOutput, roff.cex->check.slmOutput);
+    EXPECT_EQ(ron.cex->check.rtlOutput, roff.cex->check.rtlOutput);
+  }
+  EXPECT_GT(probeRefuted, 0u);
+}
+
+TEST(SecMiter, IdenticalFramesSweepIdenticalDeltas) {
+  // gcd_breakif's transactions unroll to same-shaped frames, so each BMC
+  // depth sweeps the same number of new nodes: the miter's preprocessing
+  // is linear in the bound, not quadratic.  (Its probe runs out at depth
+  // 0, so the check sweeps every depth.)
+  ir::Context ctx;
+  designs::GcdSecSetup s = designs::makeGcdBreakIfSecProblem(ctx);
+  SecOptions o{.boundTransactions = 4, .tryInduction = false};
+  SecResult r = checkEquivalence(*s.problem, o);
+  EXPECT_EQ(r.verdict, Verdict::kBoundedEquivalent);
+  ASSERT_EQ(r.stats.bmcTransactions.size(), 4u);
+  const PhaseStats& first = r.stats.bmcTransactions[0];
+  EXPECT_GT(first.fraigNodesBefore, 0u);
+  for (const PhaseStats& ph : r.stats.bmcTransactions)
+    EXPECT_EQ(ph.fraigNodesBefore, first.fraigNodesBefore);
+}
+
+TEST(SecMiter, FrameCacheSweepsEachDistinctFrameOnce) {
+  // From depth 2 on every BMC delta equals an earlier one, and the
+  // induction step is one more copy of the same frame: all of them replay
+  // the check's frame cache with no sweep SAT call, and report the stored
+  // merge count.
+  ir::Context ctx;
+  designs::GcdSecSetup s = designs::makeGcdBreakIfSecProblem(ctx);
+  SecOptions o{.boundTransactions = 4, .tryInduction = true};
+  SecResult r = checkEquivalence(*s.problem, o);
+  EXPECT_EQ(r.verdict, Verdict::kProvenEquivalent);
+  ASSERT_EQ(r.stats.bmcTransactions.size(), 4u);
+  ASSERT_TRUE(r.stats.inductionAttempted);
+  std::vector<PhaseStats> phases = r.stats.bmcTransactions;
+  phases.push_back(r.stats.induction);
+  EXPECT_GT(phases[0].fraigSatCalls, 0u);
+  EXPECT_GT(phases[0].fraigMergedNodes, 0u);
+  for (std::size_t i = 0; i < phases.size(); ++i) {
+    EXPECT_EQ(phases[i].fraigMergedNodes, phases[0].fraigMergedNodes)
+        << "phase " << i;
+    if (i < 2) continue;
+    EXPECT_EQ(phases[i].fraigSatCalls, 0u) << "phase " << i;
+    EXPECT_EQ(phases[i].fraigMemoHits, 1u) << "phase " << i;
+  }
+  EXPECT_GE(r.stats.fraigMemoHits, 3u);
+  EXPECT_GE(deterministicCounters(r.stats).at("fraig_memo_hits"), 3u);
+}
+
+TEST(SecMiter, HardFrameSwitchesAtDepthZeroAndSweepsAsAlways) {
+  // gcd_breakif's depth-0 probe runs out, so the check switches there and
+  // sweeps exactly what an always-swept check sweeps: 4249 SAT calls over
+  // a 20404-node delta at depth 0, then cache replays with no SAT call at
+  // every later depth and in induction, which starts swept because the
+  // check's cache already holds the frame.  Once switched, no phase
+  // probes again.
+  ir::Context ctx;
+  designs::GcdSecSetup s = designs::makeGcdBreakIfSecProblem(ctx);
+  const SecResult r =
+      checkEquivalence(*s.problem, {.boundTransactions = 4});
+  EXPECT_EQ(r.verdict, Verdict::kProvenEquivalent);
+  ASSERT_EQ(r.stats.bmcTransactions.size(), 4u);
+  const PhaseStats& d0 = r.stats.bmcTransactions[0];
+  EXPECT_GT(d0.probePropagations, 0u);
+  EXPECT_EQ(d0.fraigSatCalls, 4249u);
+  EXPECT_EQ(d0.fraigNodesBefore, 20404u);
+  EXPECT_EQ(d0.fraigMemoHits, 0u);
+  std::vector<PhaseStats> later(r.stats.bmcTransactions.begin() + 1,
+                                r.stats.bmcTransactions.end());
+  later.push_back(r.stats.induction);
+  for (std::size_t i = 0; i < later.size(); ++i) {
+    EXPECT_EQ(later[i].fraigMemoHits, 1u) << "phase " << i + 1;
+    EXPECT_EQ(later[i].fraigSatCalls, 0u) << "phase " << i + 1;
+    EXPECT_EQ(later[i].probeConflicts, 0u) << "phase " << i + 1;
+    EXPECT_EQ(later[i].probePropagations, 0u) << "phase " << i + 1;
+  }
+}
+
+TEST(SecMiter, UndrainedProbeKeepsBudgetFrontierCellsProven) {
+  // The probe does not draw on the phase budget, so a cap the swept check
+  // proves under still proves after a failed probe: fpadd8_safe at 4096
+  // conflicts per phase (the SEC-BUDGET frontier), and gcd_breakif under
+  // the 3.2M-propagation caps of the resilience ladder's fraig rung.
+  {
+    ir::Context ctx;
+    designs::FpAddSecSetup s = designs::makeFpAddSecProblem(
+        ctx, fp::Format::minifloat(), /*constrainToSafeBand=*/true);
+    SecOptions o{.boundTransactions = 1};
+    o.bmcBudget.maxConflicts = 4096;
+    o.inductionBudget.maxConflicts = 4096;
+    EXPECT_EQ(checkEquivalence(*s.problem, o).verdict,
+              Verdict::kProvenEquivalent);
+  }
+  {
+    ir::Context ctx;
+    designs::GcdSecSetup s = designs::makeGcdBreakIfSecProblem(ctx);
+    SecOptions o{.boundTransactions = 4};
+    o.bmcBudget.maxPropagations = 3200000;
+    o.inductionBudget.maxPropagations = 3200000;
+    EXPECT_EQ(checkEquivalence(*s.problem, o).verdict,
+              Verdict::kProvenEquivalent);
+  }
+}
 
 TEST(SecMiter, VerdictParityAcrossFraigArmsAndBounds) {
+  // Every fixture of this file, fraig on and off, at bounds 1 to 4: the
+  // same verdict, failing transaction and failing output, and the same
+  // unrolling sizes.  The fixtures cover probe-decided checks and checks
+  // that switch to sweeping at their first phase.
   Fig1Fixture fig1Good(false), fig1Bug(true), fig1Masked(true);
   for (ir::NodeRef v : fig1Masked.problem->txnVars())
     fig1Masked.problem->addConstraint(
         fig1Masked.ctx.ult(v, fig1Masked.ctx.constantUint(8, 32)));
-  ChecksumFixture checksum;
-  RegroupedAddFixture regrouped;
+  SerialSumFixture serial, serialBug(/*buggyDropLastSample=*/true);
+  ChecksumFixture checksum, checksumInv;
+  checksumInv.problem->addCouplingInvariant(
+      checksumInv.ctx.eq(checksumInv.slm.findState("s.csum")->current,
+                         checksumInv.rtl.findState("r.csum")->current));
+  RegroupedAddFixture regrouped, regroupedWide(kProbeDefeatingWidth);
   LaterTxnDivergenceFixture later;
+  LatchedAllOnesFixture latched, latchedHard(/*hardFirstTxn=*/true);
+  ConvWinFixture conv;
   const std::vector<std::pair<const char*, const SecProblem*>> problems = {
       {"fig1", fig1Good.problem.get()},
       {"fig1-bug", fig1Bug.problem.get()},
       {"fig1-masked", fig1Masked.problem.get()},
+      {"serial-sum", serial.problem.get()},
+      {"serial-sum-bug", serialBug.problem.get()},
       {"checksum", checksum.problem.get()},
+      {"checksum-inv", checksumInv.problem.get()},
       {"regrouped", regrouped.problem.get()},
-      {"later-txn", later.problem.get()}};
+      {"regrouped-wide", regroupedWide.problem.get()},
+      {"later-txn", later.problem.get()},
+      {"latched", latched.problem.get()},
+      {"latched-hard", latchedHard.problem.get()},
+      {"conv-win", conv.problem.get()}};
   for (const auto& [name, problem] : problems) {
     for (unsigned k = 1; k <= 4; ++k) {
       SecOptions on{.boundTransactions = k};
@@ -610,6 +911,8 @@ TEST(SecMiter, VerdictParityAcrossFraigArmsAndBounds) {
             << name << " k=" << k;
         EXPECT_EQ(ron.cex->check.slmOutput, roff.cex->check.slmOutput)
             << name << " k=" << k;
+        EXPECT_EQ(ron.cex->check.rtlOutput, roff.cex->check.rtlOutput)
+            << name << " k=" << k;
       }
     }
   }
@@ -618,141 +921,6 @@ TEST(SecMiter, VerdictParityAcrossFraigArmsAndBounds) {
                                               .tryInduction = false})
                 .verdict,
             Verdict::kBoundedEquivalent);
-}
-
-/// SLM latches a 24-bit transaction word and outputs "the previous word was
-/// all ones" through a 23-gate AND tree; RTL outputs constant 0.  The
-/// constraint (top bit clear) makes the two agree, so the tree is false
-/// under the facts asserted at depth 0 — but not unconditionally.
-struct LatchedAllOnesFixture {
-  ir::Context ctx;
-  ir::TransitionSystem slm{ctx, "slm"};
-  ir::TransitionSystem rtl{ctx, "rtl"};
-  std::unique_ptr<SecProblem> problem;
-
-  LatchedAllOnesFixture() {
-    ir::NodeRef sx = slm.addInput("s.x", 24);
-    ir::NodeRef s = slm.addState("s.last", 24, 0);
-    slm.setNext(s, sx);
-    slm.addOutput("y", ctx.eq(s, ctx.constantUint(24, 0xffffff)));
-    rtl.addInput("r.x", 24);
-    rtl.addOutput("y", ctx.zero(1));
-    problem = std::make_unique<SecProblem>(ctx, slm, 1, rtl, 1);
-    ir::NodeRef v = problem->declareTxnVar("x", 24);
-    problem->bindInput(Side::kSlm, "s.x", 0, v);
-    problem->bindInput(Side::kRtl, "r.x", 0, v);
-    // A single literal after blasting: the constraint adds no AND nodes.
-    problem->addConstraint(ctx.eq(ctx.extract(v, 23, 23), ctx.zero(1)));
-    problem->checkOutputs("y", 0, "y", 0);
-  }
-};
-
-TEST(SecMiter, SweepNeverMergesUnderAssertedFacts) {
-  // Depth 1's only new cone is the AND tree over the depth-0 word.  Random
-  // stimulus never sets all 24 bits, so the tree sits in constant-false's
-  // class; with the depth-0 constraint visible, the proof would succeed and
-  // the miter root would collapse to false.  The sweep runs in a
-  // frame-local solver that holds no facts, so the proof is refuted and
-  // the tree stays in the swept graph (the main solve, which holds the
-  // facts, still proves the depth clean).
-  LatchedAllOnesFixture f;
-  SecOptions o{.boundTransactions = 2, .tryInduction = false};
-  o.invariants = false;
-  SecResult r = checkEquivalence(*f.problem, o);
-  EXPECT_EQ(r.verdict, Verdict::kBoundedEquivalent);
-  ASSERT_EQ(r.stats.bmcTransactions.size(), 2u);
-  const PhaseStats& depth1 = r.stats.bmcTransactions[1];
-  EXPECT_GT(depth1.fraigSatCalls, 0u);
-  EXPECT_GT(depth1.fraigNodesAfter, 0u)
-      << "the sweep merged the depth-1 miter under an asserted fact";
-}
-
-TEST(SecMiter, SweepWorkIsChargedToThePhaseBudget) {
-  // The regrouped adders merge only through SAT proofs.  A one-conflict
-  // phase cap is below what the sweep needs: the phase must end
-  // inconclusive with its sweep conflicts recorded, not run the sweep
-  // uncapped and report a decided verdict.
-  RegroupedAddFixture f;
-  SecOptions o{.boundTransactions = 1};
-  const SecResult free = checkEquivalence(*f.problem, o);
-  ASSERT_EQ(free.verdict, Verdict::kProvenEquivalent);
-  ASSERT_GT(free.stats.bmcTransactions[0].conflicts, 1u);
-  o.bmcBudget.maxConflicts = 1;
-  const SecResult capped = checkEquivalence(*f.problem, o);
-  EXPECT_EQ(capped.verdict, Verdict::kInconclusive);
-  ASSERT_EQ(capped.stats.bmcTransactions.size(), 1u);
-  const PhaseStats& phase = capped.stats.bmcTransactions[0];
-  EXPECT_TRUE(phase.budgetExhausted);
-  EXPECT_EQ(phase.conflicts, 1u);
-  EXPECT_GT(phase.fraigSatCalls, 0u);
-}
-
-/// conv_win: the sharpen kernel's SLM against its RTL window, one pixel
-/// per transaction.
-struct ConvWinFixture {
-  ir::Context ctx;
-  slmc::Elaboration slm;
-  ir::TransitionSystem rtl;
-  std::unique_ptr<SecProblem> problem;
-
-  ConvWinFixture()
-      : slm(slmc::elaborate(
-            designs::makeConvWindowSlm(designs::ConvKernel::sharpen()), ctx,
-            "s.")),
-        rtl(rtl::lowerToTransitionSystem(
-            designs::makeConvWindowRtl(designs::ConvKernel::sharpen()), ctx,
-            "r.")) {
-    DFV_CHECK(slm.ok);
-    problem = std::make_unique<SecProblem>(ctx, *slm.ts, 1, rtl, 1);
-    for (unsigned i = 0; i < 9; ++i) {
-      const std::string n = "p" + std::to_string(i);
-      ir::NodeRef v = problem->declareTxnVar(n, 8);
-      problem->bindInput(Side::kSlm, "s." + n, 0, v);
-      problem->bindInput(Side::kRtl, "r." + n, 0, v);
-    }
-    problem->checkOutputs("ret", 0, "pix", 0);
-  }
-};
-
-TEST(SecMiter, IdenticalFramesSweepIdenticalDeltas) {
-  // conv_win's transactions unroll to same-shaped frames, so each BMC
-  // depth sweeps the same number of new nodes: the miter's preprocessing
-  // is linear in the bound, not quadratic.
-  ConvWinFixture f;
-  SecOptions o{.boundTransactions = 4, .tryInduction = false};
-  SecResult r = checkEquivalence(*f.problem, o);
-  EXPECT_EQ(r.verdict, Verdict::kBoundedEquivalent);
-  ASSERT_EQ(r.stats.bmcTransactions.size(), 4u);
-  const PhaseStats& first = r.stats.bmcTransactions[0];
-  EXPECT_GT(first.fraigNodesBefore, 0u);
-  for (const PhaseStats& ph : r.stats.bmcTransactions)
-    EXPECT_EQ(ph.fraigNodesBefore, first.fraigNodesBefore);
-}
-
-TEST(SecMiter, FrameCacheSweepsEachDistinctFrameOnce) {
-  // From depth 2 on every BMC delta equals an earlier one, and the
-  // induction step is one more copy of the same frame: all of them replay
-  // the check's frame cache with no sweep SAT call, and report the stored
-  // merge count.
-  ConvWinFixture f;
-  SecOptions o{.boundTransactions = 4, .tryInduction = true};
-  SecResult r = checkEquivalence(*f.problem, o);
-  EXPECT_EQ(r.verdict, Verdict::kProvenEquivalent);
-  ASSERT_EQ(r.stats.bmcTransactions.size(), 4u);
-  ASSERT_TRUE(r.stats.inductionAttempted);
-  std::vector<PhaseStats> phases = r.stats.bmcTransactions;
-  phases.push_back(r.stats.induction);
-  EXPECT_GT(phases[0].fraigSatCalls, 0u);
-  EXPECT_GT(phases[0].fraigMergedNodes, 0u);
-  for (std::size_t i = 0; i < phases.size(); ++i) {
-    EXPECT_EQ(phases[i].fraigMergedNodes, phases[0].fraigMergedNodes)
-        << "phase " << i;
-    if (i < 2) continue;
-    EXPECT_EQ(phases[i].fraigSatCalls, 0u) << "phase " << i;
-    EXPECT_EQ(phases[i].fraigMemoHits, 1u) << "phase " << i;
-  }
-  EXPECT_GE(r.stats.fraigMemoHits, 3u);
-  EXPECT_GE(deterministicCounters(r.stats).at("fraig_memo_hits"), 3u);
 }
 
 TEST(SecMiter, ExhaustedInductionSweepStillAssertsItsFacts) {
