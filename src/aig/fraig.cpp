@@ -215,11 +215,9 @@ Fraig::Result Sweep::run(const std::vector<Lit>& roots,
   stats.nodesBefore = simulate(roots, map);
 
   // What the call has left of the caller's budget, folded into the
-  // per-candidate cap; false once any cap is spent or the run is cancelled.
+  // per-candidate cap; false once any cap is spent.
   const auto candidateBudget = [&](sat::Budget& b) {
     b = options_.candidateBudget;
-    if (budget.cancel != nullptr) b.cancel = budget.cancel;
-    if (budget.cancelled()) return false;
     const sat::SolverStats& now = solver.stats();
     const auto cap = [](std::int64_t& c, std::int64_t total,
                         std::uint64_t spent) {

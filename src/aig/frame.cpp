@@ -56,10 +56,10 @@ FrameCache::Entry FrameCache::compute(Aig delta, std::vector<Lit> roots,
   e.delta = std::move(delta);
   e.roots = std::move(roots);
   Aig swept;
-  sat::Solver solver(pipeline_.solver);
+  sat::Solver solver;
   CnfEncoder enc(swept, solver);
   const Fraig::Result fr =
-      Fraig(pipeline_.fraig).run(e.delta, e.roots, swept, enc, budget);
+      Fraig(options_).run(e.delta, e.roots, swept, enc, budget);
   e.fraig = fr.stats;
 
   // Keep the cone of the roots and of every mapped delta node; this drops

@@ -25,7 +25,7 @@
 // match alone — replays the stored result without solving.
 // Transaction-level BMC makes such repeats the rule: every depth unrolls the
 // same transition relation, and the induction step is one more copy of it.
-// The sweep is a pure function of (delta, roots, pipeline), so a replay
+// The sweep is a pure function of (delta, roots, options), so a replay
 // appends exactly what recomputing would.  A sweep cut short by the
 // caller's budget is still appended (sound, just less merged) but never
 // stored.  One entry per distinct delta, so memory is bounded by the number
@@ -42,13 +42,6 @@
 
 namespace dfv::aig {
 
-/// How every delta is swept.
-struct FramePipeline {
-  FraigOptions fraig{};
-  /// Heuristics of each frame-local sweep solver.
-  sat::SolverOptions solver{};
-};
-
 /// Counters from one FrameCache::Session::extend.
 struct FrameStats {
   /// The delta's sweep.  On a cache hit the node counts are the stored
@@ -62,8 +55,8 @@ struct FrameStats {
 /// session of one check; never by concurrent checks.
 class FrameCache {
  public:
-  explicit FrameCache(FramePipeline pipeline)
-      : pipeline_(std::move(pipeline)) {}
+  /// `options` configure the sweep of every delta.
+  explicit FrameCache(FraigOptions options) : options_(std::move(options)) {}
 
   /// Stored deltas.
   std::size_t size() const { return entries_.size(); }
@@ -130,7 +123,7 @@ class FrameCache {
   Entry compute(Aig delta, std::vector<Lit> roots,
                 const sat::Budget& budget) const;
 
-  FramePipeline pipeline_;
+  FraigOptions options_;
   std::vector<Entry> entries_;
 };
 

@@ -22,7 +22,7 @@ using common::JsonWriter;
 namespace {
 
 constexpr const char* kFormat = "dfv-journal";
-constexpr std::uint64_t kVersion = 2;
+constexpr std::uint64_t kVersion = 3;
 /// Sanity bound on one record payload; no real frame comes close, and the
 /// cap keeps a corrupted length field from asking the loader to swallow the
 /// address space.
@@ -356,11 +356,6 @@ void mixSecOptions(common::StableHasher& h, const sec::SecOptions& o) {
     h.mix(std::string_view(
         p != nullptr ? ir::printExpr(p, std::numeric_limits<unsigned>::max())
                      : std::string()));
-  h.mix(o.solver.seed);
-  h.mix(o.solver.phaseSaving);
-  h.mix(static_cast<unsigned>(o.solver.restartPolicy));
-  h.mix(o.solver.restartBase);
-  h.mix(o.solver.geometricGrowth);
   mixBudget(h, o.bmcBudget);
   mixBudget(h, o.inductionBudget);
 }
@@ -371,8 +366,7 @@ std::uint64_t secBlockFingerprint(const std::string& block,
                                   std::uint64_t digest,
                                   const sec::SecOptions& options,
                                   const RetryPolicy& policy,
-                                  DrcPolicy drcPolicy, bool hasDrcRunner,
-                                  bool racing, unsigned portfolioMembers) {
+                                  DrcPolicy drcPolicy, bool hasDrcRunner) {
   common::StableHasher h;
   h.mix(std::string_view("sec"));
   h.mix(std::string_view(block));
@@ -392,8 +386,6 @@ std::uint64_t secBlockFingerprint(const std::string& block,
   h.mix(policy.cosimSeed);
   h.mix(static_cast<unsigned>(drcPolicy));
   h.mix(hasDrcRunner);
-  h.mix(racing);
-  h.mix(portfolioMembers);
   return h.digest();
 }
 

@@ -8,12 +8,12 @@
 // restart, skipping blocks whose recorded verdict is admissible under the
 // exact predicate the incremental cache already enforces
 // (`isResumableVerdict`: clean, full-strength passes only; inconclusive,
-// faulted, degraded and cancelled rows re-run, never trusted from disk).
+// faulted and degraded rows re-run, never trusted from disk).
 //
 // On-disk layout (two files derived from one base path):
 //   <base>.hdr  — one JSON object {"format","version","plan"}, committed by
 //                 write-tmp + fsync + atomic rename (fault site
-//                 journal.commit); any version but 2 is a bad header, so
+//                 journal.commit); any version but 3 is a bad header, so
 //                 an older journal cold-starts.  The rename is the
 //                 "journal live" barrier: a crash before it leaves the
 //                 previous header (or none) and an empty WAL — a cold
@@ -137,25 +137,22 @@ class Journal {
 // everything that shapes a block's recorded run: design identity (block
 // name + content digest) and the verification configuration, DRC gate
 // included.  Every SecOptions field that can change a verdict or a recorded
-// counter is hashed: the toggles, budgets and solver heuristics, and every
-// scalar of the tuning structs (fraigOptions, sliceOptions, invOptions with
-// its absintOptions).  Tuning moves counters, and the invariant miner's
-// options can move a verdict (fewer candidates can leave an induction
-// open).  invOptions.extraCandidates enter by their printed
-// text, so equal predicates hash equally across processes.  A resumed
-// record whose fingerprint matches therefore reproduces what a live run of
-// the same entry would report.
+// counter is hashed: the toggles and budgets, and every scalar of the
+// tuning structs (fraigOptions, sliceOptions, invOptions with its
+// absintOptions).  Tuning moves counters, and the invariant miner's options
+// can move a verdict (fewer candidates can leave an induction open).
+// invOptions.extraCandidates enter by their printed text, so equal
+// predicates hash equally across processes.  A resumed record whose
+// fingerprint matches therefore reproduces what a live run of the same
+// entry would report.
 
 /// Fingerprint of a SEC block: name, digest, the verdict/telemetry-shaping
-/// SecOptions fields, the retry policy, the DRC gate, and the
-/// portfolio-racing configuration in force.
+/// SecOptions fields, the retry policy and the DRC gate.
 std::uint64_t secBlockFingerprint(const std::string& block,
                                   std::uint64_t digest,
                                   const sec::SecOptions& options,
                                   const RetryPolicy& policy,
-                                  DrcPolicy drcPolicy, bool hasDrcRunner,
-                                  bool racing = false,
-                                  unsigned portfolioMembers = 0);
+                                  DrcPolicy drcPolicy, bool hasDrcRunner);
 
 /// Fingerprint of a cosim block (stimulus seed included — a reseeded
 /// fallback is a different experiment — and the DRC gate).

@@ -1,17 +1,11 @@
 #include "core/parallel.h"
 
-#include <chrono>
 #include <exception>
-#include <optional>
-#include <sstream>
 #include <utility>
 
 #include "common/check.h"
-#include "fault/fault.h"
 
 namespace dfv::core {
-
-// ----- ParallelExecutor ------------------------------------------------------
 
 namespace {
 
@@ -23,11 +17,6 @@ struct WorkerIdentity {
   unsigned index = 0;
 };
 thread_local WorkerIdentity t_worker;
-
-double secondsSince(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
 
 }  // namespace
 
@@ -174,94 +163,6 @@ void ParallelExecutor::wait(TaskGroup& group) {
     rethrow = std::exchange(group.exception_, nullptr);
   }
   if (rethrow) std::rethrow_exception(rethrow);
-}
-
-// ----- Portfolio -------------------------------------------------------------
-
-std::vector<PortfolioMember> buildPortfolio(const sec::SecOptions& base,
-                                            const PortfolioOptions& opts) {
-  constexpr std::uint64_t kSeedBase = 0x5eedbeef;
-  DFV_CHECK_MSG(opts.members >= 1, "a portfolio needs at least one member");
-  std::vector<PortfolioMember> members;
-  members.reserve(opts.members);
-  members.push_back(PortfolioMember{0, "base", base});
-  for (unsigned i = 1; i < opts.members; ++i) {
-    PortfolioMember m;
-    m.index = i;
-    m.options = base;
-    std::ostringstream name;
-    name << "m" << i;
-    // Deterministic diversification: the seed varies on every member, and
-    // the low bits of (i-1) select which heuristics flip, so successive
-    // members cycle through the combinations in a fixed order.
-    const unsigned k = i - 1;
-    m.options.solver.seed = kSeedBase + i;
-    m.options.fraigOptions.seed = kSeedBase + i;
-    name << ":seed" << i;
-    if ((k & 1u) != 0) {
-      m.options.solver.restartPolicy = sat::RestartPolicy::kGeometric;
-      name << ":geom";
-    }
-    if ((k & 2u) != 0) {
-      m.options.solver.phaseSaving = false;
-      name << ":nophase";
-    }
-    if (opts.varyFraig && (k & 4u) != 0) {
-      m.options.fraig = !base.fraig;
-      name << (m.options.fraig ? ":fraig" : ":nofraig");
-    }
-    m.name = name.str();
-    members.push_back(std::move(m));
-  }
-  return members;
-}
-
-PortfolioOutcome racePortfolio(
-    ParallelExecutor& exec, const std::vector<PortfolioMember>& members,
-    const std::function<sec::SecResult(const sec::SecOptions&)>& runner) {
-  DFV_CHECK_MSG(!members.empty(), "empty portfolio");
-  DFV_CHECK_MSG(runner != nullptr, "null runner");
-  PortfolioOutcome outcome;
-  outcome.attempts.resize(members.size());
-  std::atomic<bool> cancelFlag{false};
-  std::atomic<int> winner{-1};
-  const fault::Injector* proto = fault::currentInjector();
-
-  ParallelExecutor::TaskGroup group;
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    exec.submit(group, [&, i] {
-      MemberAttempt& a = outcome.attempts[i];
-      a.index = members[i].index;
-      a.name = members[i].name;
-      // Each racer replays the caller's injection schedule from hit zero on
-      // its own thread — (seed, site, hit) purity per member.
-      std::optional<fault::ScopedInjector> si;
-      if (proto != nullptr) si.emplace(*proto);
-      sec::SecOptions o = members[i].options;
-      o.bmcBudget.cancel = &cancelFlag;
-      o.inductionBudget.cancel = &cancelFlag;
-      o.fraigOptions.candidateBudget.cancel = &cancelFlag;
-      const auto t0 = std::chrono::steady_clock::now();
-      try {
-        a.result = runner(o);
-        if (a.result.verdict != sec::Verdict::kInconclusive) {
-          int expected = -1;
-          if (winner.compare_exchange_strong(expected, static_cast<int>(i)))
-            cancelFlag.store(true, std::memory_order_release);
-        } else {
-          a.cancelled = cancelFlag.load(std::memory_order_acquire);
-        }
-      } catch (const std::exception& ex) {
-        a.faulted = true;
-        a.error = ex.what();
-      }
-      a.seconds = secondsSince(t0);
-      if (si.has_value()) a.faultInjections = si->injector().totalInjections();
-    });
-  }
-  exec.wait(group);
-  outcome.winner = winner.load();
-  return outcome;
 }
 
 }  // namespace dfv::core

@@ -1,5 +1,4 @@
-// Parallel plan execution: a work-stealing thread pool and a solver-portfolio
-// racer.
+// Parallel plan execution: a work-stealing thread pool.
 //
 // The paper's methodology pays off at system scale when many blocks are
 // verified against many scenarios; every layer below core is deliberately
@@ -10,39 +9,27 @@
 //     deques, FIFO steals, a global inbox for external submissions).
 //     wait() *helps*: a task that spawns subtasks and waits for them runs
 //     pending work itself instead of blocking a worker, so nested
-//     fan-out (a block task racing portfolio members) cannot deadlock a
-//     fixed-size pool.
-//   * Portfolio racing — buildPortfolio() derives diversified but fully
-//     deterministic SecOptions variants (solver seed, phase saving,
-//     restart policy, optionally fraig) and racePortfolio() runs
-//     them concurrently, takes the first decisive verdict, and cancels the
-//     losers through sat::Budget::cancel — cooperative, never a thread
-//     kill, so every solver stays valid.  WHICH member wins may depend on
-//     scheduling; WHAT the winner computed never does: re-running the
-//     recorded winner's options on one thread reproduces its verdict and
-//     solver statistics bit-for-bit (asserted by tests/parallel_test.cpp).
+//     fan-out cannot deadlock a fixed-size pool.
 //
 // One SEC check is never split across workers: the engine's single
 // incremental miter pays each BMC depth's cost once, so parallelism lives
-// at the block and portfolio level only.
+// at the block level only, and a block reports the same verdict and
+// counters on any worker as it does in a serial run.
 //
-// Fault injection composes: tasks that verify blocks or race members
-// install a per-task clone of the caller's injector (fault::ScopedInjector
-// proto copy), so the pure (seed, site, hit) firing contract holds per
-// worker regardless of how tasks are scheduled.
+// Fault injection composes: tasks that verify blocks install a per-task
+// clone of the caller's injector (fault::ScopedInjector proto copy), so the
+// pure (seed, site, hit) firing contract holds per worker regardless of
+// how tasks are scheduled.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
-#include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
-
-#include "sec/engine.h"
 
 namespace dfv::core {
 
@@ -111,66 +98,5 @@ class ParallelExecutor {
   std::atomic<std::size_t> pendingTotal_{0};
   bool shutdown_ = false;
 };
-
-/// How buildPortfolio diversifies SecOptions into racing members.  Member
-/// 0 is always the unmodified base; member i >= 1 gets solver and fraig seed
-/// 0x5eedbeef + i and cycles deterministically through {geometric
-/// restarts, phase saving off, fraig toggled (only with varyFraig)} on
-/// bits 0-2 of i - 1.  Everything derives from (base, this struct) — no
-/// RNG, no clock — so the same inputs always name the same portfolio.
-struct PortfolioOptions {
-  unsigned members = 3;  ///< total racers, including the base (1 = no race)
-  /// Off by default: fraig-off members lose the repo's main rescue for
-  /// hard miters (see CLAUDE.md), so only opt in where base fraig-on
-  /// might itself be the pathological configuration.
-  bool varyFraig = false;
-};
-
-/// One racer: index in the portfolio, a stable human-readable name
-/// (recorded in reports as portfolio_winner_name), and the options to run.
-struct PortfolioMember {
-  unsigned index = 0;
-  std::string name;
-  sec::SecOptions options;
-};
-
-/// Derives the deterministic member list (see PortfolioOptions).  The
-/// returned options carry no cancel flags; racePortfolio installs those.
-std::vector<PortfolioMember> buildPortfolio(const sec::SecOptions& base,
-                                            const PortfolioOptions& opts);
-
-/// What one member did during a race.  Loser results are still recorded —
-/// their stats describe the truncated run and vary with scheduling; only
-/// the winner's row is a deterministic replay fingerprint.
-struct MemberAttempt {
-  unsigned index = 0;
-  std::string name;
-  sec::SecResult result;
-  bool cancelled = false;  ///< returned inconclusive with the flag raised
-  bool faulted = false;    ///< the runner threw; `error` has the message
-  std::string error;
-  double seconds = 0.0;
-  std::uint64_t faultInjections = 0;
-};
-
-/// Result of racing a portfolio.  winner == -1 means no member reached a
-/// decisive (non-inconclusive) verdict: callers should treat the block as
-/// inconclusive using attempts[0] (deterministic choice), or faulted when
-/// attempts[0].faulted.
-struct PortfolioOutcome {
-  int winner = -1;
-  std::vector<MemberAttempt> attempts;  ///< in member order
-};
-
-/// Races `members` over `runner` on `exec`.  The first decisive verdict
-/// wins and raises the shared cancel flag (wired into each member's
-/// bmc/induction/fraig budgets); losers observe it at their next budget
-/// check and return kInconclusive.  Each member task installs a fresh
-/// clone of the caller's fault injector (when one is live), so injection
-/// schedules are per-member deterministic.  Safe to call from inside an
-/// executor task (wait() helps).
-PortfolioOutcome racePortfolio(
-    ParallelExecutor& exec, const std::vector<PortfolioMember>& members,
-    const std::function<sec::SecResult(const sec::SecOptions&)>& runner);
 
 }  // namespace dfv::core

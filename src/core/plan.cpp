@@ -1,7 +1,10 @@
 #include "core/plan.h"
 
+#include <algorithm>
 #include <concepts>
+#include <initializer_list>
 #include <sstream>
+#include <string_view>
 
 namespace dfv::core {
 
@@ -30,10 +33,6 @@ void attemptFields(F&& f) {
   f("outcome", &AttemptRecord::outcome);
   f("faulted", &AttemptRecord::faulted);
   f("seconds", &AttemptRecord::seconds);
-  f("member", &AttemptRecord::member);
-  f("member_name", &AttemptRecord::memberName);
-  f("winner", &AttemptRecord::winner);
-  f("cancelled", &AttemptRecord::cancelled);
   f("counters", &AttemptRecord::counters);
 }
 
@@ -50,8 +49,6 @@ void blockFields(F&& f) {
   f("fault_injections", &BlockResult::faultInjections);
   f("seconds", &BlockResult::seconds);
   f("detail", &BlockResult::detail);
-  f("portfolio_winner", &BlockResult::portfolioWinner);
-  f("portfolio_winner_name", &BlockResult::portfolioWinnerName);
   f("counters", &BlockResult::counters);
   f("attempt_log", &BlockResult::attemptLog);
 }
@@ -93,8 +90,22 @@ void get(const JsonValue& v, std::map<std::string, std::uint64_t>& out) {
     out.emplace(name, value.asUint64());
 }
 
+// Strictness covers keys too: an object with a key its field list does
+// not name (say, one written by an older record shape) is rejected, never
+// half-read.
+template <typename Fields>
+void checkKeys(const JsonValue& v, Fields fields,
+               std::initializer_list<std::string_view> extra = {}) {
+  for (const auto& [key, value] : v.members()) {
+    bool known = std::find(extra.begin(), extra.end(), key) != extra.end();
+    fields([&](const char* k, auto) { known = known || key == k; });
+    DFV_CHECK_MSG(known, "unknown field '" << key << "'");
+  }
+}
+
 void get(const JsonValue& v, std::vector<AttemptRecord>& out) {
   for (const JsonValue& av : v.items()) {
+    checkKeys(av, [](auto f) { attemptFields(f); });
     AttemptRecord& a = out.emplace_back();
     attemptFields([&](const char* k, auto m) { get(av.at(k), a.*m); });
   }
@@ -147,6 +158,8 @@ BlockResult decodeBlockResult(const JsonValue& v) {
   DFV_CHECK_MSG(method == "sec" || method == "cosim",
                 "bad block method '" << method << "'");
   b.method = method == "sec" ? Method::kSec : Method::kCosim;
+  checkKeys(v, [](auto f) { blockFields(f); },
+            {"name", "method", "status", "drc"});
   blockFields([&](const char* k, auto m) { get(v.at(k), b.*m); });
   return b;
 }

@@ -34,8 +34,7 @@ enum class DrcPolicy {
 };
 
 /// One verification attempt on a block — the resilient runner records one
-/// per retry-ladder rung (and, under portfolio racing, one per member per
-/// rung) so a report shows *how* a verdict was reached.
+/// per retry-ladder rung so a report shows *how* a verdict was reached.
 struct AttemptRecord {
   unsigned rung = 0;                  ///< 0 = base options, 1.. = escalations
   /// Caps in force this attempt: the larger finite one of the BMC/induction
@@ -45,18 +44,10 @@ struct AttemptRecord {
   std::string outcome;                ///< verdict name / "faulted: ..." / ...
   bool faulted = false;
   double seconds = 0.0;
-  /// Portfolio racing fields (core::ParallelExecutor): which member this
-  /// row describes, whether its verdict was the one taken, and whether it
-  /// lost the race (observed the cancel flag).  member -1 = no portfolio.
-  int member = -1;
-  std::string memberName;
-  bool winner = false;
-  bool cancelled = false;
   /// Deterministic counters of THIS attempt (sec::deterministicCounters;
   /// each attempt runs a fresh engine, so they are disjoint across rungs,
-  /// never cumulative).  They double as the replay fingerprint: re-running
-  /// the winning member single-threaded must reproduce them bit-for-bit.
-  /// Empty for cosim and faulted attempts.
+  /// never cumulative).  A serial and an executor run of the same plan
+  /// report them bit-for-bit equal.  Empty for cosim and faulted attempts.
   std::map<std::string, std::uint64_t> counters;
 };
 
@@ -72,20 +63,12 @@ struct BlockResult {
   bool degraded = false;   ///< SEC never concluded; fell back to cosim
   unsigned attempts = 1;   ///< verification attempts consumed (retry ladder)
   std::uint64_t faultInjections = 0;  ///< injector firings during this block
-  /// Counters of the last SEC attempt that returned a result (under
-  /// portfolio racing, of the member whose verdict was taken); empty for
+  /// Counters of the last SEC attempt that returned a result; empty for
   /// cosim blocks.
   std::map<std::string, std::uint64_t> counters;
   double seconds = 0.0;
   std::string detail;  ///< verdict name, mismatch summary, cex summary...
   std::vector<AttemptRecord> attemptLog;  ///< per-attempt telemetry
-  /// Portfolio racing: the member whose verdict this block took on its
-  /// final rung (-1 when no portfolio ran or every member was cancelled
-  /// inconclusive).  Recording the winner is what makes a parallel verdict
-  /// replayable: re-run that member's options single-threaded and the
-  /// result is bit-identical.
-  int portfolioWinner = -1;
-  std::string portfolioWinnerName;
   /// This result was replayed from a journal record (core/journal.h), not
   /// computed this run.  Provenance only: every other field is the recorded
   /// run's, bit-for-bit.
@@ -107,8 +90,8 @@ bool isResumableVerdict(const BlockResult& r);
 /// with it and the journal embeds one per record.  The object carries every
 /// field plus the derived "status" and, when present, the "drc" report.
 void encodeBlockResult(common::JsonWriter& w, const BlockResult& b);
-/// Strict inverse: a missing or mistyped field, or an integer too wide for
-/// its field, throws CheckError.  "status" and "drc" are not decoded (DRC
+/// Strict inverse: a missing, unknown or mistyped field, or an integer too
+/// wide for its field, throws CheckError.  "status" and "drc" are not decoded (DRC
 /// is re-evaluated live, never replayed).
 BlockResult decodeBlockResult(const common::JsonValue& v);
 

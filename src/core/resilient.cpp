@@ -196,13 +196,8 @@ BlockResult ResilientRunner::runEntry(Entry& e) {
   const fault::Injector* inj = fault::currentInjector();
   const std::uint64_t injectionsBefore =
       inj != nullptr ? inj->totalInjections() : 0;
-  // Firings inside portfolio member tasks land on the members' own injector
-  // clones, invisible to this thread's counter; the winner's are added back
-  // so the block's reported count covers the run that produced its verdict.
-  std::uint64_t portfolioInjections = 0;
   auto injections = [&] {
-    return (inj != nullptr ? inj->totalInjections() : 0) - injectionsBefore +
-           portfolioInjections;
+    return (inj != nullptr ? inj->totalInjections() : 0) - injectionsBefore;
   };
 
   if (drcBlocks(e, r)) {
@@ -215,11 +210,11 @@ BlockResult ResilientRunner::runEntry(Entry& e) {
     for (unsigned attempt = 0; attempt < maxAttempts; ++attempt) {
       const sec::SecOptions opts =
           attemptOptions(e.baseOptions, attempt, policy_);
-      bool faultedNow = false;
       bool inductionCutOff = false;
-      // Applies one attempt's result to the block — shared by the serial
-      // path and the portfolio winner so both report identically.
-      auto applyResult = [&](const sec::SecResult& sr) {
+      AttemptRecord rec = attemptRow(attempt, opts);
+      const auto t0 = std::chrono::steady_clock::now();
+      try {
+        const sec::SecResult sr = e.secRunner(opts);
         r.inconclusive = sr.verdict == sec::Verdict::kInconclusive;
         r.passed = sr.verdict == sec::Verdict::kProvenEquivalent ||
                    sr.verdict == sec::Verdict::kBoundedEquivalent;
@@ -228,77 +223,24 @@ BlockResult ResilientRunner::runEntry(Entry& e) {
         inductionCutOff = sr.verdict == sec::Verdict::kBoundedEquivalent &&
                           sr.stats.induction.budgetExhausted;
         r.counters = sec::deterministicCounters(sr.stats);
-      };
-      if (!racing()) {
-        AttemptRecord rec = attemptRow(attempt, opts);
-        const auto t0 = std::chrono::steady_clock::now();
-        try {
-          const sec::SecResult sr = e.secRunner(opts);
-          applyResult(sr);
-          rec.outcome = sec::verdictName(sr.verdict);
-          rec.counters = r.counters;
-        } catch (const std::exception& ex) {
-          faultedNow = true;
-          r.passed = false;
-          r.inconclusive = false;
-          r.detail = std::string("faulted: ") + ex.what();
-          rec.outcome = r.detail;
-          rec.faulted = true;
-        }
-        rec.seconds = secondsSince(t0);
-        r.attemptLog.push_back(std::move(rec));
-      } else {
-        const std::vector<PortfolioMember> members =
-            buildPortfolio(opts, portfolio_);
-        const PortfolioOutcome out =
-            racePortfolio(*exec_, members, e.secRunner);
-        for (std::size_t j = 0; j < out.attempts.size(); ++j) {
-          const MemberAttempt& a = out.attempts[j];
-          AttemptRecord rec = attemptRow(attempt, members[j].options);
-          rec.member = static_cast<int>(j);
-          rec.memberName = a.name;
-          rec.winner = out.winner == static_cast<int>(j);
-          rec.cancelled = a.cancelled;
-          rec.seconds = a.seconds;
-          if (a.faulted) {
-            rec.outcome = "faulted: " + a.error;
-            rec.faulted = true;
-          } else {
-            rec.outcome = sec::verdictName(a.result.verdict);
-            // Loser telemetry describes a cancelled run and varies with
-            // scheduling; only the winner's row is a replay fingerprint.
-            rec.counters = sec::deterministicCounters(a.result.stats);
-          }
-          r.attemptLog.push_back(std::move(rec));
-        }
-        // The block takes the winner's verdict or, when no member was
-        // decisive, the base member's — a deterministic choice: every member
-        // saw the same injection schedule, so "member 0 faulted" is stable.
-        const MemberAttempt& taken =
-            out.attempts[static_cast<std::size_t>(std::max(out.winner, 0))];
-        portfolioInjections += taken.faultInjections;
-        if (out.winner >= 0) {
-          r.portfolioWinner = out.winner;
-          r.portfolioWinnerName = taken.name;
-        }
-        if (taken.faulted) {
-          faultedNow = true;
-          r.passed = false;
-          r.inconclusive = false;
-          r.detail = "faulted: " + taken.error;
-        } else {
-          applyResult(taken.result);
-        }
+        rec.outcome = sec::verdictName(sr.verdict);
+        rec.counters = r.counters;
+      } catch (const std::exception& ex) {
+        r.faulted = true;
+        r.passed = false;
+        r.inconclusive = false;
+        r.detail = std::string("faulted: ") + ex.what();
+        rec.outcome = r.detail;
+        rec.faulted = true;
       }
+      rec.seconds = secondsSince(t0);
+      r.attemptLog.push_back(std::move(rec));
       r.attempts = attempt + 1;
       // Exceptions abort the ladder — a crash will not get better with a
       // bigger budget.  kInconclusive always earns another rung; a bounded
       // verdict whose induction was cut off optionally climbs too, chasing
       // the upgrade to proven (it is a sound pass even if it never comes).
-      if (faultedNow) {
-        r.faulted = true;
-        break;
-      }
+      if (r.faulted) break;
       if (r.inconclusive) continue;
       if (inductionCutOff && policy_.retryInductionCutoff) continue;
       break;
@@ -340,8 +282,7 @@ std::uint64_t ResilientRunner::entryFingerprint(const Entry& e) const {
     return cosimBlockFingerprint(e.block, e.digest, policy_.cosimSeed,
                                  drcPolicy_, hasDrc);
   return secBlockFingerprint(e.block, e.digest, e.baseOptions, policy_,
-                             drcPolicy_, hasDrc, racing(),
-                             racing() ? portfolio_.members : 0);
+                             drcPolicy_, hasDrc);
 }
 
 void ResilientRunner::journalAppend(const Entry& e, const BlockResult& r) {

@@ -134,16 +134,6 @@ class ResilientRunner {
   /// other (ir::Context interning is already thread-safe).
   void setExecutor(ParallelExecutor* exec) { exec_ = exec; }
 
-  /// Enables portfolio racing for SEC blocks: every ladder attempt builds
-  /// buildPortfolio(attemptOptions, opts) and races the members on the
-  /// executor, recording one AttemptRecord per member and the winner in
-  /// BlockResult::portfolioWinner.  Requires a non-null executor to take
-  /// effect; members <= 1 disables racing.
-  void setPortfolio(PortfolioOptions opts) {
-    portfolio_ = opts;
-    portfolioEnabled_ = true;
-  }
-
   /// Attaches a write-ahead journal (borrowed; must outlive every run):
   /// every completed block appends one record — from worker threads under
   /// an executor (the journal serializes internally).  Journal I/O
@@ -190,9 +180,6 @@ class ResilientRunner {
   Entry& addEntry(const std::string& block, std::uint64_t digest,
                   Method method);
   BlockResult runEntry(Entry& e);
-  bool racing() const {
-    return exec_ != nullptr && portfolioEnabled_ && portfolio_.members > 1;
-  }
   bool drcBlocks(const Entry& e, BlockResult& r) const;
   PlanReport run(bool incremental);
   Entry* lookup(const std::string& block);  ///< nullptr when unknown
@@ -205,8 +192,6 @@ class ResilientRunner {
   std::vector<Entry> blocks_;
   DrcPolicy drcPolicy_ = DrcPolicy::kWarn;
   ParallelExecutor* exec_ = nullptr;  ///< borrowed; nullptr = serial
-  PortfolioOptions portfolio_{};
-  bool portfolioEnabled_ = false;
   Journal* journal_ = nullptr;  ///< borrowed; nullptr = unjournaled
 };
 

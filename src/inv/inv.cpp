@@ -23,8 +23,8 @@ void collectLeaves(ir::NodeRef root, std::unordered_set<ir::NodeRef>& visited,
 }
 
 /// One budget pool shared by every certification solve: each solve runs
-/// under the pool's remainder (cancel flag passed through), and spent cost
-/// is charged back via solver-stat deltas.
+/// under the pool's remainder, and spent cost is charged back via
+/// solver-stat deltas.
 struct Pool {
   sat::Budget base;
   std::uint64_t conflicts = 0;
@@ -32,7 +32,6 @@ struct Pool {
   double seconds = 0.0;
 
   bool exhausted() const {
-    if (base.cancelled()) return true;
     if (base.maxConflicts > 0 &&
         conflicts >= static_cast<std::uint64_t>(base.maxConflicts))
       return true;
@@ -58,8 +57,7 @@ struct Pool {
 }  // namespace
 
 Result mineAndCertify(const ir::TransitionSystem& ts, const Options& opts,
-                      const sat::Budget& budget,
-                      const sat::SolverOptions& solverOpts) {
+                      const sat::Budget& budget) {
   ts.validate();
   budget.validate();
   Result result;
@@ -184,7 +182,7 @@ Result mineAndCertify(const ir::TransitionSystem& ts, const Options& opts,
   // NOT C_i(s')" — SAT means C_i is not inductive relative to the current
   // set and is dropped; a drop weakens the hypothesis, so the pass repeats
   // until a full round survives.
-  sat::Solver solver(solverOpts);
+  sat::Solver solver;
   aig::CnfEncoder enc(g, solver);
   Pool pool{budget};
   std::vector<bool> active(cands.size(), true);

@@ -79,8 +79,8 @@ struct Stats {
   /// Wall time of the mining analysis (absint::Analysis::run); zero when
   /// mineAbsint is off.
   double absintSeconds = 0.0;
-  /// The budget pool ran dry (or a solve was cancelled): certified is
-  /// empty, the caller must fall back to the uncertified path.
+  /// The budget pool ran dry: certified is empty, the caller must fall back
+  /// to the uncertified path.
   bool budgetExhausted = false;
 };
 
@@ -94,13 +94,12 @@ struct Result {
 
 /// Mines and certifies invariants for `ts` (which must validate()).
 /// `budget` is a shared pool across all certification solves: each solve
-/// runs under the pool's remainder, and exhaustion (or cancellation via
-/// budget.cancel) aborts certification with an empty certified set.
+/// runs under the pool's remainder, and exhaustion aborts certification
+/// with an empty certified set.
 /// Deterministic: equal (ts, opts) produce bit-identical certified sets and
 /// counters (certSeconds and absintSeconds are wall-clock telemetry, like
 /// SecStats::seconds).
 Result mineAndCertify(const ir::TransitionSystem& ts, const Options& opts,
-                      const sat::Budget& budget = {},
-                      const sat::SolverOptions& solverOpts = {});
+                      const sat::Budget& budget = {});
 
 }  // namespace dfv::inv

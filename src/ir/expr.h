@@ -125,14 +125,13 @@ using NodeRef = const Node*;
 /// downstream passes see canonical graphs.
 ///
 /// Thread safety: node construction is serialized on an internal mutex, so
-/// concurrent builders (portfolio members racing over one SecProblem, each
-/// re-deriving slice/absint rewrites) may share a Context.  Nodes are
-/// immutable once published, so reads (operands(), constValue(), ...) are
-/// lock-free.  Hash-consing keeps determinism: when two threads build the
-/// same expression, the first intern wins and both observe the same
-/// NodeRef, and because every racer builds nodes in the same program
-/// order, the relative ids of any two nodes — all that operand
-/// canonicalization consults — match the single-threaded order.
+/// concurrent builders (plan blocks on a core::ParallelExecutor) may share
+/// a Context.  Nodes are immutable once published, so reads (operands(),
+/// constValue(), ...) are lock-free.  When two threads build the same
+/// expression, the first intern wins and both observe the same NodeRef.
+/// Ids follow interning order, and operand canonicalization consults them,
+/// so a check that must match its serial run bit for bit builds into a
+/// Context of its own.
 class Context {
  public:
   Context() = default;

@@ -13,6 +13,7 @@ namespace {
 constexpr double kVarDecay = 0.95;
 constexpr double kClaDecay = 0.999;
 constexpr double kRescaleLimit = 1e100;
+constexpr double kRestartBase = 100.0;  ///< conflicts in the first interval
 
 /// Luby restart sequence: 1 1 2 1 1 2 4 1 1 2 1 1 2 4 8 ...
 double luby(double y, int x) {
@@ -26,25 +27,9 @@ double luby(double y, int x) {
   }
   return std::pow(y, seq);
 }
-
-/// splitmix64: the per-instance deterministic stream behind SolverOptions::
-/// seed.  Stateless (mixes seed ^ counter), so variable allocation order is
-/// the only input — never the wall clock or a shared RNG.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 }  // namespace
 
 Solver::Solver() = default;
-
-Solver::Solver(const SolverOptions& options) : options_(options) {
-  DFV_CHECK_MSG(options.restartBase > 0, "restartBase must be positive");
-  DFV_CHECK_MSG(options.geometricGrowth >= 1.0,
-                "geometricGrowth must be >= 1.0");
-}
 
 Solver::~Solver() {
   for (Clause* c : clauses_) delete c;
@@ -54,21 +39,10 @@ Solver::~Solver() {
 Var Solver::newVar() {
   const Var v = static_cast<Var>(assigns_.size());
   assigns_.push_back(LBool::kUndef);
-  // Seeded portfolio diversification: initial phase bits and a sub-unit
-  // activity jitter (ties in the VSIDS heap break differently per seed;
-  // real bumps are >= 1.0 so the jitter never outranks learned activity).
-  const std::uint64_t r =
-      options_.seed == 0
-          ? 0
-          : mix64(options_.seed ^ static_cast<std::uint64_t>(v));
-  phase_.push_back(options_.seed != 0 && (r & 1) != 0 ? LBool::kTrue
-                                                      : LBool::kFalse);
+  phase_.push_back(LBool::kFalse);
   levels_.push_back(0);
   reasons_.push_back(nullptr);
-  activity_.push_back(
-      options_.seed == 0
-          ? 0.0
-          : 1e-9 * static_cast<double>((r >> 1) & 0xffffffULL));
+  activity_.push_back(0.0);
   seen_.push_back(0);
   heapPos_.push_back(-1);
   watches_.emplace_back();  // positive literal
@@ -324,7 +298,7 @@ void Solver::backtrackTo(int lvl) {
   const std::size_t bound = trailLimits_[static_cast<std::size_t>(lvl)];
   for (std::size_t i = trail_.size(); i-- > bound;) {
     const auto v = static_cast<std::size_t>(trail_[i].var());
-    if (options_.phaseSaving) phase_[v] = assigns_[v];  // phase saving
+    phase_[v] = assigns_[v];  // phase saving
     assigns_[v] = LBool::kUndef;
     reasons_[v] = nullptr;
     if (!heapContains(trail_[i].var())) heapInsert(trail_[i].var());
@@ -432,7 +406,6 @@ Result Solver::solve(const std::vector<Lit>& assumptions,
   const auto wallStart = std::chrono::steady_clock::now();
   std::uint32_t budgetTick = 0;
   auto budgetExpired = [&]() -> bool {
-    if (budget.cancelled()) return true;
     if (budget.maxConflicts != 0 &&
         stats_.conflicts - conflicts0 >=
             static_cast<std::uint64_t>(budget.maxConflicts))
@@ -451,12 +424,8 @@ Result Solver::solve(const std::vector<Lit>& assumptions,
     return false;
   };
 
-  auto restartLimit = [this](int n) -> std::uint64_t {
-    const double base = static_cast<double>(options_.restartBase);
-    if (options_.restartPolicy == RestartPolicy::kGeometric)
-      return static_cast<std::uint64_t>(
-          base * std::pow(options_.geometricGrowth, n));
-    return static_cast<std::uint64_t>(luby(2.0, n) * base);
+  auto restartLimit = [](int n) {
+    return static_cast<std::uint64_t>(luby(2.0, n) * kRestartBase);
   };
   int restartCount = 0;
   std::uint64_t conflictBudget = restartLimit(restartCount);

@@ -15,7 +15,6 @@
 //     is what makes the paper's §4.1 "incremental SEC runs" cheap).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <iosfwd>
 #include <vector>
@@ -59,8 +58,7 @@ enum class LBool : std::uint8_t { kFalse = 0, kTrue = 1, kUndef = 2 };
 inline LBool lboolOf(bool b) { return b ? LBool::kTrue : LBool::kFalse; }
 
 /// Outcome of a solve() call.  kUnknown is only possible when a Budget was
-/// given and a cap expired (or its cancel flag was raised) before the
-/// search concluded.
+/// given and a cap expired before the search concluded.
 enum class Result { kSat, kUnsat, kUnknown };
 
 /// Per-call resource caps.  Each cap of value zero means "no cap"; negative
@@ -70,25 +68,13 @@ enum class Result { kSat, kUnsat, kUnknown };
 /// decision level 0 and returns Result::kUnknown; the solver (including
 /// everything learnt so far) remains valid for further
 /// addClause()/solve() calls.
-///
-/// `cancel` is the cooperative cancellation hook used by the portfolio
-/// racer (core::ParallelExecutor): when another portfolio member wins, it
-/// raises the shared flag and every still-running solve observes it at its
-/// next budget check and returns kUnknown.  The pointer is borrowed — the
-/// flag must outlive the solve call — and is polled with relaxed loads, so
-/// raising it never blocks the winner.
 struct Budget {
   std::int64_t maxConflicts = 0;      ///< conflicts within this call
   std::int64_t maxPropagations = 0;   ///< propagations within this call
   double maxSeconds = 0.0;            ///< wall-clock for this call
-  const std::atomic<bool>* cancel = nullptr;  ///< cooperative cancel flag
 
   bool unlimited() const {
-    return maxConflicts == 0 && maxPropagations == 0 && maxSeconds <= 0.0 &&
-           cancel == nullptr;
-  }
-  bool cancelled() const {
-    return cancel != nullptr && cancel->load(std::memory_order_relaxed);
+    return maxConflicts == 0 && maxPropagations == 0 && maxSeconds <= 0.0;
   }
   /// Rejects negative caps (and NaN wall caps).  Called on every budgeted
   /// solve entry; construction sites that compute caps arithmetically
@@ -104,32 +90,6 @@ struct Budget {
   }
 };
 
-/// Restart schedule selector (portfolio members diversify on this).
-enum class RestartPolicy : std::uint8_t {
-  kLuby,       ///< Luby sequence scaled by restartBase (the default)
-  kGeometric,  ///< restartBase * geometricGrowth^n
-};
-
-/// Per-instance search heuristics.  The defaults reproduce the solver's
-/// historical behaviour bit-for-bit; portfolio mode constructs diversified
-/// variants.  Everything here is heuristic-only — verdicts never depend on
-/// these knobs, only the path taken to reach them.  There is deliberately
-/// no global RNG anywhere in the solver: the only "randomness" is the
-/// splitmix64 stream derived from `seed`, so two Solver instances with
-/// equal options behave identically regardless of what other threads do.
-struct SolverOptions {
-  /// 0 = no randomization (default-false initial phases, zero initial
-  /// activities).  Non-zero: seeds per-variable initial phase bits and a
-  /// tiny activity jitter that breaks VSIDS ties differently per seed.
-  std::uint64_t seed = 0;
-  /// Phase saving on backtrack (see setPhase/savedPhase).  Off: decisions
-  /// always start from the seeded/default polarity.
-  bool phaseSaving = true;
-  RestartPolicy restartPolicy = RestartPolicy::kLuby;
-  std::uint32_t restartBase = 100;  ///< conflicts in the first interval
-  double geometricGrowth = 1.5;     ///< kGeometric interval growth factor
-};
-
 /// Solver statistics (cumulative across solve() calls).
 struct SolverStats {
   std::uint64_t decisions = 0;
@@ -140,11 +100,13 @@ struct SolverStats {
   std::uint64_t deletedClauses = 0;
 };
 
-/// CDCL SAT solver with assumption-based incremental interface.
+/// CDCL SAT solver with assumption-based incremental interface.  The
+/// search has one fixed configuration and no RNG: a fresh variable starts
+/// with phase false and activity zero, so two Solvers fed the same clauses
+/// and calls take the same path whatever other threads do.
 class Solver {
  public:
   Solver();
-  explicit Solver(const SolverOptions& options);
   Solver(const Solver&) = delete;
   Solver& operator=(const Solver&) = delete;
   ~Solver();
@@ -214,7 +176,6 @@ class Solver {
   }
 
   const SolverStats& stats() const { return stats_; }
-  const SolverOptions& options() const { return options_; }
 
   /// Convenience: a literal that is always true / always false.
   Lit trueLit();
@@ -308,7 +269,6 @@ class Solver {
   Lit trueLit_ = Lit();  // lazily created constant-true literal
   bool okay_ = true;     // false once root-level conflict found
   SolverStats stats_;
-  SolverOptions options_;
 };
 
 }  // namespace dfv::sat

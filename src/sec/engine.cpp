@@ -348,12 +348,11 @@ constexpr std::int64_t kProbePropagations = 300000;
 class Miter {
  public:
   /// `cache` is null exactly when fraig is off.
-  Miter(aig::Aig& g, const SecOptions& options, aig::FrameCache* cache)
-      : g_(g), solverOptions_(options.solver), cache_(cache) {
+  Miter(aig::Aig& g, aig::FrameCache* cache) : g_(g), cache_(cache) {
     if (cache_ != nullptr && cache_->size() > 0) {
       openSwept();
     } else {
-      solver_.emplace(solverOptions_);
+      solver_.emplace();
       enc_.emplace(g_, *solver_);
     }
   }
@@ -458,13 +457,12 @@ class Miter {
     }
     enc_.reset();
     solver_.reset();
-    solver_.emplace(solverOptions_);
+    solver_.emplace();
     frames_.emplace(*cache_, out_);
     enc_.emplace(out_, *solver_);
   }
 
   aig::Aig& g_;
-  sat::SolverOptions solverOptions_;
   aig::FrameCache* cache_;
   aig::Aig out_;  // the swept graph (swept mode only)
   std::optional<sat::Solver> solver_;
@@ -575,10 +573,10 @@ SecResult checkEquivalence(const SecProblem& problem,
   // induction is one more copy of the transition relation BMC unrolled.
   std::optional<aig::FrameCache> frames;
   if (options.fraig)
-    frames.emplace(aig::FramePipeline{options.fraigOptions, options.solver});
+    frames.emplace(options.fraigOptions);
   aig::FrameCache* cache = frames ? &*frames : nullptr;
   aig::Aig g;
-  Miter miter(g, options, cache);
+  Miter miter(g, cache);
 
   const ir::TransitionSystem* slmTs = &problem.side(Side::kSlm);
   const ir::TransitionSystem* rtlTs = &problem.side(Side::kRtl);
@@ -641,9 +639,8 @@ SecResult checkEquivalence(const SecProblem& problem,
     is.applied = true;
     auto runSide = [&](const ir::TransitionSystem& ts,
                        std::vector<ir::NodeRef>& out) {
-      const inv::Result r = inv::mineAndCertify(ts, options.invOptions,
-                                                inductionBudget,
-                                                options.solver);
+      const inv::Result r =
+          inv::mineAndCertify(ts, options.invOptions, inductionBudget);
       out = r.certified;
       is.candidates += r.stats.candidates;
       is.certified += r.stats.certified;
@@ -875,7 +872,7 @@ SecResult checkEquivalence(const SecProblem& problem,
     }
     if (closed) {
       aig::Aig gi;
-      Miter miterI(gi, options, cache);
+      Miter miterI(gi, cache);
       // The same systems BMC unrolled.  Sliced ones are sound here: severed
       // state is outside every checked cone on any trace, and sequential
       // constants are inductive invariants, proven wherever the step's

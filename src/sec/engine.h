@@ -179,8 +179,8 @@ struct SecStats {
 
 /// The run's deterministic counters under their report/journal names — the
 /// only place a counter is named, so a new one is one line here.  No wall
-/// time: the map is also the portfolio replay fingerprint, which re-running
-/// the recorded winner single-threaded must reproduce exactly.
+/// time: the same check reports the same map on any thread, so a plan run
+/// on an executor and a serial run of it diff clean block by block.
 std::map<std::string, std::uint64_t> deterministicCounters(const SecStats& s);
 
 struct SecResult {
@@ -194,14 +194,6 @@ struct SecOptions {
   unsigned boundTransactions = 4;
   /// Attempt the inductive step to upgrade bounded -> proven.
   bool tryInduction = true;
-  /// Per-instance SAT solver heuristics (seed, phase saving, restart
-  /// policy).  The portfolio racer (core::buildPortfolio) diversifies
-  /// these.  Every solver this run constructs — the BMC miter's, the
-  /// induction miter's and each frame-local sweep's — uses them.  The
-  /// default is the plain sat::Solver configuration every other caller
-  /// uses; the heuristics change only the search trajectory, never a
-  /// verdict.
-  sat::SolverOptions solver{};
   /// Apply equality-shaped coupling invariants structurally (shared
   /// symbolic variables) instead of as CNF constraints.  On by default;
   /// exposed so bench_sec_ablation can quantify the optimization (see

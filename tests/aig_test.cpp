@@ -588,7 +588,7 @@ TEST(FraigSession, DeltasPreserveSemanticsOfEveryRootSoFar) {
   for (int iter = 0; iter < 15; ++iter) {
     Aig g;
     Aig out;
-    FrameCache cache(FramePipeline{});
+    FrameCache cache(FraigOptions{});
     FrameCache::Session session(cache, out);
     std::vector<Lit> pool = {kFalse, kTrue};
     std::vector<Lit> roots;
@@ -615,15 +615,15 @@ TEST(RewriteSession, DeltasPreserveSemanticsOfEveryRootSoFar) {
   // gates may read any earlier literal, so deltas reach back into what
   // earlier calls already swept; a starved sweep (one conflict per
   // candidate) leaves pairs unresolved and must stay exact too.
-  FramePipeline starved;
-  starved.fraig.seed = 0x0dd5eedULL;
-  starved.fraig.candidateBudget = sat::Budget{/*maxConflicts=*/1, 0, 0.0};
-  for (const FramePipeline& pipe : {FramePipeline{}, starved}) {
+  FraigOptions starved;
+  starved.seed = 0x0dd5eedULL;
+  starved.candidateBudget = sat::Budget{/*maxConflicts=*/1, 0, 0.0};
+  for (const FraigOptions& options : {FraigOptions{}, starved}) {
     std::mt19937_64 rng(0x5e55);
     for (int iter = 0; iter < 15; ++iter) {
       Aig g;
       Aig out;
-      FrameCache cache(pipe);
+      FrameCache cache(options);
       FrameCache::Session session(cache, out);
       std::vector<Lit> roots;
       std::vector<Lit> pool = {kFalse, kTrue};
@@ -666,7 +666,7 @@ TEST(FraigSession, RunIsOneExtendOfAFreshSession) {
   for (const std::uint32_t in : g.inputs()) roots.push_back(in << 1);
   FraigRun run(g, roots);
   Aig out;
-  FrameCache cache(FramePipeline{});
+  FrameCache cache(FraigOptions{});
   FrameCache::Session session(cache, out);
   const FrameCache::Result& res = session.extend(g, roots);
   const FraigStats& fs = res.stats.fraig;
@@ -762,7 +762,7 @@ TEST(FrameCache, IdenticalFramesCostIdenticalDeltas) {
   Aig g;
   const auto frames = unrollFrames(g, 5);
   Aig out;
-  FrameCache cache(FramePipeline{});
+  FrameCache cache(FraigOptions{});
   FrameCache::Session session(cache, out);
   std::vector<FraigStats> perFrame;
   for (const auto& f : frames)
@@ -835,7 +835,7 @@ TEST(FrameCache, IdenticalFrameReplaysTheCacheExactly) {
   Aig g;
   const auto frames = unrollFrames(g, 3);
   Aig out;
-  FrameCache cache(FramePipeline{});
+  FrameCache cache(FraigOptions{});
   FrameCache::Session session(cache, out);
   const FrameStats s0 = session.extend(g, frames[0]).stats;
   const FrameStats s1 = session.extend(g, frames[1]).stats;
@@ -847,7 +847,7 @@ TEST(FrameCache, IdenticalFrameReplaysTheCacheExactly) {
   const std::vector<Lit> hRoots =
       standaloneDelta(g, session.result(), frames[2], h, targets);
   Aig hOut;
-  FrameCache freshCache(FramePipeline{});
+  FrameCache freshCache(FraigOptions{});
   FrameCache::Session fresh(freshCache, hOut);
   const FrameCache::Result& ref = fresh.extend(h, hRoots);
   EXPECT_FALSE(ref.stats.cacheHit);
@@ -920,7 +920,7 @@ TEST(FrameCache, MissesOnAnyStructuralDifference) {
     const std::vector<Lit> first = fixedCone(g, 0);
     const std::vector<Lit> second = fixedCone(g, variant);
     Aig out;
-    FrameCache cache(FramePipeline{});
+    FrameCache cache(FraigOptions{});
     FrameCache::Session session(cache, out);
     const FrameStats s0 = session.extend(g, first).stats;
     const FrameStats s1 = session.extend(g, second).stats;

@@ -164,14 +164,6 @@ TEST(InvCertify, BudgetExhaustionReturnsEmptyNeverPartial) {
   EXPECT_TRUE(r.certified.empty());
   EXPECT_EQ(r.stats.certified, 0u);
   EXPECT_GT(r.stats.candidates, 0u);  // mining itself is budget-free
-
-  // Cancellation takes the same path.
-  std::atomic<bool> stop{true};
-  sat::Budget cancelled;
-  cancelled.cancel = &stop;
-  const Result rc = mineAndCertify(ts, {}, cancelled);
-  EXPECT_TRUE(rc.stats.budgetExhausted);
-  EXPECT_TRUE(rc.certified.empty());
 }
 
 TEST(InvCertify, CandidateCapTruncatesDeterministically) {

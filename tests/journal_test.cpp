@@ -288,25 +288,18 @@ JournalRecord richRecord() {
   b.counters = {{"slice_states_severed", 11}, {"inv_certified", 2}};
   b.seconds = 0.1;  // not exactly representable: must round-trip bit-exact
   b.detail = "proven equivalent";
-  b.portfolioWinner = 1;
-  b.portfolioWinnerName = "seed+1";
   AttemptRecord a;
   a.rung = 2;
   a.maxConflicts = 400;
   a.maxPropagations = 1600;
   a.outcome = "inconclusive";
   a.seconds = 1.0 / 3.0;
-  a.member = 1;
-  a.memberName = "seed+1";
-  a.winner = true;
   a.counters = sec::deterministicCounters(sec::SecStats{});
   std::uint64_t n = 0;
   for (auto& [name, value] : a.counters) value = ++n * 1000003;
   a.counters["sat_conflicts"] = 18446744073709551615ull;  // max u64
   b.attemptLog.push_back(a);
   a.rung = 0;
-  a.winner = false;
-  a.cancelled = true;
   a.faulted = true;
   a.outcome = "faulted: injected";
   b.attemptLog.push_back(a);
@@ -333,8 +326,6 @@ void expectSameRecord(const JournalRecord& x, const JournalRecord& y) {
   EXPECT_EQ(a.counters, b.counters);
   EXPECT_EQ(a.seconds, b.seconds);  // bit-exact: shortest round-trip form
   EXPECT_EQ(a.detail, b.detail);
-  EXPECT_EQ(a.portfolioWinner, b.portfolioWinner);
-  EXPECT_EQ(a.portfolioWinnerName, b.portfolioWinnerName);
   ASSERT_EQ(a.attemptLog.size(), b.attemptLog.size());
   for (std::size_t i = 0; i < a.attemptLog.size(); ++i) {
     const AttemptRecord& p = a.attemptLog[i];
@@ -345,10 +336,6 @@ void expectSameRecord(const JournalRecord& x, const JournalRecord& y) {
     EXPECT_EQ(p.outcome, q.outcome);
     EXPECT_EQ(p.faulted, q.faulted);
     EXPECT_EQ(p.seconds, q.seconds);
-    EXPECT_EQ(p.member, q.member);
-    EXPECT_EQ(p.memberName, q.memberName);
-    EXPECT_EQ(p.winner, q.winner);
-    EXPECT_EQ(p.cancelled, q.cancelled);
     EXPECT_EQ(p.counters, q.counters);
   }
 }
@@ -364,14 +351,20 @@ TEST(RecordCodec, RoundTripsEveryField) {
 TEST(RecordCodec, RejectsWellFormedJsonThatIsNotARecord) {
   EXPECT_THROW((void)Journal::decodeRecord(common::parseJson("{\"x\":1}")),
                CheckError);
-  // Right shape, one field patched: a wrong method string, and integers
-  // that parse as u64/i64 but do not fit their narrower fields (they must
-  // be rejected, never wrapped: 2^32+3 attempts is not 3 attempts).
+  // Right shape, one field patched: a wrong method string, integers that
+  // parse as u64/i64 but do not fit their narrower fields (they must be
+  // rejected, never wrapped: 2^32+3 attempts is not 3 attempts), and keys
+  // this record shape does not have, at block and at attempt level (the
+  // version-2 attempt fields member, winner and cancelled among them).
   const std::string good = Journal::encodeRecord(richRecord());
   const std::pair<std::string, std::string> patches[] = {
       {"\"method\":\"sec\"", "\"method\":\"hec\""},
       {"\"attempts\":3", "\"attempts\":4294967299"},
-      {"\"member\":1", "\"member\":1099511627776"},
+      {"\"rung\":2", "\"rung\":4294967298"},
+      {"\"attempts\":3", "\"member_name\":\"m1\",\"attempts\":3"},
+      {"\"rung\":2", "\"member\":1,\"rung\":2"},
+      {"\"rung\":2", "\"winner\":true,\"rung\":2"},
+      {"\"rung\":2", "\"cancelled\":false,\"rung\":2"},
   };
   for (const auto& [from, to] : patches) {
     std::string payload = good;
@@ -425,15 +418,18 @@ TEST(JournalIo, MissingAndBadHeaders) {
                  "\"plan\":\"soc\"}\n");
   EXPECT_EQ(Journal::load(wrongVersion).damage, JournalDamage::kBadHeader);
 
-  // A version-1 journal (the pre-counter-map record shape) cold-starts.
-  const std::string v1 = tempBase("v1");
-  { Journal j(v1, "soc"); j.append(richRecord()); }
-  writeFileOrDie(v1 + ".hdr",
-                 "{\"format\":\"dfv-journal\",\"version\":1,"
-                 "\"plan\":\"soc\"}\n");
-  loaded = Journal::load(v1);
-  EXPECT_EQ(loaded.damage, JournalDamage::kBadHeader);
-  EXPECT_TRUE(loaded.records.empty());
+  // Version-1 (pre-counter-map) and version-2 (portfolio fields) journals
+  // cold-start.
+  for (int version : {1, 2}) {
+    const std::string old = tempBase("old");
+    { Journal j(old, "soc"); j.append(richRecord()); }
+    writeFileOrDie(old + ".hdr",
+                   "{\"format\":\"dfv-journal\",\"version\":" +
+                       std::to_string(version) + ",\"plan\":\"soc\"}\n");
+    loaded = Journal::load(old);
+    EXPECT_EQ(loaded.damage, JournalDamage::kBadHeader) << version;
+    EXPECT_TRUE(loaded.records.empty()) << version;
+  }
 }
 
 TEST(JournalIo, ReconstructionOverwritesAStaleJournal) {
@@ -702,6 +698,28 @@ TEST(Resume, AdmittedRecordIsEmittedOnceWithProvenance) {
   for (const BlockResult& b : r2.blocks) EXPECT_FALSE(b.resumed);
 }
 
+TEST(Resume, VersionTwoJournalReRunsEveryBlock) {
+  // A journal written under the version-2 record shape describes runs this
+  // runner can no longer reproduce field for field: it admits nothing.
+  const std::string base = tempBase("v2");
+  {
+    ResilientRunner first = makeAbcRunner();
+    Journal j(base, "soc");
+    first.setJournal(&j);
+    first.runAll();
+  }
+  writeFileOrDie(base + ".hdr",
+                 "{\"format\":\"dfv-journal\",\"version\":2,"
+                 "\"plan\":\"soc\"}\n");
+  std::atomic<unsigned> calls{0};
+  ResilientRunner second = makeAbcRunner(&calls);
+  EXPECT_EQ(second.resumePlan(Journal::load(base)), 0u);
+  const PlanReport r = second.runAll();
+  EXPECT_EQ(calls.load(), 3u);
+  EXPECT_EQ(r.resumed, 0u);
+  EXPECT_EQ(r.verified, 3u);
+}
+
 TEST(Resume, PlanNameMismatchAdmitsNothing) {
   const std::string base = tempBase("name");
   {
@@ -778,8 +796,6 @@ TEST(Resume, FingerprintIsSensitiveToTheProblemConfiguration) {
   RetryPolicy deeper;
   deeper.maxAttempts = 5;
   EXPECT_NE(secFp("blk", 1, base, deeper), fp);
-  EXPECT_NE(secBlockFingerprint("blk", 1, base, policy, warn, false, true, 3),
-            fp);
   EXPECT_NE(cosimBlockFingerprint("blk", 1, 1, warn, false),
             cosimBlockFingerprint("blk", 1, 2, warn, false));
   // The DRC gate shapes the recorded run: the policy and whether a DRC
