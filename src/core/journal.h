@@ -43,10 +43,10 @@
 // record from an edited design or a reconfigured runner cold-starts from
 // that point (see ResilientRunner::resumePlan).
 //
-// Appends are mutex-serialized: ParallelExecutor workers complete blocks
-// concurrently and append from their own threads (raced under TSan via the
-// `journal` ctest label).  Record identity is the block name, so WAL order
-// is completion order and resume is order-independent per block.
+// Appends are mutex-serialized: a ParallelExecutor run's threads complete
+// blocks concurrently and append from their own threads (raced under TSan
+// via the `journal` ctest label).  Record identity is the block name, so
+// WAL order is completion order and resume is order-independent per block.
 #pragma once
 
 #include <cstdint>

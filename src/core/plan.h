@@ -101,8 +101,9 @@ struct PlanReport {
   /// Wall time of the whole run (not the sum of per-block seconds, which
   /// overstates it under an executor and re-counts resumed blocks' runs).
   double totalSeconds = 0.0;
-  /// Worker threads the run used (1 = serial).  Blocks always appear in
-  /// registration order regardless of the schedule.
+  /// Threads that ran blocks: 1 for a serial run, else the executor's
+  /// claim-loop width (the calling thread plus the threads it spawned).
+  /// Blocks always appear in registration order regardless of the schedule.
   unsigned workers = 1;
   unsigned verified = 0;
   unsigned skipped = 0;

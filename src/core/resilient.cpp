@@ -331,7 +331,6 @@ PlanReport ResilientRunner::runIncremental() {
 PlanReport ResilientRunner::run(bool incremental) {
   const auto start = std::chrono::steady_clock::now();
   PlanReport report;
-  report.workers = exec_ != nullptr ? std::max(1u, exec_->workers()) : 1;
   // Skip decisions read only each entry's own cached digest, and a run
   // mutates only its own entry's cache, so deciding every skip up front is
   // equivalent to the interleaved serial order — and it keeps the parallel
@@ -365,20 +364,16 @@ PlanReport ResilientRunner::run(bool incremental) {
   if (exec_ == nullptr) {
     for (std::size_t i : pending) results[i] = runEntry(blocks_[i]);
   } else {
-    // Each block task clones the calling thread's injector, so a block's
-    // (seed, site, hit) stream is its own no matter which worker runs it —
+    // Each block clones the calling thread's injector, so a block's
+    // (seed, site, hit) stream is its own no matter which thread runs it —
     // two parallel runs inject identically, though differently from a
     // serial run's single shared stream (see fault/fault.h).
     const fault::Injector* proto = fault::currentInjector();
-    ParallelExecutor::TaskGroup group;
-    for (std::size_t i : pending) {
-      exec_->submit(group, [this, i, proto, &results] {
-        std::optional<fault::ScopedInjector> si;
-        if (proto != nullptr) si.emplace(*proto);
-        results[i] = runEntry(blocks_[i]);
-      });
-    }
-    exec_->wait(group);
+    report.workers = exec_->forEach(pending.size(), [&](std::size_t k) {
+      std::optional<fault::ScopedInjector> si;
+      if (proto != nullptr) si.emplace(*proto);
+      results[pending[k]] = runEntry(blocks_[pending[k]]);
+    });
   }
   for (const BlockResult& r : results) report.tally(r);
   report.blocks = std::move(results);

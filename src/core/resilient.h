@@ -125,13 +125,13 @@ class ResilientRunner {
   void setDrcPolicy(DrcPolicy policy) { drcPolicy_ = policy; }
 
   /// Runs independent blocks concurrently on `exec` (borrowed; must outlive
-  /// every run; nullptr restores serial execution).  Each block task
-  /// installs a fresh clone of the calling thread's fault injector, so a
-  /// block's injection schedule is the same whatever worker runs it — note
-  /// this intentionally differs from a serial run, where all blocks share
-  /// one hit stream.  Reports keep registration order and record the
-  /// worker count; block runners must not share mutable state with each
-  /// other (ir::Context interning is already thread-safe).
+  /// every run; nullptr restores serial execution).  Each block installs a
+  /// fresh clone of the calling thread's fault injector, so a block's
+  /// injection schedule is the same whatever thread runs it — note this
+  /// intentionally differs from a serial run, where all blocks share one
+  /// hit stream.  Reports keep registration order and record how many
+  /// threads ran blocks; block runners must not share mutable state with
+  /// each other (ir::Context interning is already thread-safe).
   void setExecutor(ParallelExecutor* exec) { exec_ = exec; }
 
   /// Attaches a write-ahead journal (borrowed; must outlive every run):

@@ -120,11 +120,11 @@ class Injector {
 };
 
 /// The current thread's injector, or nullptr when fault injection is off
-/// (the default).  The registry is thread_local: each ParallelExecutor
-/// worker sees only the injector its own task installed, so counters are
-/// never shared across threads and the pure (seed, site, hit) firing
-/// contract holds per worker with no atomics on the hot path.  On a
-/// single-threaded run this behaves exactly as the old process-global
+/// (the default).  The registry is thread_local: each thread of a
+/// ParallelExecutor run sees only the injector its current block installed,
+/// so counters are never shared across threads and the pure (seed, site,
+/// hit) firing contract holds per block with no atomics on the hot path.
+/// On a single-threaded run this behaves exactly as the old process-global
 /// pointer did.
 Injector* currentInjector();
 

@@ -125,10 +125,11 @@ using NodeRef = const Node*;
 /// downstream passes see canonical graphs.
 ///
 /// Thread safety: node construction is serialized on an internal mutex, so
-/// concurrent builders (plan blocks on a core::ParallelExecutor) may share
-/// a Context.  Nodes are immutable once published, so reads (operands(),
-/// constValue(), ...) are lock-free.  When two threads build the same
-/// expression, the first intern wins and both observe the same NodeRef.
+/// concurrent builders (plan blocks run by a core::ParallelExecutor) may
+/// share a Context.  Nodes are immutable once published, so reads
+/// (operands(), constValue(), ...) are lock-free.  When two threads build
+/// the same expression, the first intern wins and both observe the same
+/// NodeRef.
 /// Ids follow interning order, and operand canonicalization consults them,
 /// so a check that must match its serial run bit for bit builds into a
 /// Context of its own.

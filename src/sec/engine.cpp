@@ -601,23 +601,14 @@ SecResult checkEquivalence(const SecProblem& problem,
       slmRoots.extra.push_back(inv);
       rtlRoots.extra.push_back(inv);
     }
-    auto fold = [](const slice::Stats& s, SliceSideStats& out) {
-      out.statesSevered = s.statesSevered;
-      out.seqConstants = s.seqConstants;
-      out.nodesBefore = s.nodesBefore;
-      out.nodesAfter = s.nodesAfter;
-    };
-    slice::Stats ss, rs;
+    SliceStats& st = result.stats.slice;
     slmSliced = slice::sliceTransitionSystem(*slmTs, slmRoots,
-                                             options.sliceOptions, &ss);
+                                             options.sliceOptions, &st.slm);
     rtlSliced = slice::sliceTransitionSystem(*rtlTs, rtlRoots,
-                                             options.sliceOptions, &rs);
+                                             options.sliceOptions, &st.rtl);
     slmTs = &*slmSliced;
     rtlTs = &*rtlSliced;
-    SliceStats& st = result.stats.slice;
     st.applied = true;
-    fold(ss, st.slm);
-    fold(rs, st.rtl);
     st.seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();

@@ -105,21 +105,13 @@ struct AbsintStats {
   double seconds = 0.0;
 };
 
-/// Per-side effect of the structural slicing pass (SecOptions::slice).
-struct SliceSideStats {
-  std::uint64_t statesSevered = 0;  ///< state vars outside every root cone
-  std::uint64_t seqConstants = 0;   ///< latches substituted by reset values
-  std::uint64_t nodesBefore = 0;    ///< unique IR cone nodes before
-  std::uint64_t nodesAfter = 0;     ///< unique IR cone nodes after
-};
-
 /// Cost and effect of the induction-sound structural slicing preprocessing
 /// (SecOptions::slice): both sides are sliced once, before anything is
 /// unrolled, and the result feeds the BMC and induction systems alike.
 struct SliceStats {
   bool applied = false;
-  SliceSideStats slm{};
-  SliceSideStats rtl{};
+  slice::Stats slm{};  ///< filled by sliceTransitionSystem itself
+  slice::Stats rtl{};
   double seconds = 0.0;  ///< both sides' analysis + rebuild wall-clock
 };
 

@@ -1,16 +1,19 @@
 // Tests for core::ParallelExecutor and the plan runner on it: executor
-// mechanics (helping wait, exception poisoning), serial/parallel report
-// parity down to each block's and attempt's counters, fault isolation and
-// fault-injection determinism per worker, and incremental cache safety
-// under the executor.
+// mechanics (every index once, exceptions after the drain), the reported
+// width, serial/parallel report parity down to each block's and attempt's
+// counters, fault isolation and fault-injection determinism per block, and
+// incremental cache safety under the executor.
 
 #include "core/parallel.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/resilient.h"
@@ -24,63 +27,45 @@ namespace {
 
 // ----- Executor mechanics ---------------------------------------------------
 
-TEST(ParallelExecutor, RunsEverySubmittedTask) {
+TEST(ParallelExecutor, ForEachRunsEveryIndexOnce) {
   ParallelExecutor exec(4);
   EXPECT_EQ(exec.workers(), 4u);
-  std::atomic<int> sum{0};
-  ParallelExecutor::TaskGroup group;
-  for (int i = 1; i <= 100; ++i)
-    exec.submit(group, [&sum, i] { sum.fetch_add(i); });
-  exec.wait(group);
-  EXPECT_EQ(sum.load(), 5050);
+  std::vector<std::atomic<int>> hits(100);
+  // Four spawned threads plus the caller ran the claim loop.
+  EXPECT_EQ(exec.forEach(hits.size(), [&hits](std::size_t i) { ++hits[i]; }),
+            5u);
+  for (std::size_t i = 0; i < hits.size(); ++i)
+    EXPECT_EQ(hits[i].load(), 1) << i;
+  // No thread is spawned without an index for it: one index runs on the
+  // caller alone, and zero indices call nothing.
+  EXPECT_EQ(exec.forEach(1, [&hits](std::size_t i) { ++hits[i]; }), 1u);
+  EXPECT_EQ(hits[0].load(), 2);
+  EXPECT_EQ(exec.forEach(0, [](std::size_t) { FAIL(); }), 1u);
 }
 
-TEST(ParallelExecutor, GroupIsReusableAfterDraining) {
+TEST(ParallelExecutor, SuccessiveCallsBothRun) {
   ParallelExecutor exec(2);
-  ParallelExecutor::TaskGroup group;
   std::atomic<int> count{0};
-  for (int round = 0; round < 3; ++round) {
-    for (int i = 0; i < 10; ++i)
-      exec.submit(group, [&count] { count.fetch_add(1); });
-    exec.wait(group);
-  }
-  EXPECT_EQ(count.load(), 30);
+  for (int round = 0; round < 2; ++round)
+    exec.forEach(10, [&count](std::size_t) { count.fetch_add(1); });
+  EXPECT_EQ(count.load(), 20);
 }
 
-TEST(ParallelExecutor, NestedSpawnAndWaitDoesNotDeadlock) {
-  // One worker, tasks that spawn subtasks and wait on them: without the
-  // helping wait, the single worker would block inside the outer task and
-  // the subtasks could never run.
-  ParallelExecutor exec(1);
-  std::atomic<int> leaves{0};
-  ParallelExecutor::TaskGroup outer;
-  for (int i = 0; i < 4; ++i) {
-    exec.submit(outer, [&] {
-      ParallelExecutor::TaskGroup inner;
-      for (int j = 0; j < 4; ++j)
-        exec.submit(inner, [&leaves] { leaves.fetch_add(1); });
-      exec.wait(inner);
-    });
-  }
-  exec.wait(outer);
-  EXPECT_EQ(leaves.load(), 16);
-}
-
-TEST(ParallelExecutor, TaskExceptionPoisonsItsGroup) {
+TEST(ParallelExecutor, ThrowingIndexIsRethrownAfterEveryIndexRan) {
   ParallelExecutor exec(2);
-  ParallelExecutor::TaskGroup group;
   std::atomic<int> ran{0};
-  for (int i = 0; i < 8; ++i)
-    exec.submit(group, [&ran, i] {
-      ran.fetch_add(1);
-      if (i == 3) throw std::runtime_error("task 3 failed");
-    });
-  EXPECT_THROW(exec.wait(group), std::runtime_error);
-  EXPECT_EQ(ran.load(), 8);  // the group still drained fully
+  EXPECT_THROW(exec.forEach(8,
+                            [&ran](std::size_t i) {
+                              ran.fetch_add(1);
+                              if (i == 3)
+                                throw std::runtime_error("index 3 failed");
+                            }),
+               std::runtime_error);
+  EXPECT_EQ(ran.load(), 8);  // every index still ran
   // The executor itself is unharmed.
-  ParallelExecutor::TaskGroup again;
-  exec.submit(again, [] {});
-  exec.wait(again);
+  std::atomic<int> again{0};
+  exec.forEach(4, [&again](std::size_t) { again.fetch_add(1); });
+  EXPECT_EQ(again.load(), 4);
 }
 
 // ----- SEC fixtures ---------------------------------------------------------
@@ -287,6 +272,45 @@ TEST(ParallelRunner, CacheServesOnlyCleanFullStrengthPasses) {
   EXPECT_EQ(second.skipped, 1u);
 }
 
+// ----- Width: the threads that ran blocks -----------------------------------
+
+TEST(ParallelRunner, ReportedWorkersAreTheThreadsThatRanBlocks) {
+  // Each block raises the in-flight count and waits (2 s at most, so the
+  // test cannot hang) for a block to see three at once: only the two
+  // spawned threads and the calling thread together can get there.
+  ParallelExecutor exec(2);
+  ResilientRunner runner("wide", {.maxAttempts = 1});
+  std::atomic<unsigned> inFlight{0}, peak{0};
+  std::atomic<bool> released{false};
+  for (const char* name : {"w0", "w1", "w2"}) {
+    runner.addSecBlock(name, 1, sec::SecOptions{}, [&](const sec::SecOptions&) {
+      const unsigned now = ++inFlight;
+      unsigned seen = peak.load();
+      while (seen < now && !peak.compare_exchange_weak(seen, now)) {
+      }
+      if (now == 3) released = true;
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(2);
+      while (!released && std::chrono::steady_clock::now() < deadline)
+        std::this_thread::yield();
+      --inFlight;
+      return verdictResult(sec::Verdict::kProvenEquivalent);
+    });
+  }
+  runner.setExecutor(&exec);
+  const PlanReport report = runner.runAll();
+  EXPECT_EQ(peak.load(), 3u);
+  EXPECT_EQ(report.workers, 3u);
+  EXPECT_EQ(report.verified, 3u);
+
+  ResilientRunner single("narrow", {.maxAttempts = 1});
+  single.addSecBlock("only", 1, sec::SecOptions{}, [](const sec::SecOptions&) {
+    return verdictResult(sec::Verdict::kProvenEquivalent);
+  });
+  single.setExecutor(&exec);
+  EXPECT_EQ(single.runAll().workers, 1u);
+}
+
 // ----- DRC gate on the executor ----------------------------------------------
 
 TEST(ParallelRunner, DrcGateBlocksDirtyBlockWhileCleanBlocksRun) {
@@ -320,7 +344,7 @@ TEST(ParallelRunner, DrcGateBlocksDirtyBlockWhileCleanBlocksRun) {
   runner.setExecutor(&exec);
   const PlanReport report = runner.runAll();
 
-  EXPECT_EQ(report.workers, 4u);
+  EXPECT_EQ(report.workers, 5u);  // five blocks: four spawned + the caller
   EXPECT_FALSE(dirtyVerified.load());  // blocked without running
   EXPECT_EQ(verifierCalls.load(), names.size() - 1);
   EXPECT_EQ(report.verified, names.size() - 1);
